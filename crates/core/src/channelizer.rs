@@ -22,21 +22,44 @@
 //! ```
 //!
 //! — the inner sum over `q` is the unnormalised *inverse* DFT across
-//! the branch outputs ([`ddc_dsp::fft::Fft::inverse_unnormalized`]),
+//! the branch outputs ([`ddc_dsp::fft::Fft::inverse_unnormalized_real`]),
 //! and the leading phase factor depends only on `n_m mod N`. Critically
 //! sampled (`D = N`) it is one constant per channel; M/2-oversampled
-//! (`D = N/2`) it alternates between two values — both served by one
-//! precomputed N-entry root table.
+//! (`D = N/2`) it alternates between two values — both read from a
+//! table built once per output phase.
 //!
 //! # Arithmetic and the bounds-match contract
 //!
 //! The branch sums `u_q` are **exact**: `i32` input samples against the
 //! same `i32`-quantized prototype taps a [`crate::chain::FixedDdc`] FIR
-//! stage would load, accumulated in `i64` (a width audit at
-//! construction proves overflow impossible). Only the N-point transform
-//! and the final rounding run in `f64` — with ~1e-9 relative FFT error
-//! against >2^-12 fixed-point quantization steps, the channelizer is
-//! deterministic and bit-stable across chunkings.
+//! stage would load. A width audit at construction bounds every product
+//! and partial sum by `max_q Σ_r |h[q+rN]| · 2^31`, computed in `i128`
+//! over the quantized taps. Within 2^53 the MACs run in `f64`, which
+//! holds every integer of that size exactly; within `i64` they run in
+//! `i64`; beyond that [`Channelizer::from_spec`] refuses the spec.
+//! Exact sums do not depend on the order of summation, so the MACs run
+//! tap-major: all N sums of an output accumulate over L contiguous rows
+//! of input, instead of N strided L-tap dot products.
+//!
+//! Only the N-point transform, the phase correction and the final
+//! rounding run in `f64`, and each step produces the same bits as the
+//! plain formulation — strided dot products, a separate convert and
+//! permute pass, `k·n_m mod N`, a division and `f64::round` — which
+//! `tests/channelizer_equiv.rs` keeps as the reference for every output
+//! word:
+//!
+//! * the FFT applies the same operations in the same order to every
+//!   element, and the sums enter it straight in bit-reversed order;
+//! * the phase correction reads the same roots `e^{−2πi·k·n_m/N}`,
+//!   indexed by output phase instead of by `k·n_m mod N`;
+//! * scaling by `2^−coeff_frac` multiplies instead of dividing by
+//!   `2^coeff_frac`: both round the same real number;
+//! * [`round_to_i64`] equals `f64::round` then `as i64` on every input,
+//!   without the out-of-line call.
+//!
+//! With ~1e-9 relative FFT error against >2^-12 fixed-point
+//! quantization steps, the channelizer is deterministic and bit-stable
+//! across chunkings.
 //!
 //! Against a standalone `FixedDdc` tuned to the same carrier the match
 //! is *bounded*, not bit-exact, because the `FixedDdc` mixes **before**
@@ -54,10 +77,11 @@ use crate::mixer::Iq;
 use crate::spec::{ChannelizerSpec, SpecError};
 use ddc_dsp::fft::Fft;
 use ddc_dsp::firdes::quantize_taps;
-use ddc_dsp::fixed::saturate;
+use ddc_dsp::fixed::{max_signed, min_signed, round_to_i64, saturate};
 use ddc_dsp::C64;
 use ddc_obs::{Counter, LogHistogram, MetricsSnapshot};
 use std::f64::consts::PI;
+use std::ops::{Add, Mul};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -68,94 +92,217 @@ pub const BOUNDS_TOLERANCE: f64 = 0.01;
 /// How the per-output N-point synthesis transform runs.
 #[derive(Clone, Debug)]
 enum Transform {
-    /// Radix-2 FFT plan (power-of-two N): cached twiddles + bit-reverse.
+    /// Radix-2 FFT plan (power-of-two N): per-stage twiddles, the
+    /// branch sums loaded straight into bit-reversed order.
     Radix2(Fft),
     /// Naive O(N²) DFT fallback for non-power-of-two N (the
-    /// [`crate::spec::SpecNoteKind::NonPowerOfTwoChannels`] advisory).
-    Naive,
+    /// [`crate::spec::SpecNoteKind::NonPowerOfTwoChannels`] advisory),
+    /// over `roots[j] = e^{−2πij/N}`.
+    Naive(Vec<C64>),
 }
 
-/// The polyphase front end: commutator, N branch FIRs over contiguous
-/// per-branch taps, and the N-point synthesis transform.
+/// The commutator and N branch FIRs, run tap-major in accumulator `T`.
+#[derive(Clone, Debug)]
+struct Branches<T> {
+    /// Tap-major prototype with branches reversed within each row:
+    /// `taps[r·N + j] = h[(N−1−j) + rN]`, so row `r` lines up with the N
+    /// contiguous input samples it multiplies.
+    taps: Vec<T>,
+    /// The newest `L·N − 1` input samples, oldest first (zeros
+    /// initially), then the current block while it is consumed.
+    work: Vec<T>,
+    /// One output's N sums, in reversed branch order.
+    acc: Vec<T>,
+}
+
+impl<T: Copy + Default + From<i32> + Add<Output = T> + Mul<Output = T>> Branches<T> {
+    fn new(taps: &[i32], n: usize) -> Self {
+        let l = taps.len() / n;
+        let mut major = vec![T::default(); n * l];
+        for (p, &c) in taps.iter().enumerate() {
+            let (q, r) = (p % n, p / n);
+            major[r * n + (n - 1 - q)] = T::from(c);
+        }
+        Branches {
+            taps: major,
+            work: vec![T::default(); n * l - 1],
+            acc: vec![T::default(); n],
+        }
+    }
+
+    /// Appends `input` to the history; for each of the `n_out` outputs,
+    /// whose windows end (exclusive) at work index `first_end + m·d`,
+    /// appends its N branch sums to `sums` in branch order, converted
+    /// by `to_f64`; then keeps the newest `L·N − 1` samples as the next
+    /// block's history.
+    fn run(
+        &mut self,
+        input: &[i32],
+        first_end: usize,
+        d: usize,
+        n_out: usize,
+        sums: &mut Vec<f64>,
+        to_f64: impl Fn(T) -> f64,
+    ) {
+        let n = self.acc.len();
+        self.work.extend(input.iter().map(|&x| T::from(x)));
+        for m in 0..n_out {
+            let end = first_end + m * d;
+            self.acc.fill(T::default());
+            // Row r holds the samples x[end − (r+1)N .. end − rN]; tap
+            // j of the row belongs to branch N−1−j.
+            for (r, row) in self.taps.chunks_exact(n).enumerate() {
+                let x = &self.work[end - (r + 1) * n..end - r * n];
+                for ((a, &c), &x) in self.acc.iter_mut().zip(row).zip(x) {
+                    *a = *a + c * x;
+                }
+            }
+            sums.extend(self.acc.iter().rev().map(|&a| to_f64(a)));
+        }
+        let keep = self.taps.len() - 1;
+        let len = self.work.len();
+        self.work.copy_within(len - keep.., 0);
+        self.work.truncate(keep);
+    }
+}
+
+/// The branch MACs in the accumulator the width audit picked.
+#[derive(Clone, Debug)]
+enum Mac {
+    /// Every product and partial sum is an integer of magnitude at most
+    /// 2^53, so `f64` arithmetic is exact.
+    F64(Branches<f64>),
+    /// Wider sums, still within `i64`.
+    I64(Branches<i64>),
+}
+
+impl Mac {
+    /// The width audit: bounds every branch product and partial sum by
+    /// the largest per-branch `Σ|h|` times the largest `|i32|` input,
+    /// 2^31, in `i128` (at most 64 taps of at most 2^31: below 2^69),
+    /// and picks the narrowest accumulator that holds it exactly, or
+    /// refuses taps whose sums could overflow `i64`.
+    fn for_taps(taps: &[i32], n: usize) -> Result<Mac, SpecError> {
+        let widest = (0..n)
+            .map(|q| {
+                taps.iter()
+                    .skip(q)
+                    .step_by(n)
+                    .map(|&c| i128::from(c).abs())
+                    .sum::<i128>()
+            })
+            .max()
+            .unwrap_or(0);
+        let bound = widest << 31;
+        if bound <= 1 << 53 {
+            Ok(Mac::F64(Branches::new(taps, n)))
+        } else if bound <= i128::from(i64::MAX) {
+            Ok(Mac::I64(Branches::new(taps, n)))
+        } else {
+            let bits = 129 - bound.leading_zeros();
+            Err(SpecError::BadWidth("branch accumulator", bits))
+        }
+    }
+}
+
+/// Output quantization: scale by `2^−coeff_frac`, round half away from
+/// zero, saturate to the data width.
+#[derive(Clone, Copy, Debug)]
+struct OutputWord {
+    scale: f64,
+    lo: i64,
+    hi: i64,
+}
+
+impl OutputWord {
+    #[inline]
+    fn of(self, v: f64) -> i64 {
+        round_to_i64(v * self.scale).clamp(self.lo, self.hi)
+    }
+}
+
+/// The polyphase front end: commutator, N branch FIRs and the N-point
+/// synthesis transform.
 #[derive(Clone, Debug)]
 pub struct Channelizer {
     spec: ChannelizerSpec,
     /// Channel count N.
     n: usize,
-    /// Taps per branch L.
-    l: usize,
     /// Commutator advance per output (N or N/2).
     decim: usize,
-    /// Branch-major quantized prototype: `taps[q·L + r] = h[q + rN]`.
-    taps: Vec<i32>,
-    /// Newest `L·N − 1` input samples, oldest first (zeros initially).
-    carry: Vec<i32>,
-    /// Block scratch: carry ++ current input.
-    work: Vec<i32>,
+    mac: Mac,
     /// Input samples consumed toward the next output (0..decim).
     phase: usize,
-    /// `n_m mod N` of the next output's newest-sample index.
-    out_mod: usize,
     transform: Transform,
-    /// `roots[j] = e^{−2πij/N}` — phase correction and naive DFT.
-    roots: Vec<C64>,
-    /// Branch sums for every output of the current block (outputs × N).
-    branch: Vec<i64>,
-    /// Transform working buffer.
-    buf: Vec<C64>,
+    /// Phase correction per output phase and enabled channel:
+    /// `rot[p·K + s] = e^{−2πi·k_s·n_p/N}`, where `n_p` is the newest
+    /// sample index mod N of outputs in phase `p` (`N/decim` phases)
+    /// and `k_s` the `s`-th of K enabled channels.
+    rot: Vec<C64>,
+    /// Output phase of the next output.
+    rot_phase: usize,
+    /// Exact branch sums for every output of the current block
+    /// (outputs × N), as `f64`.
+    sums: Vec<f64>,
+    /// Transform output, split into real and imaginary parts.
+    re: Vec<f64>,
+    im: Vec<f64>,
     /// Enabled channel indices, ascending.
     enabled: Vec<usize>,
     /// Exact DC gain of the quantized prototype (≈1).
     nominal_gain: f64,
-    coeff_frac: u32,
-    data_bits: u32,
+    word: OutputWord,
 }
 
 impl Channelizer {
     /// Builds the bank from a validated spec: designs the prototype,
-    /// quantizes it to the spec's coefficient width and lays the taps
-    /// out branch-major so each branch dot runs over contiguous memory.
+    /// quantizes it to the spec's coefficient width, audits the branch
+    /// accumulator width and lays the taps out tap-major. Fails with
+    /// [`SpecError::BadWidth`] if a branch sum could overflow `i64`.
     pub fn from_spec(spec: ChannelizerSpec) -> Result<Self, SpecError> {
         spec.validate()?;
         let proto = spec.prototype_taps()?;
         let n = spec.channels as usize;
-        let l = spec.taps_per_branch as usize;
         let f = spec.format;
         let q = quantize_taps(&proto, f.coeff_bits, f.coeff_frac());
         let nominal_gain =
             q.iter().map(|&c| f64::from(c)).sum::<f64>() / 2f64.powi(f.coeff_frac() as i32);
-        let mut taps = vec![0i32; n * l];
-        for (p, &c) in q.iter().enumerate() {
-            let (branch, r) = (p % n, p / n);
-            taps[branch * l + r] = c;
-        }
+        let mac = Mac::for_taps(&q, n)?;
         let decim = spec.decimation() as usize;
-        let transform = if n.is_power_of_two() {
-            Transform::Radix2(Fft::new(n))
-        } else {
-            Transform::Naive
-        };
-        let roots = (0..n)
+        let roots: Vec<C64> = (0..n)
             .map(|j| C64::cis(-2.0 * PI * j as f64 / n as f64))
             .collect();
         let enabled = spec.enabled_channels();
+        let rot = (0..n / decim)
+            .flat_map(|p| {
+                let newest = (decim - 1 + p * decim) % n;
+                enabled.iter().map(move |&k| k * newest % n)
+            })
+            .map(|j| roots[j])
+            .collect();
+        let transform = if n.is_power_of_two() {
+            Transform::Radix2(Fft::new(n))
+        } else {
+            Transform::Naive(roots)
+        };
         Ok(Channelizer {
             n,
-            l,
             decim,
-            taps,
-            carry: vec![0; n * l - 1],
-            work: Vec::new(),
+            mac,
             phase: 0,
-            out_mod: (decim - 1) % n,
             transform,
-            roots,
-            branch: Vec::new(),
-            buf: Vec::with_capacity(n),
+            rot,
+            rot_phase: 0,
+            sums: Vec::new(),
+            re: vec![0.0; n],
+            im: vec![0.0; n],
             enabled,
             nominal_gain,
-            coeff_frac: f.coeff_frac(),
-            data_bits: f.data_bits,
+            word: OutputWord {
+                scale: 2f64.powi(-(f.coeff_frac() as i32)),
+                lo: min_signed(f.data_bits),
+                hi: max_signed(f.data_bits),
+            },
             spec,
         })
     }
@@ -178,44 +325,21 @@ impl Channelizer {
     }
 
     /// Stage 1 — commutator + polyphase branches: consumes the block,
-    /// appends one N-vector of exact `i64` branch sums per completed
-    /// output to the internal buffer, and returns how many outputs
-    /// completed. Always followed by [`Channelizer::transform_outputs`]
-    /// with the same count.
+    /// stages one N-vector of exact branch sums per completed output in
+    /// the internal buffer, and returns how many outputs completed.
+    /// Always followed by [`Channelizer::transform_outputs`] with the
+    /// same count.
     pub fn compute_branches(&mut self, input: &[i32]) -> usize {
-        let (n, l, d) = (self.n, self.l, self.decim);
-        let window = n * l;
-        let mut work = std::mem::take(&mut self.work);
-        work.clear();
-        work.reserve(window - 1 + input.len());
-        work.extend_from_slice(&self.carry);
-        work.extend_from_slice(input);
+        let d = self.decim;
         let n_out = (self.phase + input.len()) / d;
-        self.branch.clear();
-        self.branch.reserve(n_out * n);
-        // First window closes after `d − phase` new samples.
-        let mut end = (window - 1) + (d - self.phase);
-        for _ in 0..n_out {
-            let base = end - 1;
-            for bq in 0..n {
-                let t = &self.taps[bq * l..(bq + 1) * l];
-                // Branch q reads x[base − q − rN]: start above the
-                // newest index and walk down by N so the index never
-                // wraps below zero mid-loop.
-                let mut idx = base - bq + n;
-                let mut acc = 0i64;
-                for &c in t {
-                    idx -= n;
-                    acc += i64::from(c) * i64::from(work[idx]);
-                }
-                self.branch.push(acc);
-            }
-            end += d;
+        // The first window closes after `d − phase` new samples.
+        let first_end = (self.n * self.spec.taps_per_branch as usize - 1) + (d - self.phase);
+        self.sums.clear();
+        self.sums.reserve(n_out * self.n);
+        match &mut self.mac {
+            Mac::F64(b) => b.run(input, first_end, d, n_out, &mut self.sums, |v| v),
+            Mac::I64(b) => b.run(input, first_end, d, n_out, &mut self.sums, |v| v as f64),
         }
-        let len = work.len();
-        self.carry.clear();
-        self.carry.extend_from_slice(&work[len - (window - 1)..]);
-        self.work = work;
         self.phase = (self.phase + input.len()) % d;
         n_out
     }
@@ -231,38 +355,38 @@ impl Channelizer {
             self.enabled.len(),
             "one vector per enabled channel"
         );
-        let n = self.n;
-        let half = 2f64.powi(self.coeff_frac as i32);
-        for j in 0..n_out {
-            let sums = &self.branch[j * n..(j + 1) * n];
+        let (n, k_en, word) = (self.n, self.enabled.len(), self.word);
+        for v in out.iter_mut() {
+            v.reserve(n_out);
+        }
+        for sums in self.sums[..n_out * n].chunks_exact(n) {
             match &self.transform {
                 Transform::Radix2(fft) => {
-                    self.buf.clear();
-                    self.buf
-                        .extend(sums.iter().map(|&v| C64::new(v as f64, 0.0)));
-                    fft.inverse_unnormalized(&mut self.buf);
+                    fft.inverse_unnormalized_real(sums, &mut self.re, &mut self.im)
                 }
-                Transform::Naive => {
-                    self.buf.clear();
+                Transform::Naive(roots) => {
                     for k in 0..n {
                         let mut acc = C64::ZERO;
                         for (q, &v) in sums.iter().enumerate() {
                             // e^{+2πikq/N} = conj(roots[kq mod N]).
-                            acc += (v as f64) * self.roots[k * q % n].conj();
+                            acc += v * roots[k * q % n].conj();
                         }
-                        self.buf.push(acc);
+                        (self.re[k], self.im[k]) = (acc.re, acc.im);
                     }
                 }
             }
-            for (slot, &k) in self.enabled.iter().enumerate() {
-                let rot = self.roots[k * self.out_mod % n];
-                let z = self.buf[k] * rot;
-                out[slot].push(Iq {
-                    i: saturate((z.re / half).round() as i64, self.data_bits),
-                    q: saturate((z.im / half).round() as i64, self.data_bits),
+            let rot = &self.rot[self.rot_phase * k_en..(self.rot_phase + 1) * k_en];
+            for ((o, &k), &w) in out.iter_mut().zip(&self.enabled).zip(rot) {
+                let z = C64::new(self.re[k], self.im[k]) * w;
+                o.push(Iq {
+                    i: word.of(z.re),
+                    q: word.of(z.im),
                 });
             }
-            self.out_mod = (self.out_mod + self.decim) % n;
+            self.rot_phase += 1;
+            if self.rot_phase * k_en == self.rot.len() {
+                self.rot_phase = 0;
+            }
         }
     }
 
@@ -343,8 +467,8 @@ impl ChannelBackend {
                 // (i + jq)·(cos φ − j·sin φ)
                 let i = s.i as f64 * cos + s.q as f64 * sin;
                 let q = s.q as f64 * cos - s.i as f64 * sin;
-                s.i = saturate(i.round() as i64, self.data_bits);
-                s.q = saturate(q.round() as i64, self.data_bits);
+                s.i = saturate(round_to_i64(i), self.data_bits);
+                s.q = saturate(round_to_i64(q), self.data_bits);
                 self.phase = (self.phase + self.dphase) % (2.0 * PI);
             }
         }
@@ -568,6 +692,7 @@ impl ChannelizerFarm {
 mod tests {
     use super::*;
     use crate::chain::FixedDdc;
+    use crate::params::FixedFormat;
     use crate::spec::PrototypeDesign;
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -686,6 +811,35 @@ mod tests {
             let want = direct_reference(&spec, k, &input);
             assert_within_one_lsb(&out[slot], &want, &format!("channel {k}"));
         }
+    }
+
+    #[test]
+    fn width_audit_picks_the_narrowest_exact_accumulator() {
+        let audit = |format| {
+            let mut spec = ChannelizerSpec::uniform(8, 1.0e6);
+            spec.format = format;
+            Channelizer::from_spec(spec).unwrap().mac
+        };
+        assert!(matches!(audit(FixedFormat::FPGA12), Mac::F64(_)));
+        assert!(matches!(audit(FixedFormat::MONTIUM16), Mac::F64(_)));
+        let wide = FixedFormat {
+            data_bits: 32,
+            coeff_bits: 32,
+            ..FixedFormat::MONTIUM16
+        };
+        assert!(matches!(audit(wide), Mac::I64(_)));
+        // Taps h[q + rN]: with N = 2, branch 0 holds taps 0 and 2. A
+        // branch weight of 2^22 times 2^31 is exactly 2^53: still f64.
+        // One more unit needs i64; a branch of 64 full-scale taps
+        // (2^37 · 2^31 = 2^68) fits neither.
+        let edge = [1 << 21, 7, -(1 << 21), -7];
+        assert!(matches!(Mac::for_taps(&edge, 2), Ok(Mac::F64(_))));
+        let over = [1 << 21, 7, -(1 << 21) - 1, -7];
+        assert!(matches!(Mac::for_taps(&over, 2), Ok(Mac::I64(_))));
+        assert!(matches!(
+            Mac::for_taps(&[i32::MIN; 64], 1),
+            Err(SpecError::BadWidth("branch accumulator", 70))
+        ));
     }
 
     #[test]

@@ -4,7 +4,18 @@
 //! alias rejection, NCO spur levels) needs a transform but nothing
 //! exotic: power-of-two sizes up to a few hundred thousand points. The
 //! planner precomputes twiddles and the bit-reversal permutation once
-//! per size so repeated transforms (Welch averaging) stay cheap.
+//! per size so repeated transforms (Welch averaging) stay cheap. The
+//! polyphase channelizer runs one small transform per output instant,
+//! so the stages are laid out for that hot loop: data enter in split
+//! real/imaginary form, already bit-reversed, and every stage reads a
+//! contiguous twiddle table for the chosen direction.
+//!
+//! None of this changes a result bit. Each butterfly performs exactly
+//! the `f64` operations of `t = b·w; (a + t, a − t)` on [`C64`], in that
+//! order; stage tables are copied from one root table and conjugated by
+//! a sign flip; fusing the first two stages only reorders independent
+//! butterflies. `tests/fft_reference.rs` compares every transform bit
+//! for bit against the textbook in-place formulation.
 
 use crate::complex::C64;
 use std::f64::consts::PI;
@@ -26,8 +37,16 @@ use std::f64::consts::PI;
 #[derive(Clone, Debug)]
 pub struct Fft {
     n: usize,
-    /// Twiddle factors `e^{-2πik/n}` for `k` in `0..n/2`.
-    twiddles: Vec<C64>,
+    /// Real parts of the twiddles, stage after stage: the stage whose
+    /// butterflies span `2h` points holds `e^{-2πik/(2h)}` for `k` in
+    /// `0..h`, contiguous, so every stage reads its table with unit
+    /// stride (`n − 1` entries in all).
+    tw_re: Vec<f64>,
+    /// Imaginary parts of those twiddles (forward direction).
+    tw_im: Vec<f64>,
+    /// The same imaginary parts negated: the conjugate twiddles of the
+    /// inverse direction.
+    tw_im_conj: Vec<f64>,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
 }
@@ -40,14 +59,30 @@ impl Fft {
             "FFT size {n} must be a power of two >= 2"
         );
         assert!(n <= u32::MAX as usize, "FFT size {n} too large");
-        let twiddles = (0..n / 2)
+        // Every stage entry is copied out of one size-n root table, so a
+        // stage reads exactly the values `roots[k·n/(2h)]` a strided walk
+        // over that table would.
+        let roots: Vec<C64> = (0..n / 2)
             .map(|k| C64::cis(-2.0 * PI * k as f64 / n as f64))
             .collect();
+        let mut staged = Vec::with_capacity(n - 1);
+        let mut half = 1;
+        while half < n {
+            let stride = n / (2 * half);
+            staged.extend((0..half).map(|k| roots[k * stride]));
+            half *= 2;
+        }
         let bits = n.trailing_zeros();
         let rev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        Fft { n, twiddles, rev }
+        Fft {
+            n,
+            tw_re: staged.iter().map(|w| w.re).collect(),
+            tw_im: staged.iter().map(|w| w.im).collect(),
+            tw_im_conj: staged.iter().map(|w| w.conj().im).collect(),
+            rev,
+        }
     }
 
     /// The transform size.
@@ -64,17 +99,13 @@ impl Fft {
 
     /// In-place forward DFT: `X[k] = Σ_n x[n]·e^{-2πikn/N}`.
     pub fn forward(&self, buf: &mut [C64]) {
-        assert_eq!(buf.len(), self.n, "buffer length must equal plan size");
-        self.permute(buf);
-        self.butterflies(buf, false);
+        self.in_place(buf, &self.tw_im);
     }
 
     /// In-place inverse DFT including the `1/N` normalisation, so
     /// `inverse(forward(x)) == x`.
     pub fn inverse(&self, buf: &mut [C64]) {
-        assert_eq!(buf.len(), self.n, "buffer length must equal plan size");
-        self.permute(buf);
-        self.butterflies(buf, true);
+        self.inverse_unnormalized(buf);
         let k = 1.0 / self.n as f64;
         for z in buf.iter_mut() {
             *z = z.scale(k);
@@ -87,9 +118,25 @@ impl Fft {
     /// outputs, where folding `1/N` in would silently rescale the
     /// fixed-point output words.
     pub fn inverse_unnormalized(&self, buf: &mut [C64]) {
-        assert_eq!(buf.len(), self.n, "buffer length must equal plan size");
-        self.permute(buf);
-        self.butterflies(buf, true);
+        self.in_place(buf, &self.tw_im_conj);
+    }
+
+    /// [`Fft::inverse_unnormalized`] of the real sequence `x`, with the
+    /// result in split form: `re[k] + j·im[k]`. Each `x[i] + 0j` is
+    /// stored straight into its bit-reversed slot, so no permutation
+    /// pass runs and nothing is allocated; the result is bit-identical
+    /// to [`Fft::inverse_unnormalized`] of `x[i] + 0j`.
+    pub fn inverse_unnormalized_real(&self, x: &[f64], re: &mut [f64], im: &mut [f64]) {
+        assert_eq!(x.len(), self.n, "input length must equal plan size");
+        assert!(
+            re.len() == self.n && im.len() == self.n,
+            "buffer length must equal plan size"
+        );
+        for (&v, &j) in x.iter().zip(&self.rev) {
+            re[j as usize] = v;
+            im[j as usize] = 0.0;
+        }
+        self.butterflies(re, im, &self.tw_im_conj);
     }
 
     /// Forward transform of a real signal, zero-padding or panicking on
@@ -101,36 +148,75 @@ impl Fft {
         buf
     }
 
-    fn permute(&self, buf: &mut [C64]) {
-        for i in 0..self.n {
-            let j = self.rev[i] as usize;
-            if i < j {
-                buf.swap(i, j);
-            }
+    /// Splits `buf` into bit-reversed real and imaginary halves, runs
+    /// the stages in the direction `tw_im` selects, and interleaves the
+    /// result back.
+    fn in_place(&self, buf: &mut [C64], tw_im: &[f64]) {
+        assert_eq!(buf.len(), self.n, "buffer length must equal plan size");
+        let (mut re, mut im) = (vec![0.0; self.n], vec![0.0; self.n]);
+        for (z, &j) in buf.iter().zip(&self.rev) {
+            re[j as usize] = z.re;
+            im[j as usize] = z.im;
+        }
+        self.butterflies(&mut re, &mut im, tw_im);
+        for (z, (&r, &i)) in buf.iter_mut().zip(re.iter().zip(&im)) {
+            *z = C64::new(r, i);
         }
     }
 
-    fn butterflies(&self, buf: &mut [C64], inverse: bool) {
-        let n = self.n;
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stride = n / len;
-            for start in (0..n).step_by(len) {
+    /// The log₂N radix-2 stages over bit-reversed split data. The
+    /// direction is fixed by the imaginary twiddle table passed in
+    /// (the real parts are shared). Every butterfly performs the
+    /// complex arithmetic of `t = b·w; (a + t, a − t)` on `C64` in the
+    /// same order; the first two stages run fused over groups of four,
+    /// which changes only the order of independent butterflies.
+    fn butterflies(&self, re: &mut [f64], im: &mut [f64], tw_im: &[f64]) {
+        let (n, tw_re) = (self.n, &self.tw_re);
+        let mut half = 1;
+        if n >= 4 {
+            let (w0, w1, w2) = (
+                (tw_re[0], tw_im[0]),
+                (tw_re[1], tw_im[1]),
+                (tw_re[2], tw_im[2]),
+            );
+            for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+                let (a0, a1) = butterfly((r[0], i[0]), (r[1], i[1]), w0);
+                let (a2, a3) = butterfly((r[2], i[2]), (r[3], i[3]), w0);
+                let (b0, b2) = butterfly(a0, a2, w1);
+                let (b1, b3) = butterfly(a1, a3, w2);
+                (r[0], i[0], r[1], i[1]) = (b0.0, b0.1, b1.0, b1.1);
+                (r[2], i[2], r[3], i[3]) = (b2.0, b2.1, b3.0, b3.1);
+            }
+            half = 4;
+        }
+        while half < n {
+            let (wr, wi) = (
+                &tw_re[half - 1..2 * half - 1],
+                &tw_im[half - 1..2 * half - 1],
+            );
+            for (r, i) in re
+                .chunks_exact_mut(2 * half)
+                .zip(im.chunks_exact_mut(2 * half))
+            {
+                let (ar, br) = r.split_at_mut(half);
+                let (ai, bi) = i.split_at_mut(half);
                 for k in 0..half {
-                    let mut w = self.twiddles[k * stride];
-                    if inverse {
-                        w = w.conj();
-                    }
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+                    let (a, b) = butterfly((ar[k], ai[k]), (br[k], bi[k]), (wr[k], wi[k]));
+                    (ar[k], ai[k], br[k], bi[k]) = (a.0, a.1, b.0, b.1);
                 }
             }
-            len *= 2;
+            half *= 2;
         }
     }
+}
+
+/// One radix-2 butterfly on `(re, im)` pairs: `t = b·w`, then `a + t`
+/// and `a − t`, with exactly the operations of `C64`'s `Mul`, `Add` and
+/// `Sub`.
+#[inline(always)]
+fn butterfly(a: (f64, f64), b: (f64, f64), w: (f64, f64)) -> ((f64, f64), (f64, f64)) {
+    let t = (b.0 * w.0 - b.1 * w.1, b.0 * w.1 + b.1 * w.0);
+    ((a.0 + t.0, a.1 + t.1), (a.0 - t.0, a.1 - t.1))
 }
 
 /// Direct O(n²) DFT — the obviously-correct reference the FFT is tested

@@ -114,6 +114,24 @@ pub fn quantize(x: f64, bits: u32, frac_bits: u32, mode: Rounding) -> i64 {
     v.clamp(lo, hi) as i64
 }
 
+/// Rounds half away from zero to an integer: exactly `x.round() as i64`
+/// for every `f64`, including NaN (→ 0) and the saturating
+/// out-of-range cases, without calling `f64::round`, which on x86-64
+/// targets without SSE4.1 is an out-of-line library call.
+#[inline]
+pub fn round_to_i64(x: f64) -> i64 {
+    // Add the largest double below one half, signed like x, and let
+    // `as` truncate toward zero (saturating, NaN → 0). The addition
+    // rounds to nearest-even, which lands on the next integer exactly
+    // when |frac(x)| ≥ 0.5: at frac = 0.5 the exact sum sits 2^-54
+    // below that integer, within half an ulp of it (a tie at |x| = 0.5,
+    // broken toward the even 1.0); below 0.5 it sits at least one ulp
+    // of x plus 2^-54 below, more than half an ulp of the sum. From
+    // 2^52 on, x is an integer and the addend rounds away.
+    const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+    (x + BELOW_HALF.copysign(x)) as i64
+}
+
 /// Converts a fixed-point integer with `frac_bits` fractional bits back
 /// to `f64`.
 #[inline]
@@ -235,6 +253,61 @@ mod tests {
         assert_eq!(saturate(5000, 12), 2047);
         assert_eq!(saturate(-5000, 12), -2048);
         assert_eq!(saturate(123, 12), 123);
+    }
+
+    #[test]
+    fn round_to_i64_equals_round_then_cast() {
+        let down = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let (p52, p63) = (2f64.powi(52), 2f64.powi(63));
+        let mut cases = vec![
+            0.0,
+            0.5,
+            down(0.5),
+            up(0.5),
+            1.5,
+            2.5,
+            down(1.0),
+            p52 - 0.5,
+            p52 + 0.5,
+            p52 + 1.0,
+            p52 - 1.5,
+            down(p52),
+            2f64.powi(53) + 2.0,
+            p63,
+            down(p63),
+            up(p63),
+            2f64.powi(64),
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::INFINITY,
+        ];
+        // Every half-integer and its neighbours over a small range,
+        // and at the binade edges where the sum changes exponent.
+        for k in 0..64 {
+            let h = f64::from(k) + 0.5;
+            cases.extend([h, down(h), up(h)]);
+        }
+        for e in 1..62 {
+            let h = 2f64.powi(e) - 0.5;
+            cases.extend([h, down(h), up(h)]);
+        }
+        // Random bit patterns and random values with fractional parts.
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..100_000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            cases.push(f64::from_bits(s));
+            cases.push((s >> 11) as f64 / 2f64.powi(40));
+        }
+        cases.extend(cases.clone().iter().map(|&x| -x));
+        cases.push(f64::NAN);
+        for x in cases {
+            assert_eq!(round_to_i64(x), x.round() as i64, "x = {x:e}");
+        }
     }
 
     #[test]

@@ -191,6 +191,21 @@ pub fn backend_name() -> &'static str {
     }
 }
 
+/// Re-arms a pipe waker after its pipe has been emptied. The order
+/// matters: a `wake()` landing between the drain and this store sees
+/// `pending` still set and writes nothing, which is safe because its
+/// mailbox post is already visible and the shard drains the mailbox
+/// after every `wait`. Re-arming *before* the drain would let that
+/// `wake()` write a byte the drain then swallows, leaving `pending` set
+/// over an empty pipe: every later `wake()` would be silent and the
+/// shard would sleep until a socket event.
+#[cfg(unix)]
+fn drain_then_rearm(pending: &std::sync::atomic::AtomicBool) {
+    #[cfg(test)]
+    tests::in_drain_window();
+    pending.store(false, std::sync::atomic::Ordering::SeqCst);
+}
+
 // ---------------------------------------- linux: epoll/poll dispatch
 
 #[cfg(target_os = "linux")]
@@ -442,13 +457,10 @@ mod epoll_imp {
         }
 
         fn drain_wake(&self) {
-            // Clear the flag before the pipe: a wake racing this drain
-            // either sees the flag still set (its mailbox post is
-            // already visible to our caller) or writes a fresh byte
-            // that makes the next wait return immediately.
-            self.waker.0.pending.store(false, Ordering::SeqCst);
+            // Empty the pipe, then re-arm: see `super::drain_then_rearm`.
             let mut sink = [0u8; 64];
             while unsafe { read(self.wake_read, sink.as_mut_ptr(), sink.len()) } > 0 {}
+            super::drain_then_rearm(&self.waker.0.pending);
         }
     }
 
@@ -633,9 +645,9 @@ mod poll_imp {
                 return Ok(());
             }
             if fds[0].revents != 0 {
-                self.waker.0.pending.store(false, Ordering::SeqCst);
                 let mut sink = [0u8; 64];
                 while unsafe { read(self.wake_read, sink.as_mut_ptr(), sink.len()) } > 0 {}
+                super::drain_then_rearm(&self.waker.0.pending);
             }
             for (pf, &token) in fds[1..].iter().zip(&tokens) {
                 if pf.revents == 0 || token == WAKE_TOKEN {
@@ -748,9 +760,80 @@ mod imp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
+    use std::rc::Rc;
     use std::time::Instant;
+
+    type Hook = Box<dyn FnMut()>;
+
+    thread_local! {
+        /// Runs on this thread between a poller emptying its wake pipe
+        /// and re-arming its waker.
+        static DRAIN_WINDOW: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// The test seam [`drain_then_rearm`] calls.
+    pub(super) fn in_drain_window() {
+        DRAIN_WINDOW.with(|h| {
+            if let Some(f) = h.borrow_mut().as_mut() {
+                f();
+            }
+        });
+    }
+
+    /// Forces a `wake()` into the window between draining the wake pipe
+    /// and re-arming, then requires the next `wake()` to end a `wait`.
+    fn wake_in_drain_window_is_not_lost(
+        mut wait: impl FnMut(Duration),
+        wake: impl Fn() + Clone + 'static,
+    ) {
+        wake();
+        let fired = Rc::new(Cell::new(false));
+        let (racing, seen) = (wake.clone(), Rc::clone(&fired));
+        DRAIN_WINDOW.with(|h| {
+            *h.borrow_mut() = Some(Box::new(move || {
+                racing();
+                seen.set(true);
+            }))
+        });
+        wait(Duration::from_secs(10));
+        DRAIN_WINDOW.with(|h| *h.borrow_mut() = None);
+        assert!(fired.get(), "the wait never drained the wake pipe");
+
+        wake();
+        let t0 = Instant::now();
+        wait(Duration::from_secs(10));
+        assert!(
+            t0.elapsed() < Duration::from_secs(5),
+            "a wake() after one raced the drain was lost"
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn epoll_wake_racing_the_drain_is_not_lost() {
+        let poller = epoll_imp::Poller::new().unwrap();
+        let waker = poller.waker();
+        let mut events = Vec::new();
+        wake_in_drain_window_is_not_lost(
+            |t| poller.wait(&mut events, Some(t)).unwrap(),
+            move || waker.wake(),
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn poll_wake_racing_the_drain_is_not_lost() {
+        let poller = poll_imp::Poller::new().unwrap();
+        let waker = poller.waker();
+        let mut events = Vec::new();
+        wake_in_drain_window_is_not_lost(
+            |t| poller.wait(&mut events, Some(t)).unwrap(),
+            move || waker.wake(),
+        );
+    }
 
     #[test]
     fn backend_selection_honours_force_poll() {

@@ -11,10 +11,17 @@
 //! and the remaining LUT/rounding terms stay under 0.3% of full scale —
 //! `BOUNDS_TOLERANCE` (1%) covers them with margin. The error budget is
 //! derived in `core::channelizer`'s module docs and DESIGN.md §3.7.
+//!
+//! The second half pins the bank's own arithmetic: every output word
+//! must equal, bit for bit, the plain formulation kept below as
+//! [`reference::Channelizer`] — branch-major strided dot products, a
+//! separate convert and bit-reverse pass, a strided-twiddle FFT and
+//! `f64::round`.
 
 use ddc_suite::core::chain::FixedDdc;
 use ddc_suite::core::channelizer::{Channelizer, BOUNDS_TOLERANCE};
 use ddc_suite::core::mixer::Iq;
+use ddc_suite::core::params::FixedFormat;
 use ddc_suite::core::spec::ChannelizerSpec;
 use proptest::prelude::*;
 
@@ -109,5 +116,310 @@ fn n64_every_channel_bounds_matches() {
     let input = random_input(0x5EED_2026, 64 * 20);
     for k in 0..64u32 {
         check_channel(&spec, k, &input, usize::MAX);
+    }
+}
+
+/// The plain channelizer: branch-major taps, N strided L-tap dot
+/// products per output in `i64`, a separate convert and bit-reverse
+/// pass into a radix-2 FFT that reads one twiddle table with a stride
+/// and conjugates it inside the butterfly loop, the phase root indexed
+/// by `k·n_m mod N`, a division and `f64::round` on every output word.
+mod reference {
+    use ddc_suite::core::mixer::Iq;
+    use ddc_suite::core::spec::ChannelizerSpec;
+    use ddc_suite::dsp::firdes::quantize_taps;
+    use ddc_suite::dsp::fixed::saturate;
+    use ddc_suite::dsp::C64;
+    use std::f64::consts::PI;
+
+    pub struct Fft {
+        n: usize,
+        twiddles: Vec<C64>,
+        rev: Vec<u32>,
+    }
+
+    impl Fft {
+        pub fn new(n: usize) -> Self {
+            let twiddles = (0..n / 2)
+                .map(|k| C64::cis(-2.0 * PI * k as f64 / n as f64))
+                .collect();
+            let bits = n.trailing_zeros();
+            let rev = (0..n as u32)
+                .map(|i| i.reverse_bits() >> (32 - bits))
+                .collect();
+            Fft { n, twiddles, rev }
+        }
+
+        pub fn inverse_unnormalized(&self, buf: &mut [C64]) {
+            assert_eq!(buf.len(), self.n, "buffer length must equal plan size");
+            self.permute(buf);
+            self.butterflies(buf, true);
+        }
+
+        fn permute(&self, buf: &mut [C64]) {
+            for i in 0..self.n {
+                let j = self.rev[i] as usize;
+                if i < j {
+                    buf.swap(i, j);
+                }
+            }
+        }
+
+        pub fn butterflies(&self, buf: &mut [C64], inverse: bool) {
+            let n = self.n;
+            let mut len = 2;
+            while len <= n {
+                let half = len / 2;
+                let stride = n / len;
+                for start in (0..n).step_by(len) {
+                    for k in 0..half {
+                        let mut w = self.twiddles[k * stride];
+                        if inverse {
+                            w = w.conj();
+                        }
+                        let a = buf[start + k];
+                        let b = buf[start + k + half] * w;
+                        buf[start + k] = a + b;
+                        buf[start + k + half] = a - b;
+                    }
+                }
+                len *= 2;
+            }
+        }
+    }
+
+    enum Transform {
+        Radix2(Fft),
+        Naive,
+    }
+
+    pub struct Channelizer {
+        n: usize,
+        l: usize,
+        decim: usize,
+        taps: Vec<i32>,
+        carry: Vec<i32>,
+        work: Vec<i32>,
+        phase: usize,
+        out_mod: usize,
+        transform: Transform,
+        roots: Vec<C64>,
+        branch: Vec<i64>,
+        buf: Vec<C64>,
+        enabled: Vec<usize>,
+        coeff_frac: u32,
+        data_bits: u32,
+    }
+
+    impl Channelizer {
+        pub fn from_spec(spec: &ChannelizerSpec) -> Self {
+            let proto = spec.prototype_taps().unwrap();
+            let n = spec.channels as usize;
+            let l = spec.taps_per_branch as usize;
+            let f = spec.format;
+            let q = quantize_taps(&proto, f.coeff_bits, f.coeff_frac());
+            let mut taps = vec![0i32; n * l];
+            for (p, &c) in q.iter().enumerate() {
+                let (branch, r) = (p % n, p / n);
+                taps[branch * l + r] = c;
+            }
+            let decim = spec.decimation() as usize;
+            let transform = if n.is_power_of_two() {
+                Transform::Radix2(Fft::new(n))
+            } else {
+                Transform::Naive
+            };
+            let roots = (0..n)
+                .map(|j| C64::cis(-2.0 * PI * j as f64 / n as f64))
+                .collect();
+            Channelizer {
+                n,
+                l,
+                decim,
+                taps,
+                carry: vec![0; n * l - 1],
+                work: Vec::new(),
+                phase: 0,
+                out_mod: (decim - 1) % n,
+                transform,
+                roots,
+                branch: Vec::new(),
+                buf: Vec::with_capacity(n),
+                enabled: spec.enabled_channels(),
+                coeff_frac: f.coeff_frac(),
+                data_bits: f.data_bits,
+            }
+        }
+
+        pub fn compute_branches(&mut self, input: &[i32]) -> usize {
+            let (n, l, d) = (self.n, self.l, self.decim);
+            let window = n * l;
+            let mut work = std::mem::take(&mut self.work);
+            work.clear();
+            work.reserve(window - 1 + input.len());
+            work.extend_from_slice(&self.carry);
+            work.extend_from_slice(input);
+            let n_out = (self.phase + input.len()) / d;
+            self.branch.clear();
+            self.branch.reserve(n_out * n);
+            // First window closes after `d − phase` new samples.
+            let mut end = (window - 1) + (d - self.phase);
+            for _ in 0..n_out {
+                let base = end - 1;
+                for bq in 0..n {
+                    let t = &self.taps[bq * l..(bq + 1) * l];
+                    // Branch q reads x[base − q − rN]: start above the
+                    // newest index and walk down by N so the index never
+                    // wraps below zero mid-loop.
+                    let mut idx = base - bq + n;
+                    let mut acc = 0i64;
+                    for &c in t {
+                        idx -= n;
+                        acc += i64::from(c) * i64::from(work[idx]);
+                    }
+                    self.branch.push(acc);
+                }
+                end += d;
+            }
+            let len = work.len();
+            self.carry.clear();
+            self.carry.extend_from_slice(&work[len - (window - 1)..]);
+            self.work = work;
+            self.phase = (self.phase + input.len()) % d;
+            n_out
+        }
+
+        pub fn transform_outputs(&mut self, n_out: usize, out: &mut [Vec<Iq>]) {
+            assert_eq!(
+                out.len(),
+                self.enabled.len(),
+                "one vector per enabled channel"
+            );
+            let n = self.n;
+            let half = 2f64.powi(self.coeff_frac as i32);
+            for j in 0..n_out {
+                let sums = &self.branch[j * n..(j + 1) * n];
+                match &self.transform {
+                    Transform::Radix2(fft) => {
+                        self.buf.clear();
+                        self.buf
+                            .extend(sums.iter().map(|&v| C64::new(v as f64, 0.0)));
+                        fft.inverse_unnormalized(&mut self.buf);
+                    }
+                    Transform::Naive => {
+                        self.buf.clear();
+                        for k in 0..n {
+                            let mut acc = C64::ZERO;
+                            for (q, &v) in sums.iter().enumerate() {
+                                // e^{+2πikq/N} = conj(roots[kq mod N]).
+                                acc += (v as f64) * self.roots[k * q % n].conj();
+                            }
+                            self.buf.push(acc);
+                        }
+                    }
+                }
+                for (slot, &k) in self.enabled.iter().enumerate() {
+                    let rot = self.roots[k * self.out_mod % n];
+                    let z = self.buf[k] * rot;
+                    out[slot].push(Iq {
+                        i: saturate((z.re / half).round() as i64, self.data_bits),
+                        q: saturate((z.im / half).round() as i64, self.data_bits),
+                    });
+                }
+                self.out_mod = (self.out_mod + self.decim) % n;
+            }
+        }
+    }
+}
+
+/// 32-bit data bus and 32-bit coefficients: branch sums outgrow the
+/// 2^53 exact-`f64` range, so the bank takes its `i64` accumulator.
+const WIDE32: FixedFormat = FixedFormat {
+    data_bits: 32,
+    coeff_bits: 32,
+    fir_acc_bits: 48,
+    lut_addr_bits: 12,
+};
+
+const CHANNEL_COUNTS: [u32; 6] = [2, 8, 12, 64, 256, 1024];
+const FORMATS: [FixedFormat; 3] = [FixedFormat::FPGA12, FixedFormat::MONTIUM16, WIDE32];
+
+/// One bit-identity case for the given bank shape; the enable mask,
+/// input amplitude and the chunking of the stream are drawn from
+/// `seed`. Runs the bank and the reference side by side through
+/// `compute_branches` + `transform_outputs` and requires identical
+/// output words.
+fn check_bit_identity(n: u32, oversample: u32, format: FixedFormat, seed: u64) {
+    let mut s = seed | 1;
+    let mut spec = ChannelizerSpec::uniform(n, 1.0e6);
+    spec.oversample = oversample;
+    spec.format = format;
+    if xorshift(&mut s).is_multiple_of(2) {
+        for e in spec.enabled.iter_mut() {
+            *e = xorshift(&mut s).is_multiple_of(4);
+        }
+        spec.enabled[(xorshift(&mut s) % u64::from(n)) as usize] = true;
+    }
+    // ADC words of the format's width, or the whole i32 range.
+    let bits = if xorshift(&mut s).is_multiple_of(2) {
+        format.data_bits
+    } else {
+        32
+    };
+    let n = n as usize;
+    let len = n * spec.taps_per_branch as usize
+        + (1 + (xorshift(&mut s) % 6) as usize) * n
+        + (xorshift(&mut s) % 97) as usize;
+    let input: Vec<i32> = (0..len)
+        .map(|_| ((xorshift(&mut s) >> (64 - bits)) as i64 - (1i64 << (bits - 1))) as i32)
+        .collect();
+    let mut bank = Channelizer::from_spec(spec.clone()).unwrap();
+    let mut want = reference::Channelizer::from_spec(&spec);
+    let rows = bank.enabled_channels().len();
+    assert_eq!(bank.enabled_channels(), spec.enabled_channels().as_slice());
+    let (mut got, mut exp) = (vec![Vec::new(); rows], vec![Vec::new(); rows]);
+    let mut rest = &input[..];
+    while !rest.is_empty() {
+        let take = (1 + (xorshift(&mut s) % (3 * n as u64)) as usize).min(rest.len());
+        let (piece, tail) = rest.split_at(take);
+        rest = tail;
+        let k = bank.compute_branches(piece);
+        assert_eq!(k, want.compute_branches(piece), "output count");
+        bank.transform_outputs(k, &mut got);
+        want.transform_outputs(k, &mut exp);
+    }
+    assert!(exp.iter().all(|row: &Vec<Iq>| !row.is_empty()));
+    assert_eq!(
+        got, exp,
+        "N={n} oversample={oversample} format={format:?} input bits={bits}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every output word of the bank equals the plain formulation
+    /// across channel counts (radix-2 and naive DFT), oversampling,
+    /// data/coefficient widths, sparse masks and ragged chunkings.
+    #[test]
+    fn bank_is_bit_identical_to_the_reference(
+        n in 0usize..CHANNEL_COUNTS.len(),
+        oversample in 1u32..3,
+        format in 0usize..FORMATS.len(),
+        seed in any::<u64>(),
+    ) {
+        check_bit_identity(CHANNEL_COUNTS[n], oversample, FORMATS[format], seed);
+    }
+}
+
+/// Every channel count, oversampling factor and format at least once.
+#[test]
+fn bit_identity_covers_every_shape() {
+    for (i, &n) in CHANNEL_COUNTS.iter().enumerate() {
+        for oversample in 1..=2 {
+            for (j, &format) in FORMATS.iter().enumerate() {
+                check_bit_identity(n, oversample, format, (i * 8 + j) as u64 + 0x5EED);
+            }
+        }
     }
 }

@@ -7,6 +7,13 @@
 //! rounding error per bin while the naive DFT reference accumulates
 //! O(ε·N); with unit-bounded inputs both are well inside `1e-9·N`
 //! absolute per bin, which is the bound asserted throughout.
+//!
+//! The plan's layout (per-stage twiddle tables, split real/imaginary
+//! data, fused first stages) must not change a single bit: the last
+//! property compares every transform against the textbook in-place
+//! radix-2 kept in [`textbook`]. The other `Fft` callers (`spectrum`'s
+//! periodograms, `firdes::minimum_phase`) only call
+//! `forward`/`inverse`, so their results are pinned with it.
 
 use ddc_suite::dsp::fft::{dft, Fft};
 use ddc_suite::dsp::C64;
@@ -89,6 +96,138 @@ proptest! {
             let bound = 1e-9 * n as f64;
             let err = max_err(&buf, &reference);
             prop_assert!(err < bound, "size {}: err {} >= bound {}", n, err, bound);
+        }
+    }
+}
+
+/// The textbook in-place radix-2 plan: a bit-reverse swap pass, then
+/// one size-N twiddle table read with a stride, conjugated inside the
+/// butterfly loop for the inverse.
+mod textbook {
+    use ddc_suite::dsp::C64;
+    use std::f64::consts::PI;
+
+    pub struct Fft {
+        n: usize,
+        twiddles: Vec<C64>,
+        rev: Vec<u32>,
+    }
+
+    impl Fft {
+        pub fn new(n: usize) -> Self {
+            let twiddles = (0..n / 2)
+                .map(|k| C64::cis(-2.0 * PI * k as f64 / n as f64))
+                .collect();
+            let bits = n.trailing_zeros();
+            let rev = (0..n as u32)
+                .map(|i| i.reverse_bits() >> (32 - bits))
+                .collect();
+            Fft { n, twiddles, rev }
+        }
+
+        pub fn forward(&self, buf: &mut [C64]) {
+            self.permute(buf);
+            self.butterflies(buf, false);
+        }
+
+        pub fn inverse(&self, buf: &mut [C64]) {
+            self.permute(buf);
+            self.butterflies(buf, true);
+            let k = 1.0 / self.n as f64;
+            for z in buf.iter_mut() {
+                *z = z.scale(k);
+            }
+        }
+
+        pub fn inverse_unnormalized(&self, buf: &mut [C64]) {
+            self.permute(buf);
+            self.butterflies(buf, true);
+        }
+
+        fn permute(&self, buf: &mut [C64]) {
+            for i in 0..self.n {
+                let j = self.rev[i] as usize;
+                if i < j {
+                    buf.swap(i, j);
+                }
+            }
+        }
+
+        fn butterflies(&self, buf: &mut [C64], inverse: bool) {
+            let n = self.n;
+            let mut len = 2;
+            while len <= n {
+                let half = len / 2;
+                let stride = n / len;
+                for start in (0..n).step_by(len) {
+                    for k in 0..half {
+                        let mut w = self.twiddles[k * stride];
+                        if inverse {
+                            w = w.conj();
+                        }
+                        let a = buf[start + k];
+                        let b = buf[start + k + half] * w;
+                        buf[start + k] = a + b;
+                        buf[start + k + half] = a - b;
+                    }
+                }
+                len *= 2;
+            }
+        }
+    }
+}
+
+fn assert_same_bits(got: &[C64], want: &[C64], what: &str) {
+    for (k, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+            "{what}: bin {k}: {g:?} != {w:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every transform direction, and the real-input synthesis the
+    /// channelizer uses, is bit-identical to the textbook plan at
+    /// every power-of-two size up to 2^14 — on random inputs, and on
+    /// integer-valued real inputs with signed zeros, the channelizer's
+    /// branch sums.
+    #[test]
+    fn plan_is_bit_identical_to_the_textbook_radix2(seed in any::<u64>()) {
+        let mut n = 2usize;
+        while n <= 1 << 14 {
+            let (fft, plain) = (Fft::new(n), textbook::Fft::new(n));
+            let input = random_input(seed ^ (n as u64).rotate_left(29), n);
+            type Transform = fn(&Fft, &mut [C64]);
+            type Textbook = fn(&textbook::Fft, &mut [C64]);
+            let pairs: [(&str, Transform, Textbook); 3] = [
+                ("forward", Fft::forward, textbook::Fft::forward),
+                ("inverse", Fft::inverse, textbook::Fft::inverse),
+                ("inverse_unnormalized", Fft::inverse_unnormalized, textbook::Fft::inverse_unnormalized),
+            ];
+            for (what, new, reference) in pairs {
+                let (mut a, mut b) = (input.clone(), input.clone());
+                new(&fft, &mut a);
+                reference(&plain, &mut b);
+                assert_same_bits(&a, &b, &format!("{what} n={n}"));
+            }
+            let mut s = seed | 1;
+            let sums: Vec<f64> = (0..n)
+                .map(|_| match xorshift(&mut s) % 4 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (xorshift(&mut s) >> 20) as f64 - 2f64.powi(43),
+                })
+                .collect();
+            let (mut re, mut im) = (vec![0.0; n], vec![0.0; n]);
+            fft.inverse_unnormalized_real(&sums, &mut re, &mut im);
+            let a: Vec<C64> = re.iter().zip(&im).map(|(&r, &i)| C64::new(r, i)).collect();
+            let mut b: Vec<C64> = sums.iter().map(|&x| C64::new(x, 0.0)).collect();
+            plain.inverse_unnormalized(&mut b);
+            assert_same_bits(&a, &b, &format!("inverse_unnormalized_real n={n}"));
+            n *= 2;
         }
     }
 }

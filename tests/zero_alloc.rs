@@ -4,24 +4,38 @@
 //!
 //! A counting allocator wraps the system allocator for this whole test
 //! crate (integration tests are separate crates, so the counter cannot
-//! leak into other suites). After a warm-up pass has sized every
-//! internal scratch buffer, the measured `process_into` calls — and the
-//! raw histogram/event-ring record paths — must leave the allocation
+//! leak into other suites). The count is kept per thread: libtest runs
+//! tests — and its own bookkeeping — on other threads at the same time,
+//! so a process-wide counter would charge their allocations to whichever
+//! window happened to be open. Every measured path runs entirely on the
+//! calling thread, so its own count misses none of its allocations.
+//! After a warm-up pass has sized every internal scratch buffer, the
+//! measured `process_into` / `process_block` calls — and the raw
+//! histogram/event-ring record paths — must leave the calling thread's
 //! counter untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 use std::sync::Arc;
 
-/// Counts every allocation and reallocation; frees are not counted
-/// (a free in the hot path would imply a previous allocation anyway).
+/// Counts every allocation and reallocation made by the current thread;
+/// frees are not counted (a free in the hot path would imply a previous
+/// allocation anyway).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without drop glue: reading it never
+    // allocates or registers a destructor, so the allocator may use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,11 +52,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Runs `f` and returns how many allocations it performed.
+/// Runs `f` and returns how many allocations this thread performed
+/// during it.
 fn allocations_during<F: FnMut()>(mut f: F) -> u64 {
-    let before = ALLOCS.load(Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]
@@ -217,4 +232,45 @@ fn histogram_record_and_event_ring_push_do_not_allocate() {
     assert_eq!(newly_dropped, 0, "drain into reserved vec allocated");
     assert!(!events.is_empty());
     assert_eq!(ring.dropped() + events.len() as u64, 10_001);
+}
+
+#[test]
+fn channelizer_farm_block_path_is_allocation_free_in_steady_state() {
+    use ddc_core::channelizer::{ChannelBackend, ChannelizerFarm};
+    use ddc_core::ChannelizerSpec;
+
+    let spec = ChannelizerSpec::uniform(64, 64_512_000.0);
+    let rate = spec.output_rate();
+    let mut farm = ChannelizerFarm::from_spec(spec.clone())
+        .unwrap()
+        .with_telemetry();
+    assert!(farm.set_backend(
+        5,
+        ChannelBackend::identity(spec.format.data_bits).with_residual(1234.5, rate),
+    ));
+    let adc: Vec<i32> = (0..4096).map(|k| (k * 53) % 4095 - 2047).collect();
+
+    // Warm-up at the largest block size sizes every scratch buffer.
+    for _ in 0..4 {
+        farm.process_block(&adc);
+    }
+    let blocks_before = farm.metrics().expect("telemetry on").blocks.get();
+
+    // Ragged blocks no larger than the warm-up block, as a socket
+    // delivers them, must reuse the same buffers.
+    let mut produced = 0;
+    let allocs = allocations_during(|| {
+        for len in [4096, 1000, 64, 1, 4095, 2048, 3333, 4096] {
+            produced += farm.process_block(&adc[..len])[0].len();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state ChannelizerFarm::process_block allocated {allocs} time(s)"
+    );
+    assert!(produced > 0, "the measured blocks produced no output");
+    assert_eq!(
+        farm.metrics().expect("telemetry on").blocks.get(),
+        blocks_before + 8
+    );
 }
