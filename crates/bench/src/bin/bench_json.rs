@@ -509,7 +509,7 @@ fn main() {
     // --- Streaming service over TCP loopback -----------------------
     // End-to-end service throughput: one session, Block policy,
     // lock-step send/ack over a real socket — so the number includes
-    // framing, checksums, the session queue and the farm hand-off.
+    // framing, checksums, the session queue and the shard's DSP.
     // (A deeper send window was tried and measured slower on a
     // single-core host: overlap only adds runnable threads and
     // context switches when there is one CPU to run them on.)
@@ -561,8 +561,8 @@ fn main() {
 
     // --- Latency-QoS loopback: the DRM chain under a bounded-delay
     // profile. Same lock-step workload as `server_loopback`, but the
-    // session negotiates `Latency{budget_us}`, so the server
-    // sub-batches farm jobs (the batch is deliberately larger than the
+    // session negotiates `Latency{budget_us}`, so the server runs each
+    // batch in slices (the batch is deliberately larger than the
     // quarter-budget chunk, forcing the bounded in-flight path) and
     // annotates every ack with queue-wait/service timing. Lock-step
     // send→ack is the natural pacing for a bounded-delay claim: there
@@ -623,10 +623,10 @@ fn main() {
     // --- Service scaling: latency quantiles vs session count --------
     // The readiness runtime's core claim is that session count is
     // decoupled from thread count: S concurrent lock-step sessions
-    // share N shard + P processor threads. Each point runs S sessions
-    // streaming the same workload concurrently and merges their
-    // send→ack histograms, so the curve shows how per-batch latency
-    // degrades as sessions contend for the farm.
+    // share N shard threads. Each point runs S sessions streaming the
+    // same workload concurrently and merges their send→ack histograms,
+    // so the curve shows how per-batch latency degrades as sessions
+    // contend for the shards.
     struct ServerScalePoint {
         sessions: usize,
         aggregate_msps: f64,

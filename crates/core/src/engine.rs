@@ -28,9 +28,9 @@
 
 use crate::chain::{chain_metrics_for, FixedDdc};
 use crate::mixer::Iq;
-use crate::spec::{ChainSpec, SpecError};
+use crate::spec::ChainSpec;
 use ddc_obs::{drain_merged, kind, Counter, Event, EventRing, LogHistogram, MetricsHandle};
-use ddc_obs::{ChainMetrics, MetricsSnapshot, TraceHandle, TraceSink};
+use ddc_obs::{ChainMetrics, MetricsSnapshot};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -41,8 +41,6 @@ struct Job {
     channel: usize,
     input: Arc<Vec<i32>>,
     completion: Completion,
-    /// Trace context riding with the job (0 = unsampled batch).
-    trace_id: u64,
 }
 
 /// How a finished job reports back.
@@ -101,6 +99,63 @@ impl ChannelStats {
         let secs = self.busy.as_secs_f64();
         (secs > 0.0).then(|| self.samples_in as f64 / secs / 1e6)
     }
+
+    /// Exports this channel under `channel="ch"`: its lifetime flow
+    /// counters, the kernel each stage resolved to, and — when the
+    /// chain records metrics — its whole-chain and per-stage families.
+    /// The farm's snapshot and the streaming server's share it.
+    pub fn push_metrics(
+        &self,
+        snap: &mut MetricsSnapshot,
+        ch: u64,
+        chain: Option<&ChainMetrics>,
+        kernels: &[(String, &'static str)],
+    ) {
+        let lbl = format!("{{channel=\"{ch}\"}}");
+        snap.push_counter(format!("ddc_channel_batches_total{lbl}"), self.batches);
+        snap.push_counter(
+            format!("ddc_channel_samples_in_total{lbl}"),
+            self.samples_in,
+        );
+        snap.push_counter(format!("ddc_channel_outputs_total{lbl}"), self.outputs);
+        snap.push_counter(
+            format!("ddc_channel_busy_ns_total{lbl}"),
+            self.busy.as_nanos().min(u64::MAX as u128) as u64,
+        );
+        // Which specialised kernel each stage resolved to — a static
+        // info gauge (constant 1) in the Prometheus `build_info` idiom.
+        // Resolution happened at chain construction; reading the label
+        // here costs nothing on the processing path.
+        for (stage, kernel) in kernels {
+            snap.push_counter(
+                format!("ddc_stage_kernel_info{{channel=\"{ch}\",stage=\"{stage}\",kernel=\"{kernel}\"}}"),
+                1,
+            );
+        }
+        let Some(cm) = chain else {
+            return;
+        };
+        snap.push_hist(
+            format!("ddc_chain_latency_ns{lbl}"),
+            cm.chain.latency_ns.snapshot(),
+        );
+        for sm in &cm.stages {
+            let slbl = format!("{{channel=\"{ch}\",stage=\"{}\"}}", sm.name);
+            snap.push_counter(format!("ddc_stage_blocks_total{slbl}"), sm.blocks.get());
+            snap.push_counter(
+                format!("ddc_stage_samples_in_total{slbl}"),
+                sm.samples_in.get(),
+            );
+            snap.push_counter(
+                format!("ddc_stage_samples_out_total{slbl}"),
+                sm.samples_out.get(),
+            );
+            snap.push_hist(
+                format!("ddc_stage_latency_ns{slbl}"),
+                sm.latency_ns.snapshot(),
+            );
+        }
+    }
 }
 
 /// Everything shared between the submitter and the workers.
@@ -131,21 +186,6 @@ struct Shared {
     /// Optional telemetry, installed once by [`DdcFarm::with_telemetry`];
     /// workers check the `OnceLock` (one load) per job.
     metrics: OnceLock<Arc<FarmMetrics>>,
-    /// Optional span tracing, installed once by
-    /// [`DdcFarm::with_tracing`]; consulted only for jobs that carry a
-    /// nonzero trace ID.
-    tracer: OnceLock<FarmTracer>,
-}
-
-/// Tracing state of a traced farm: the shared sink, the interned
-/// whole-job span name, and the track-ID base. Worker `w` records on
-/// track `track_base + w`; inline (caller-runs) jobs record on
-/// `track_base + worker_count`.
-#[derive(Debug)]
-struct FarmTracer {
-    sink: Arc<TraceSink>,
-    job_name: u16,
-    track_base: u32,
 }
 
 /// Farm-wide lifetime totals (one coherent read via
@@ -168,7 +208,7 @@ pub struct FarmTotals {
 pub struct FarmMetrics {
     /// One SPSC event ring per worker (`JOB_DONE` events).
     worker_rings: Vec<EventRing>,
-    /// Control-plane ring (configure / reconfigure / halt); written
+    /// Control-plane ring (configure / halt / inline jobs); written
     /// from submitter threads, which the stamp protocol tolerates.
     control_ring: EventRing,
     /// Per-worker job latency (ns per job).
@@ -176,7 +216,7 @@ pub struct FarmMetrics {
     /// Per-worker jobs executed.
     worker_jobs: Vec<Counter>,
     /// Single-channel jobs run inline on the submitting thread (the
-    /// caller-runs fast path of [`DdcFarm::submit_channel_shared`]).
+    /// caller-runs fast path of [`DdcFarm::submit_channel`]).
     inline_jobs: Counter,
     /// Latency of inline-run jobs (ns per job).
     inline_job_ns: LogHistogram,
@@ -239,15 +279,6 @@ impl Shared {
     /// Runs one job to completion and signals whoever waits for it.
     fn run_job(&self, me: usize, job: Job) {
         let channel = job.channel;
-        // Trace context: only jobs carrying a nonzero trace ID on a
-        // traced farm pay anything beyond one compare.
-        let ft = if job.trace_id != 0 {
-            self.tracer.get()
-        } else {
-            None
-        };
-        let track = ft.map_or(0, |t| t.track_base + me as u32);
-        let ts0 = ft.map(|t| t.sink.now_ns());
         let busy;
         let single_out = {
             let mut slot = self.channels[job.channel].lock().unwrap();
@@ -256,8 +287,7 @@ impl Shared {
                     let mut out = self.results[job.channel].lock().unwrap();
                     let before = out.len();
                     let t0 = Instant::now();
-                    slot.ddc
-                        .process_into_traced(&job.input, &mut out, job.trace_id, track);
+                    slot.ddc.process_into(&job.input, &mut out);
                     busy = t0.elapsed();
                     let produced = (out.len() - before) as u64;
                     slot.record(job.input.len() as u64, produced, busy);
@@ -266,23 +296,13 @@ impl Shared {
                 Completion::Single(_) => {
                     let mut out = Vec::new();
                     let t0 = Instant::now();
-                    slot.ddc
-                        .process_into_traced(&job.input, &mut out, job.trace_id, track);
+                    slot.ddc.process_into(&job.input, &mut out);
                     busy = t0.elapsed();
                     slot.record(job.input.len() as u64, out.len() as u64, busy);
                     Some(out)
                 }
             }
         };
-        if let Some(t) = ft {
-            t.sink.span(
-                track,
-                job.trace_id,
-                t.job_name,
-                ts0.unwrap_or(0),
-                t.sink.now_ns(),
-            );
-        }
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
         if let Some(fm) = self.metrics.get() {
             let busy_ns = busy.as_nanos().min(u64::MAX as u128) as u64;
@@ -413,7 +433,6 @@ impl DdcFarm {
             steals: AtomicU64::new(0),
             orphans_reclaimed: AtomicU64::new(0),
             metrics: OnceLock::new(),
-            tracer: OnceLock::new(),
         });
         let handles = (0..workers)
             .map(|k| {
@@ -460,7 +479,6 @@ impl DdcFarm {
                 channel: ch,
                 input: Arc::clone(&input),
                 completion: Completion::Batch,
-                trace_id: 0,
             };
             self.push_job(ch % workers, job);
         }
@@ -509,38 +527,13 @@ impl DdcFarm {
     /// leaving every other channel untouched. Unlike
     /// [`DdcFarm::submit_block`] this takes `&self`, so any number of
     /// threads may drive different channels of one shared farm
-    /// concurrently (each channel's state is an independent mutex) —
-    /// the submission path the streaming server uses, one session per
-    /// channel.
+    /// concurrently (each channel's state is an independent mutex).
     ///
     /// Channel state persists across calls exactly as in
     /// `submit_block`. Returns `None` if the farm has been halted (via
     /// [`DdcFarm::halt`] or shutdown) before the job could run; jobs a
     /// worker has already started are always finished and returned.
     pub fn submit_channel(&self, channel: usize, input: &[i32]) -> Option<Vec<Iq>> {
-        self.submit_channel_shared(channel, Arc::new(input.to_vec()))
-    }
-
-    /// [`DdcFarm::submit_channel`] without the defensive input copy:
-    /// the caller hands over an `Arc`'d buffer the worker reads
-    /// directly. This is the zero-copy submission path — the streaming
-    /// server decodes a Samples frame straight into a reusable scratch
-    /// `Vec`, wraps it in an `Arc`, and reclaims the allocation via
-    /// `Arc::try_unwrap` after the job completes.
-    pub fn submit_channel_shared(&self, channel: usize, input: Arc<Vec<i32>>) -> Option<Vec<Iq>> {
-        self.submit_channel_shared_traced(channel, input, 0)
-    }
-
-    /// [`DdcFarm::submit_channel_shared`] with trace context: when
-    /// `trace_id` is nonzero and [`DdcFarm::with_tracing`] has run,
-    /// the job (inline or queued) emits a whole-job span plus
-    /// per-stage spans tagged with the trace ID.
-    pub fn submit_channel_shared_traced(
-        &self,
-        channel: usize,
-        input: Arc<Vec<i32>>,
-        trace_id: u64,
-    ) -> Option<Vec<Iq>> {
         assert!(
             channel < self.n_channels,
             "channel {channel} out of range (farm has {})",
@@ -555,21 +548,18 @@ impl DdcFarm {
         // Caller-runs fast path: when the channel slot is uncontended,
         // run the chain on the submitting thread instead of paying two
         // thread hand-offs (enqueue → worker wake, completion → waiter
-        // wake — four context switches on a single-core host). The
-        // streaming server drives each channel from exactly one
-        // processor at a time, so this is its steady state; contention
-        // (a stats read, a reconfigure, a whole-farm batch touching
-        // the slot) falls back to the queued path below.
+        // wake). Contention (a stats read, a whole-farm batch touching
+        // the slot) falls back to the queued path below, which copies
+        // the input once into a buffer the worker owns.
         let mut out = Vec::new();
-        if self.run_inline(channel, &input, &mut out, trace_id) {
+        if self.run_inline(channel, input, &mut out) {
             return Some(out);
         }
         let done = Arc::new(JobDone::default());
         let job = Job {
             channel,
-            input,
+            input: Arc::new(input.to_vec()),
             completion: Completion::Single(Arc::clone(&done)),
-            trace_id,
         };
         self.push_job(channel % self.workers.len().max(1), job);
         let mut result = done.result.lock().unwrap();
@@ -600,32 +590,16 @@ impl DdcFarm {
     /// uncontended, appending output to `out` and recording the same
     /// stats/telemetry as a worker would. Returns `false` on
     /// contention (caller takes the queued path).
-    fn run_inline(&self, channel: usize, input: &[i32], out: &mut Vec<Iq>, trace_id: u64) -> bool {
+    fn run_inline(&self, channel: usize, input: &[i32], out: &mut Vec<Iq>) -> bool {
         let Ok(mut slot) = self.shared.channels[channel].try_lock() else {
             return false;
         };
-        let ft = if trace_id != 0 {
-            self.shared.tracer.get()
-        } else {
-            None
-        };
-        let track = ft.map_or(0, |t| t.track_base + self.workers.len() as u32);
-        let ts0 = ft.map(|t| t.sink.now_ns());
         let before = out.len();
         let t0 = Instant::now();
-        slot.ddc.process_into_traced(input, out, trace_id, track);
+        slot.ddc.process_into(input, out);
         let busy = t0.elapsed();
         slot.record(input.len() as u64, (out.len() - before) as u64, busy);
         drop(slot);
-        if let Some(t) = ft {
-            t.sink.span(
-                track,
-                trace_id,
-                t.job_name,
-                ts0.unwrap_or(0),
-                t.sink.now_ns(),
-            );
-        }
         self.shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
         if let Some(fm) = self.shared.metrics.get() {
             let busy_ns = busy.as_nanos().min(u64::MAX as u128) as u64;
@@ -638,113 +612,6 @@ impl DdcFarm {
                 .push(kind::JOB_DONE, channel as u64, busy_ns);
         }
         true
-    }
-
-    /// Bounded-latency variant of [`DdcFarm::submit_channel_shared`]:
-    /// runs `input` through channel `channel` in sub-batches of at most
-    /// `max_batch` samples, appending every output word to `out`.
-    ///
-    /// Chunking is bit-exact with one whole-buffer submission — channel
-    /// state persists across chunks exactly as it persists across
-    /// calls — but it bounds how much input is ever in flight inside
-    /// the chain at once. A latency-QoS session picks `max_batch` from
-    /// its negotiated budget so no single farm job can occupy the
-    /// channel longer than the budget allows; each chunk is a separate
-    /// job for stats/telemetry purposes.
-    ///
-    /// Returns `None` if the farm is halted before every chunk has run;
-    /// output from chunks that did complete stays in `out` (the caller
-    /// is tearing the session down at that point anyway).
-    pub fn submit_channel_chunked(
-        &self,
-        channel: usize,
-        input: &[i32],
-        max_batch: usize,
-        out: &mut Vec<Iq>,
-    ) -> Option<()> {
-        self.submit_channel_chunked_traced(channel, input, max_batch, out, 0)
-    }
-
-    /// [`DdcFarm::submit_channel_chunked`] with trace context: every
-    /// chunk-job of a sampled batch records spans under the same trace
-    /// ID (see [`DdcFarm::submit_channel_shared_traced`]).
-    pub fn submit_channel_chunked_traced(
-        &self,
-        channel: usize,
-        input: &[i32],
-        max_batch: usize,
-        out: &mut Vec<Iq>,
-        trace_id: u64,
-    ) -> Option<()> {
-        assert!(
-            channel < self.n_channels,
-            "channel {channel} out of range (farm has {})",
-            self.n_channels
-        );
-        let max_batch = max_batch.max(1);
-        if input.len() <= max_batch {
-            // Single-chunk batches (including empty keep-alives) take
-            // the ordinary path so their accounting is identical.
-            let pairs =
-                self.submit_channel_shared_traced(channel, Arc::new(input.to_vec()), trace_id)?;
-            out.extend_from_slice(&pairs);
-            return Some(());
-        }
-        for chunk in input.chunks(max_batch) {
-            if self.shared.stop.load(Ordering::Acquire) {
-                return None;
-            }
-            if self.run_inline(channel, chunk, out, trace_id) {
-                if let Some(fm) = self.shared.metrics.get() {
-                    fm.batch_samples.record(chunk.len() as u64);
-                }
-            } else {
-                // Contended slot (stats read, reconfigure): fall back
-                // to the queued path for this chunk only (it does its
-                // own batch_samples accounting).
-                let pairs =
-                    self.submit_channel_shared_traced(channel, Arc::new(chunk.to_vec()), trace_id)?;
-                out.extend_from_slice(&pairs);
-            }
-        }
-        Some(())
-    }
-
-    /// Replaces channel `channel`'s DDC with a fresh chain built from
-    /// `spec` (anything convertible into a [`ChainSpec`]) and zeroes
-    /// its statistics. The swap is atomic with respect to job
-    /// execution (it takes the channel lock), so an in-flight batch
-    /// finishes on the old chain and everything submitted afterwards
-    /// runs on the new one — the hook a server uses to bind a newly
-    /// configured session to a recycled channel slot.
-    pub fn reconfigure_channel<S: Into<ChainSpec>>(
-        &self,
-        channel: usize,
-        spec: S,
-    ) -> Result<(), SpecError> {
-        assert!(
-            channel < self.n_channels,
-            "channel {channel} out of range (farm has {})",
-            self.n_channels
-        );
-        let spec = spec.into();
-        spec.validate()?;
-        let mut slot = self.shared.channels[channel].lock().unwrap();
-        slot.ddc = FixedDdc::from_spec(spec);
-        slot.stats = ChannelStats::default();
-        if let Some(fm) = self.shared.metrics.get() {
-            // Fresh per-stage metrics matching the new spec's labels.
-            let m = Arc::new(chain_metrics_for(slot.ddc.spec()));
-            slot.ddc.set_metrics(MetricsHandle::enabled(m));
-            fm.control_ring
-                .push(kind::CHANNEL_RECONFIGURE, channel as u64, 0);
-        }
-        if let Some(ft) = self.shared.tracer.get() {
-            // Re-intern the new spec's stage labels on the fresh chain.
-            slot.ddc
-                .set_tracer(TraceHandle::enabled(Arc::clone(&ft.sink)));
-        }
-        Ok(())
     }
 
     /// Lifetime statistics of one channel.
@@ -828,36 +695,6 @@ impl DdcFarm {
     /// The telemetry state, when [`DdcFarm::with_telemetry`] has run.
     pub fn telemetry(&self) -> Option<&Arc<FarmMetrics>> {
         self.shared.metrics.get()
-    }
-
-    /// Installs span tracing: every channel chain gets a
-    /// [`TraceHandle`] on `sink` (interning its spec's stage labels),
-    /// and traced submissions record a whole-job span per worker.
-    /// Worker `w` writes on span track `track_base + w`; inline jobs
-    /// (caller-run fast path) use `track_base + worker_count`. Builder
-    /// form, idempotent; all allocation happens here. Untraced
-    /// submissions (`trace_id == 0`, i.e. every plain `submit_*` call)
-    /// stay span-free and bit-exact.
-    pub fn with_tracing(self, sink: Arc<TraceSink>, track_base: u32) -> Self {
-        if self.shared.tracer.get().is_some() {
-            return self;
-        }
-        let job_name = sink.register_name("ddc_job");
-        for slot in self.shared.channels.iter() {
-            let mut slot = slot.lock().unwrap();
-            slot.ddc.set_tracer(TraceHandle::enabled(Arc::clone(&sink)));
-        }
-        let _ = self.shared.tracer.set(FarmTracer {
-            sink,
-            job_name,
-            track_base,
-        });
-        self
-    }
-
-    /// The trace sink, when [`DdcFarm::with_tracing`] has run.
-    pub fn tracer(&self) -> Option<&Arc<TraceSink>> {
-        self.shared.tracer.get().map(|t| &t.sink)
     }
 
     /// Merge-and-drain of every worker's event ring plus the control
@@ -946,52 +783,7 @@ impl DdcFarm {
             );
         }
         for (ch, (stats, cm, kernels)) in channels.iter().enumerate() {
-            let lbl = format!("{{channel=\"{ch}\"}}");
-            snap.push_counter(format!("ddc_channel_batches_total{lbl}"), stats.batches);
-            snap.push_counter(
-                format!("ddc_channel_samples_in_total{lbl}"),
-                stats.samples_in,
-            );
-            snap.push_counter(format!("ddc_channel_outputs_total{lbl}"), stats.outputs);
-            snap.push_counter(
-                format!("ddc_channel_busy_ns_total{lbl}"),
-                stats.busy.as_nanos().min(u64::MAX as u128) as u64,
-            );
-            // Which specialised kernel each stage resolved to — a
-            // static info gauge (constant 1) in the Prometheus
-            // `build_info` idiom. Resolution happened at chain
-            // construction; reading the label here costs nothing on
-            // the processing path.
-            for (stage, kernel) in kernels {
-                snap.push_counter(
-                    format!(
-                        "ddc_stage_kernel_info{{channel=\"{ch}\",stage=\"{stage}\",kernel=\"{kernel}\"}}"
-                    ),
-                    1,
-                );
-            }
-            if let Some(cm) = cm {
-                snap.push_hist(
-                    format!("ddc_chain_latency_ns{lbl}"),
-                    cm.chain.latency_ns.snapshot(),
-                );
-                for sm in &cm.stages {
-                    let slbl = format!("{{channel=\"{ch}\",stage=\"{}\"}}", sm.name);
-                    snap.push_counter(format!("ddc_stage_blocks_total{slbl}"), sm.blocks.get());
-                    snap.push_counter(
-                        format!("ddc_stage_samples_in_total{slbl}"),
-                        sm.samples_in.get(),
-                    );
-                    snap.push_counter(
-                        format!("ddc_stage_samples_out_total{slbl}"),
-                        sm.samples_out.get(),
-                    );
-                    snap.push_hist(
-                        format!("ddc_stage_latency_ns{slbl}"),
-                        sm.latency_ns.snapshot(),
-                    );
-                }
-            }
+            stats.push_metrics(&mut snap, ch as u64, cm.as_deref(), kernels);
         }
         Some(snap)
     }
@@ -1126,38 +918,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_submission_is_bit_exact_with_whole_batch() {
-        let cfgs = vec![DdcConfig::drm(10e6), DdcConfig::drm(20e6)];
-        // A ragged length so the final chunk is partial, plus a second
-        // batch to prove state carries across chunked calls too.
-        let block_a = test_input(D * 3 + 41, 77);
-        let block_b = test_input(D * 2 + 13, 78);
-        let whole = DdcFarm::new(cfgs.clone());
-        let chunked = DdcFarm::new(cfgs.clone());
-        for (block, chunk) in [(&block_a, 1000), (&block_b, D)] {
-            let expect = whole.submit_channel(1, block).expect("farm running");
-            let mut got = Vec::new();
-            chunked
-                .submit_channel_chunked(1, block, chunk, &mut got)
-                .expect("farm running");
-            assert_eq!(got, expect);
-        }
-        // A chunk size larger than the batch degrades to one job.
-        let jobs_before = chunked.channel_stats(1).batches;
-        let mut got = Vec::new();
-        chunked
-            .submit_channel_chunked(1, &[], 4096, &mut got)
-            .expect("farm running");
-        assert!(got.is_empty());
-        assert_eq!(chunked.channel_stats(1).batches, jobs_before + 1);
-        // Chunked after halt reports the farm as stopped.
-        chunked.halt();
-        assert!(chunked
-            .submit_channel_chunked(1, &block_a, 1000, &mut got)
-            .is_none());
-    }
-
-    #[test]
     fn concurrent_channel_submissions_are_independent() {
         let cfgs: Vec<DdcConfig> = (1..=4).map(|k| DdcConfig::drm(k as f64 * 5e6)).collect();
         let farm = Arc::new(DdcFarm::with_workers(cfgs.clone(), 2));
@@ -1204,22 +964,6 @@ mod tests {
         farm.halt();
         farm.halt(); // idempotent
         assert!(farm.submit_channel(0, &test_input(D, 8)).is_none());
-    }
-
-    #[test]
-    fn reconfigure_channel_resets_state_and_stats() {
-        let farm = DdcFarm::new(vec![DdcConfig::drm(10e6)]);
-        let block = test_input(D * 2 + 13, 31);
-        let _ = farm.submit_channel(0, &block).unwrap();
-        farm.reconfigure_channel(0, DdcConfig::drm(15e6)).unwrap();
-        assert_eq!(farm.channel_stats(0).batches, 0, "stats reset");
-        let got = farm.submit_channel(0, &block).unwrap();
-        let mut fresh = FixedDdc::new(DdcConfig::drm(15e6));
-        assert_eq!(got, fresh.process_block(&block), "state reset");
-        // invalid configs are rejected without touching the slot
-        let mut bad = DdcConfig::drm(0.0);
-        bad.fir_taps.clear();
-        assert!(farm.reconfigure_channel(0, bad).is_err());
     }
 
     #[test]
@@ -1279,63 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn tracing_is_bit_exact_and_emits_job_plus_stage_spans() {
-        use ddc_obs::{span_kind, SpanEvent, TraceSink};
-        let cfgs = vec![DdcConfig::drm(10e6)];
-        let block = test_input(D * 2, 53);
-        let plain = DdcFarm::with_workers(cfgs.clone(), 2);
-        let sink = Arc::new(TraceSink::new(4, 256));
-        let traced = DdcFarm::with_workers(cfgs, 2).with_tracing(Arc::clone(&sink), 10);
-        let want = plain.submit_channel(0, &block).unwrap();
-
-        // Untraced submit on a tracing farm: bit-exact, no spans.
-        let got = traced.submit_channel(0, &block).unwrap();
-        assert_eq!(got, want, "tracing off-path must not change the datapath");
-        assert_eq!(sink.produced(), 0, "untraced submit must emit no spans");
-
-        // Traced submit: still bit-exact (filter state persists, so
-        // compare against the plain farm's same-numbered submit), job
-        // span + one span per stage.
-        let want = plain.submit_channel(0, &block).unwrap();
-        let got = traced
-            .submit_channel_shared_traced(0, Arc::new(block.clone()), 0xABCD)
-            .unwrap();
-        assert_eq!(got, want, "tracing must not change the datapath");
-        let mut spans: Vec<SpanEvent> = Vec::new();
-        assert_eq!(sink.drain(&mut spans), 0);
-        let n_stages = 3; // DRM chain: cic2r16, cic5r21, fir125r8
-        assert_eq!(spans.len(), 2 * (1 + n_stages), "job + per-stage B/E pairs");
-        assert!(spans.iter().all(|s| s.trace_id == 0xABCD));
-        let begins = spans.iter().filter(|s| s.kind == span_kind::BEGIN).count();
-        let ends = spans.iter().filter(|s| s.kind == span_kind::END).count();
-        assert_eq!((begins, ends), (1 + n_stages, 1 + n_stages));
-        // All spans land on one track in [track_base, track_base+workers].
-        let track = spans[0].track;
-        assert!((10..=12).contains(&track), "track {track} outside layout");
-        assert!(spans.iter().all(|s| s.track == track));
-        let names: std::collections::BTreeSet<String> =
-            spans.iter().map(|s| sink.name_of(s.name)).collect();
-        let want_names: std::collections::BTreeSet<String> =
-            ["ddc_job", "cic2r16", "cic5r21", "fir125r8"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        assert_eq!(names, want_names);
-
-        // Chunked traced submit stays bit-exact too.
-        let want2 = plain.submit_channel(0, &block).unwrap();
-        let mut out = Vec::new();
-        traced
-            .submit_channel_chunked_traced(0, &block, D, &mut out, 0xEF01)
-            .unwrap();
-        assert_eq!(out, want2);
-        spans.clear();
-        sink.drain(&mut spans);
-        assert!(!spans.is_empty());
-        assert!(spans.iter().all(|s| s.trace_id == 0xEF01));
-    }
-
-    #[test]
     fn drain_events_merges_job_and_control_events() {
         let farm = DdcFarm::with_workers(vec![DdcConfig::drm(10e6), DdcConfig::drm(20e6)], 2)
             .with_telemetry();
@@ -1343,7 +1030,6 @@ mod tests {
         for ch in 0..2 {
             let _ = farm.submit_channel(ch, &block).unwrap();
         }
-        farm.reconfigure_channel(1, DdcConfig::drm(15e6)).unwrap();
         let _ = farm.submit_channel(1, &block).unwrap();
         farm.halt();
         let mut events = Vec::new();
@@ -1352,7 +1038,6 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         let count = |k: u64| events.iter().filter(|e| e.kind == k).count();
         assert_eq!(count(ddc_obs::kind::CHANNEL_CONFIGURE), 2);
-        assert_eq!(count(ddc_obs::kind::CHANNEL_RECONFIGURE), 1);
         assert_eq!(count(ddc_obs::kind::CHANNEL_HALT), 1, "halt is idempotent");
         assert_eq!(count(ddc_obs::kind::JOB_DONE), 3);
         // JOB_DONE events carry the channel and a nonzero latency.
@@ -1365,42 +1050,20 @@ mod tests {
     }
 
     #[test]
-    fn totals_count_jobs_and_reconfigure_keeps_stage_labels_fresh() {
+    fn totals_count_jobs_across_submission_paths() {
         let mut farm = DdcFarm::with_workers(vec![DdcConfig::drm(10e6)], 1).with_telemetry();
         let block = test_input(D * 2, 53);
         let _ = farm.submit_block(&block);
         let (stats, totals) = farm.stats_with_totals();
         assert_eq!(stats.len(), 1);
         assert_eq!(totals.jobs_completed, 1);
-        // Reconfigure rebuilds the chain metrics for the new spec.
-        let taps = ddc_dsp::firdes::lowpass(
-            32,
-            0.1,
-            ddc_dsp::window::Window::Kaiser(ddc_dsp::window::kaiser_beta(50.0)),
-        );
-        let spec = crate::spec::ChainSpec {
-            name: "short".into(),
-            input_rate: 64_512_000.0,
-            tune_freq: 9e6,
-            stages: vec![
-                crate::spec::StageSpec::Cic {
-                    order: 2,
-                    decim: 16,
-                    diff_delay: 1,
-                },
-                crate::spec::StageSpec::Fir { taps, decim: 4 },
-            ],
-            format: crate::params::FixedFormat::FPGA12,
-            budget: None,
-        };
-        farm.reconfigure_channel(0, spec).unwrap();
-        let _ = farm.submit_block(&test_input(64 * 8, 54));
+        let _ = farm.submit_channel(0, &block).unwrap();
         let snap = farm.metrics_snapshot().unwrap();
-        assert!(
-            snap.counter("ddc_stage_blocks_total{channel=\"0\",stage=\"fir32r4\"}")
-                .is_some(),
-            "stage labels must follow the new spec"
+        assert_eq!(
+            snap.counter("ddc_stage_blocks_total{channel=\"0\",stage=\"fir125r8\"}"),
+            Some(2)
         );
+        assert_eq!(snap.counter("ddc_farm_inline_jobs_total"), Some(1));
         assert_eq!(farm.totals().jobs_completed, 2);
     }
 

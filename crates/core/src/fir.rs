@@ -25,9 +25,6 @@
 //! * **sym** — linear-phase designs (`firdes` lowpass taps are
 //!   palindromes) fold `x[j] + x[N−1−j]` before the multiply, halving
 //!   the multiply count.
-//! * **poly** — the textbook polyphase-branch layout: each of the
-//!   `decim` branches keeps its taps and its samples contiguous
-//!   (the block is deinterleaved once per call).
 //! * **simd** — with `--features simd` on x86_64, an AVX2
 //!   widening-multiply dot product (runtime-detected, with the scalar
 //!   flat kernel as fallback).
@@ -210,8 +207,6 @@ pub enum FirKernelSel {
     Generic,
     /// Forward flat dot over the linear window.
     Flat,
-    /// Polyphase branches: contiguous taps and samples per branch.
-    Poly,
     /// Symmetric-coefficient folding (linear-phase taps only).
     Sym,
     /// AVX2 widening dot (`--features simd`, runtime-detected).
@@ -226,7 +221,6 @@ enum KernelKind {
     FlatConst,
     Sym,
     SymConst,
-    Poly,
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     Simd,
 }
@@ -239,7 +233,6 @@ impl KernelKind {
             KernelKind::FlatConst => "flat_const",
             KernelKind::Sym => "sym",
             KernelKind::SymConst => "sym_const",
-            KernelKind::Poly => "poly",
             #[cfg(all(feature = "simd", target_arch = "x86_64"))]
             KernelKind::Simd => "simd_avx2",
         }
@@ -396,40 +389,6 @@ mod simd {
     }
 }
 
-/// Polyphase-branch layout: branch `p` owns taps `h[p], h[p+D], …`
-/// (stored reversed so the branch dot runs forward) and reads its
-/// samples from one of `D` deinterleaved class buffers, so both sides
-/// of every branch dot are contiguous.
-#[derive(Clone, Debug)]
-struct PolyLayout {
-    /// Reversed branch taps, concatenated.
-    taps: Vec<i32>,
-    /// `decim + 1` offsets into `taps`; branch `p` is
-    /// `taps[offsets[p]..offsets[p+1]]`.
-    offsets: Vec<usize>,
-    /// Per-class sample buffers, reused across blocks.
-    classes: Vec<Vec<i32>>,
-}
-
-impl PolyLayout {
-    fn new(coeffs: &[i32], decim: usize) -> Self {
-        let n = coeffs.len();
-        let mut taps = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(decim + 1);
-        offsets.push(0);
-        for p in 0..decim {
-            let branch: Vec<i32> = coeffs.iter().copied().skip(p).step_by(decim).collect();
-            taps.extend(branch.iter().rev());
-            offsets.push(taps.len());
-        }
-        PolyLayout {
-            taps,
-            offsets,
-            classes: vec![Vec::new(); decim],
-        }
-    }
-}
-
 /// The bit-true sequential polyphase FIR of Figure 5:
 ///
 /// * inputs (`data_bits` wide) are written into a delay line of
@@ -461,7 +420,6 @@ pub struct SequentialFir {
     head: usize,
     /// Block scratch: carried history ++ current block.
     work: Vec<i32>,
-    poly: Option<PolyLayout>,
     decim: u32,
     phase: u32,
     data_bits: u32,
@@ -516,14 +474,12 @@ impl SequentialFir {
         let d = decim as usize;
         let requested = sel.unwrap_or_else(|| auto_select(audit_ok, symmetric));
         let (kernel, dot) = resolve_kernel(requested, audit_ok, symmetric, n, d);
-        let poly = (kernel == KernelKind::Poly).then(|| PolyLayout::new(coeffs, d));
         SequentialFir {
             coeffs: coeffs.to_vec(),
             coeffs_rev: coeffs.iter().rev().copied().collect(),
             hist: vec![0; 2 * n],
             head: n,
             work: Vec::new(),
-            poly,
             decim,
             phase: 0,
             data_bits,
@@ -545,8 +501,8 @@ impl SequentialFir {
     }
 
     /// The block kernel actually selected after fallback resolution:
-    /// `"generic"`, `"flat"`, `"flat_const"`, `"sym"`, `"sym_const"`,
-    /// `"poly"` or `"simd_avx2"`.
+    /// `"generic"`, `"flat"`, `"flat_const"`, `"sym"`, `"sym_const"` or
+    /// `"simd_avx2"`.
     pub fn kernel_label(&self) -> &'static str {
         self.kernel.label()
     }
@@ -637,7 +593,6 @@ impl SequentialFir {
         let first_end = (n - 1) + (d - self.phase as usize);
         match self.kernel {
             KernelKind::Generic => self.emit_generic(first_end, out),
-            KernelKind::Poly => self.emit_poly(first_end, out),
             _ => self.emit_windows(first_end, out),
         }
         let len = self.work.len();
@@ -674,36 +629,6 @@ impl SequentialFir {
         }
     }
 
-    /// Polyphase window loop: deinterleave the work buffer once into
-    /// `decim` class buffers, then every branch dot runs over
-    /// contiguous taps and contiguous samples.
-    fn emit_poly(&mut self, first_end: usize, out: &mut Vec<i64>) {
-        let d = self.decim as usize;
-        let n = self.coeffs.len();
-        let work = &self.work;
-        let poly = self.poly.as_mut().expect("poly kernel without layout");
-        for (c, buf) in poly.classes.iter_mut().enumerate() {
-            buf.clear();
-            if c < work.len() {
-                buf.extend(work[c..].iter().step_by(d));
-            }
-        }
-        let mut e = first_end;
-        while e <= work.len() {
-            let mut acc: i64 = 0;
-            for p in 0..d.min(n) {
-                let seg = &poly.taps[poly.offsets[p]..poly.offsets[p + 1]];
-                // Branch p reads work[e−1−p], work[e−1−p−d], … — all in
-                // class (e−1−p) mod d, ending at position (e−1−p) / d.
-                let top = e - 1 - p;
-                let lane_end = top / d + 1;
-                acc += dot_flat(seg, &poly.classes[top % d][lane_end - seg.len()..lane_end]);
-            }
-            out.push(saturate(trunc_shift(acc, self.coeff_frac), self.data_bits));
-            e += d;
-        }
-    }
-
     /// Resets the delay line and phase.
     pub fn reset(&mut self) {
         self.hist.fill(0);
@@ -725,9 +650,7 @@ fn width_audit_passes(coeffs: &[i32], data_bits: u32, acc_bits: u32) -> bool {
 
 /// Automatic kernel choice, ordered by the measured shootout: the AVX2
 /// kernel when compiled in and detected, then the symmetric fold, then
-/// the flat dot. Poly never wins automatically on a GPP (the
-/// deinterleave pass costs more than contiguity saves at 125 taps) but
-/// stays available for the shootout.
+/// the flat dot.
 fn auto_select(audit_ok: bool, symmetric: bool) -> FirKernelSel {
     if !audit_ok {
         return FirKernelSel::Generic;
@@ -783,7 +706,6 @@ fn resolve_kernel(
             (125, 2) => (KernelKind::FlatConst, FirKernel::<125, 2>::dot as DotFn),
             _ => (KernelKind::Flat, dot_flat as DotFn),
         },
-        FirKernelSel::Poly => (KernelKind::Poly, dot_flat as DotFn),
     }
 }
 
@@ -928,7 +850,6 @@ mod tests {
                 for sel in [
                     FirKernelSel::Generic,
                     FirKernelSel::Flat,
-                    FirKernelSel::Poly,
                     FirKernelSel::Sym,
                     FirKernelSel::Simd,
                 ] {
@@ -978,9 +899,7 @@ mod tests {
         assert_ne!(f.kernel_label(), "sym");
         assert_ne!(f.kernel_label(), "sym_const");
         assert_ne!(f.kernel_label(), "generic");
-        // Poly and the SIMD request resolve to something runnable.
-        let f = SequentialFir::with_kernel(&sym, 8, 12, 12, 34, FirKernelSel::Poly);
-        assert_eq!(f.kernel_label(), "poly");
+        // The SIMD request resolves to something runnable.
         let f = SequentialFir::with_kernel(&sym, 8, 12, 12, 34, FirKernelSel::Simd);
         #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
         assert_eq!(f.kernel_label(), "flat_const");

@@ -12,9 +12,8 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: ddc_server [--addr HOST:PORT] [--max-sessions N] [--workers N] \
-         [--queue-cap N]\n\
-         defaults: --addr 127.0.0.1:4016 --max-sessions 8 --workers auto"
+        "usage: ddc_server [--addr HOST:PORT] [--max-sessions N] [--queue-cap N]\n\
+         defaults: --addr 127.0.0.1:4016 --max-sessions 8 --queue-cap 8"
     );
     std::process::exit(2);
 }
@@ -33,10 +32,6 @@ fn main() {
             }
             "--max-sessions" => {
                 cfg.max_sessions = need(k).parse().unwrap_or_else(|_| usage());
-                k += 2;
-            }
-            "--workers" => {
-                cfg.workers = need(k).parse().unwrap_or_else(|_| usage());
                 k += 2;
             }
             "--queue-cap" => {

@@ -72,7 +72,7 @@ fn usage() -> ! {
          defaults: --sessions 4 --batches 32 --batch-samples 10752 --rate-msps 0 (unthrottled)\n\
          \t--policy block --queue-cap 0 (server default) --preset drm --qos throughput\n\
          --qos latency:500us negotiates a per-batch latency budget; the server then\n\
-         \tchunks farm jobs, flushes on deadline, and stamps each Iq ack with the\n\
+         \truns its batches in quarter-budget slices and stamps each Iq ack with the\n\
          \tqueue-wait/service split reported under queue_wait_ns / service_ns\n\
          --custom-plan ignores --preset and configures sessions with a four-stage\n\
          \tnon-preset ChainSpec sent binary-encoded over the wire\n\
@@ -226,11 +226,11 @@ struct SessionOutcome {
     /// time spent actually processing; the two server-stamped
     /// histograms below split it.
     latency: HistSnapshot,
-    /// Server-reported enqueue wait (batch accepted → processor picked
-    /// it up), ns. Populated only under `--qos latency:...` — the
+    /// Server-reported enqueue wait (batch accepted → its first DSP
+    /// slice), ns. Populated only under `--qos latency:...` — the
     /// server stamps the split onto each Iq ack.
     queue_wait: HistSnapshot,
-    /// Server-reported service time (farm submission → ack queued), ns.
+    /// Server-reported service time (first DSP slice → ack encoded), ns.
     service: HistSnapshot,
     /// Telemetry snapshots scraped mid-stream.
     metrics_scrapes: u64,

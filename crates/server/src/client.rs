@@ -188,8 +188,8 @@ impl Client {
 
     /// Sets the QoS profile carried by subsequent Configure frames:
     /// `QosProfile::Latency { budget_us }` asks the server to bound
-    /// end-to-end batch latency (sub-batched farm jobs, deadline
-    /// flushes, timing-annotated Iq acks) instead of maximising bulk
+    /// end-to-end batch latency (quarter-budget DSP slices,
+    /// timing-annotated Iq acks) instead of maximising bulk
     /// throughput. Chain sessions only ([`Client::configure`] /
     /// [`Client::configure_spec`]): the server refuses a latency
     /// budget on channelizer and subscriber plans with `BAD_CONFIG`,
@@ -222,7 +222,7 @@ impl Client {
     }
 
     /// Configures the session; returns the server's initial stats
-    /// snapshot (which names the farm channel the session is bound to).
+    /// snapshot (which names the session's channel).
     pub fn configure(
         &mut self,
         preset: ConfigPreset,

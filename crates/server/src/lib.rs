@@ -1,28 +1,29 @@
-//! # ddc-server — the DDC farm as a streaming network service
+//! # ddc-server — the DDC as a streaming network service
 //!
 //! The paper's GC4016 is fed by a *continuous* 64.512 MSPS ADC stream:
 //! the DDC is not a batch kernel but a service with arrival-rate,
 //! latency and backlog constraints. This crate gives the repo that
-//! missing layer: a std-only TCP server that exposes the multi-channel
-//! [`ddc_core::DdcFarm`] over a length-prefixed, checksummed binary
-//! frame protocol, plus the matching client library and the `loadgen`
-//! traffic generator.
+//! missing layer: a std-only TCP server in which every session owns a
+//! bit-true [`ddc_core::FixedDdc`] (or a channelizer bank), spoken to
+//! over a length-prefixed, checksummed binary frame protocol, plus the
+//! matching client library and the `loadgen` traffic generator.
 //!
 //! * [`wire`] — versioned frame types (Hello/Configure/Samples/Iq/
 //!   Stats/Error/Shutdown) with pure, socket-free encode/decode,
 //!   including the zero-copy Samples decode and the fused-checksum
 //!   [`wire::FrameBuf`] egress encoders.
-//! * [`queue`] — the bounded per-session input queue implementing the
-//!   three backpressure policies (block, drop-oldest, disconnect).
+//! * [`queue`] — the bounded per-session input queue behind the three
+//!   backpressure policies (block, drop-oldest, disconnect).
 //! * [`session`] — the per-connection state machine (handshake →
 //!   configured → streaming → draining) with partial-read/partial-write
-//!   cursors, driven by the readiness runtime.
+//!   cursors and the session's own DSP, driven by its shard.
 //! * [`sys`] — the thin scoped-`unsafe` readiness shim: epoll on
 //!   Linux, a portable `poll(2)` fallback elsewhere, plus a pipe-based
 //!   cross-thread waker.
-//! * [`server`] — the sharded readiness runtime: one accept thread, N
-//!   I/O shard threads multiplexing non-blocking sockets, a processor
-//!   pool feeding the shared farm, graceful drain-then-join shutdown.
+//! * [`server`] — the sharded run-to-completion runtime: N shard
+//!   threads, each multiplexing its sessions' non-blocking sockets and
+//!   running every accepted batch to completion in bounded slices, the
+//!   listener on shard 0, graceful drain-then-join shutdown.
 //! * [`client`] — blocking client with sequence-checked receive,
 //!   splittable for concurrent send/receive.
 //!

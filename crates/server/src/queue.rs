@@ -1,16 +1,15 @@
 //! Bounded input queue of one session, with an explicit backpressure
 //! policy chosen at Configure time.
 //!
-//! The queue sits between the session's socket-reader thread (producer)
-//! and its processor thread (consumer, which drives the farm channel).
-//! It is deliberately *not* an mpsc channel: the drop-oldest policy
-//! needs to evict from the front under the same lock that pushes to the
-//! back, and the stats path needs depth and a high-water mark — both
-//! natural over a mutexed `VecDeque`, impossible over `std::sync::mpsc`.
+//! The queue sits between the session's read pump (producer) and its
+//! DSP turns (consumer). Both run on the session's shard thread, so it
+//! is a plain `VecDeque` with no lock and no waiting: the block policy
+//! stops parsing at a full queue and the shard re-parses once a turn
+//! frees room, the drop-oldest policy evicts from the front before it
+//! pushes to the back, and the stats path reads the depth, a high-water
+//! mark and the eviction count.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 /// Outcome of offering an item to the queue.
 #[derive(Debug, PartialEq, Eq)]
@@ -20,38 +19,22 @@ pub enum Push<T> {
     /// Item enqueued; the returned oldest item was evicted to make
     /// room (drop-oldest policy).
     Displaced(T),
-    /// The queue is full (disconnect policy refuses to wait or drop).
+    /// The queue is full (the disconnect policy refuses to drop).
     Full(T),
     /// The queue was closed; the item is handed back.
     Closed(T),
 }
 
-/// Outcome of a timed pop.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Pop<T> {
-    /// An item arrived within the timeout.
-    Item(T),
-    /// The queue is closed and empty — no more items will ever come.
-    Drained,
-    /// Nothing arrived before the timeout; the queue remains usable.
-    TimedOut,
-}
-
-struct Inner<T> {
+/// A bounded FIFO with drop-oldest and reject offer modes,
+/// depth/high-water-mark accounting and close semantics (items queued
+/// before [`BoundedQueue::close`] stay poppable).
+#[derive(Debug)]
+pub struct BoundedQueue<T> {
     q: VecDeque<T>,
+    cap: usize,
     hwm: usize,
     dropped: u64,
     closed: bool,
-}
-
-/// A bounded MPSC-ish queue with blocking, drop-oldest and reject
-/// offer modes, depth/high-water-mark accounting and close semantics
-/// (pop drains remaining items after close, then reports exhaustion).
-pub struct BoundedQueue<T> {
-    inner: Mutex<Inner<T>>,
-    cap: usize,
-    not_empty: Condvar,
-    not_full: Condvar,
 }
 
 impl<T> BoundedQueue<T> {
@@ -59,129 +42,56 @@ impl<T> BoundedQueue<T> {
     pub fn new(cap: usize) -> Self {
         assert!(cap >= 1, "queue capacity must be >= 1");
         BoundedQueue {
-            inner: Mutex::new(Inner {
-                q: VecDeque::with_capacity(cap),
-                hwm: 0,
-                dropped: 0,
-                closed: false,
-            }),
+            q: VecDeque::with_capacity(cap),
             cap,
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            hwm: 0,
+            dropped: 0,
+            closed: false,
         }
     }
 
-    fn accept(inner: &mut Inner<T>, cap: usize, item: T) {
-        inner.q.push_back(item);
-        inner.hwm = inner.hwm.max(inner.q.len());
-        debug_assert!(inner.q.len() <= cap);
+    fn accept(&mut self, item: T) {
+        self.q.push_back(item);
+        self.hwm = self.hwm.max(self.q.len());
+        debug_assert!(self.q.len() <= self.cap);
     }
 
-    /// Blocking offer: waits until there is room (or the queue closes).
-    pub fn push_wait(&self, item: T) -> Push<T> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if inner.closed {
-                return Push::Closed(item);
-            }
-            if inner.q.len() < self.cap {
-                Self::accept(&mut inner, self.cap, item);
-                self.not_empty.notify_one();
-                return Push::Accepted;
-            }
-            inner = self.not_full.wait(inner).unwrap();
-        }
-    }
-
-    /// Drop-oldest offer: never blocks; evicts the front item when
-    /// full and counts the eviction.
-    pub fn push_drop_oldest(&self, item: T) -> Push<T> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
+    /// Drop-oldest offer: evicts the front item when full and counts
+    /// the eviction.
+    pub fn push_drop_oldest(&mut self, item: T) -> Push<T> {
+        if self.closed {
             return Push::Closed(item);
         }
-        let displaced = if inner.q.len() >= self.cap {
-            inner.dropped += 1;
-            inner.q.pop_front()
+        let displaced = if self.q.len() >= self.cap {
+            self.dropped += 1;
+            self.q.pop_front()
         } else {
             None
         };
-        Self::accept(&mut inner, self.cap, item);
-        self.not_empty.notify_one();
+        self.accept(item);
         match displaced {
             Some(old) => Push::Displaced(old),
             None => Push::Accepted,
         }
     }
 
-    /// Rejecting offer: never blocks, never evicts; a full queue hands
-    /// the item back (the disconnect policy turns that into an error
-    /// frame and closes the session).
-    pub fn push_or_reject(&self, item: T) -> Push<T> {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.closed {
+    /// Rejecting offer: never evicts; a full queue hands the item back
+    /// (the disconnect policy turns that into an error frame and closes
+    /// the session; the block policy never offers to a full queue).
+    pub fn push_or_reject(&mut self, item: T) -> Push<T> {
+        if self.closed {
             return Push::Closed(item);
         }
-        if inner.q.len() >= self.cap {
+        if self.q.len() >= self.cap {
             return Push::Full(item);
         }
-        Self::accept(&mut inner, self.cap, item);
-        self.not_empty.notify_one();
+        self.accept(item);
         Push::Accepted
     }
 
-    /// Pops the oldest item, blocking until one arrives or the queue
-    /// is closed *and* drained — the `None` that tells the consumer to
-    /// finish up. All items pushed before `close` are delivered.
-    pub fn pop(&self) -> Option<T> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = inner.q.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).unwrap();
-        }
-    }
-
-    /// Like [`BoundedQueue::pop`] but gives up after `timeout`,
-    /// returning [`Pop::TimedOut`] so a consumer can interleave
-    /// housekeeping with waiting.
-    pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = inner.q.pop_front() {
-                self.not_full.notify_one();
-                return Pop::Item(item);
-            }
-            if inner.closed {
-                return Pop::Drained;
-            }
-            let (guard, res) = self.not_empty.wait_timeout(inner, timeout).unwrap();
-            inner = guard;
-            if res.timed_out() {
-                return Pop::TimedOut;
-            }
-        }
-    }
-
-    /// Non-blocking pop for readiness-driven consumers: an empty open
-    /// queue reports [`Pop::TimedOut`] immediately instead of waiting
-    /// (there is no timeout — the name keeps the `Pop` contract of
-    /// "nothing now, queue still usable").
-    pub fn try_pop(&self) -> Pop<T> {
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(item) = inner.q.pop_front() {
-            self.not_full.notify_one();
-            return Pop::Item(item);
-        }
-        if inner.closed {
-            return Pop::Drained;
-        }
-        Pop::TimedOut
+    /// Pops the oldest item, if any.
+    pub fn pop(&mut self) -> Option<T> {
+        self.q.pop_front()
     }
 
     /// The fixed capacity this queue was built with.
@@ -189,53 +99,55 @@ impl<T> BoundedQueue<T> {
         self.cap
     }
 
-    /// Whether [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
+    /// True when another push would have to evict or be refused.
+    pub fn is_full(&self) -> bool {
+        self.q.len() >= self.cap
     }
 
-    /// Closes the queue: future pushes are refused, queued items remain
-    /// poppable, and blocked producers/consumers wake up.
-    pub fn close(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
+    /// Whether [`BoundedQueue::close`] has been called.
+    pub fn is_closed(&self) -> bool {
+        self.closed
+    }
+
+    /// Closes the queue: future pushes are refused; queued items remain
+    /// poppable.
+    pub fn close(&mut self) {
+        self.closed = true;
     }
 
     /// Current depth.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().q.len()
+        self.q.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.q.is_empty()
     }
 
     /// Deepest the queue has ever been.
     pub fn high_water_mark(&self) -> usize {
-        self.inner.lock().unwrap().hwm
+        self.hwm
     }
 
     /// Items evicted by [`BoundedQueue::push_drop_oldest`].
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        self.dropped
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn fifo_order_and_hwm() {
-        let q = BoundedQueue::new(4);
+        let mut q = BoundedQueue::new(4);
         for k in 0..4 {
             assert_eq!(q.push_or_reject(k), Push::Accepted);
         }
         assert_eq!(q.high_water_mark(), 4);
+        assert!(q.is_full());
         assert_eq!(q.push_or_reject(9), Push::Full(9));
         for k in 0..4 {
             assert_eq!(q.pop(), Some(k));
@@ -246,7 +158,7 @@ mod tests {
 
     #[test]
     fn drop_oldest_evicts_front_and_counts() {
-        let q = BoundedQueue::new(2);
+        let mut q = BoundedQueue::new(2);
         assert_eq!(q.push_drop_oldest(1), Push::Accepted);
         assert_eq!(q.push_drop_oldest(2), Push::Accepted);
         assert_eq!(q.push_drop_oldest(3), Push::Displaced(1));
@@ -257,52 +169,17 @@ mod tests {
     }
 
     #[test]
-    fn close_drains_then_reports_exhaustion() {
-        let q = BoundedQueue::new(4);
-        q.push_wait(1);
-        q.push_wait(2);
+    fn close_refuses_pushes_but_keeps_queued_items() {
+        let mut q = BoundedQueue::new(4);
+        q.push_or_reject(1);
+        q.push_or_reject(2);
         q.close();
-        assert_eq!(q.push_wait(3), Push::Closed(3));
+        assert!(q.is_closed());
+        assert_eq!(q.push_or_reject(3), Push::Closed(3));
+        assert_eq!(q.push_drop_oldest(4), Push::Closed(4));
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None, "stays exhausted");
-    }
-
-    #[test]
-    fn blocking_push_waits_for_space_and_unblocks() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push_wait(0);
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_wait(1))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(0)); // frees the producer
-        assert_eq!(producer.join().unwrap(), Push::Accepted);
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn pop_timeout_times_out_then_sees_items() {
-        let q = BoundedQueue::new(1);
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Pop::TimedOut);
-        q.push_wait(7);
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Pop::Item(7));
-        q.close();
-        assert_eq!(q.pop_timeout(Duration::from_millis(10)), Pop::Drained);
-    }
-
-    #[test]
-    fn close_wakes_blocked_producer() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push_wait(0);
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push_wait(1))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(producer.join().unwrap(), Push::Closed(1));
     }
 }

@@ -1,48 +1,56 @@
-//! The sharded readiness runtime: listener, shard loops, processor
-//! pool, session registry, channel-slot allocation and graceful
-//! shutdown.
+//! The sharded run-to-completion runtime: shard threads that each own
+//! their sessions' sockets and DSP, the listener, the session registry
+//! and graceful shutdown.
 //!
-//! The server owns one [`DdcFarm`] with `max_sessions` channels. A
-//! connection claims a free channel slot at Configure time (binding the
-//! session's `DdcConfig` to it via `reconfigure_channel`) and returns
-//! it when the session ends, so the worker pool is shared by every
-//! session while channel state stays strictly per-session — the same
-//! organisation as the GC4016's four hard channels behind one ADC bus,
-//! scaled to however many slots the host can serve.
+//! Every session owns its DSP: a [`FixedDdc`] for a chain session, a
+//! [`ChannelizerFarm`] for a bank's ingest. The session's shard runs
+//! each accepted batch to completion on its readiness loop — decode,
+//! DSP in bounded slices, Iq encode, socket write — with no hand-off to
+//! another thread. That is the GC4016's organisation (paper §3, Fig. 4):
+//! a channel is a fixed datapath beside its input, not a job on a
+//! shared pool. `max_sessions` bounds how many chain sessions may hold
+//! a channel at once.
 //!
-//! Thread shape (replacing the old two-threads-per-connection model):
+//! Thread shape:
 //!
 //! ```text
-//!            ┌─ shard 0 ─ poller ── conns {a, b, …}
-//! accept ────┼─ shard 1 ─ poller ── conns {c, d, …}   ──▶ Dispatch ──▶ processor pool ──▶ farm
-//!            └─ …      (N readiness loops)                 (P threads, one conn at a time)
+//! listener ──┐
+//!            ├─ ddc-shard-0 ─ poller ── sessions {a, b, …}
+//!            ├─ ddc-shard-1 ─ poller ── sessions {c, d, …}    each: read → decode → queue
+//!            └─ …  (N readiness loops)                              → DSP slices → encode → write
 //! ```
 //!
-//! Shards own all socket I/O and poller interest bookkeeping; sessions
-//! whose queues hold work are handed to the processor pool through a
-//! [`Dispatch`] queue, with a per-connection `scheduled` flag ensuring
-//! at most one processor drives a session at a time (preserving
-//! in-order Iq acknowledgements). Thread count is now a function of
-//! the host, not the session count, so hundreds of concurrent
-//! sessions cost hundreds of sockets — not hundreds of threads.
+//! The listener sits in shard 0's poller; shard 0 deals new sessions
+//! round-robin across the shards. Each loop iteration gives every
+//! session with queued work one DSP turn of at most one slice: the
+//! latency-QoS chunk for budgeted sessions, [`THROUGHPUT_SLICE`]
+//! samples otherwise. A session sharing a shard therefore waits at most
+//! one slice per other busy session before its own batch runs. Thread
+//! count is a function of the host, not the session count, so hundreds
+//! of concurrent sessions cost hundreds of sockets — not hundreds of
+//! threads.
 
-use crate::queue::{BoundedQueue, Pop, Push};
+use crate::queue::{BoundedQueue, Push};
 use crate::session::{
-    frame_name, server_hello, Bank, Batch, Conn, EndKind, FlushState, LatencyCtl, MetricsSource,
-    Notice, Reader, Role, SessionObs, SessionState, ShardMailbox, OUT_HWM, READ_BUDGET, READ_CHUNK,
+    frame_name, server_hello, Bank, Batch, ChainObs, Conn, EndKind, FlushState, InFlight,
+    MetricsSource, Notice, Reader, Role, Session, SessionObs, SessionState, ShardMailbox, OUT_HWM,
+    READ_BUDGET, READ_CHUNK,
 };
-use crate::sys::{fd_of, Event, Interest, Poller};
+use crate::sys::{fd_of, Interest, Poller};
 use crate::wire::{
     decode_header, decode_payload, decode_samples_into, error_code, metrics_format, Backpressure,
-    ChainPlan, ErrorFrame, Frame, FrameBuf, IqTiming, MetricsReport, QosProfile, TraceReport,
-    HEADER_LEN, VERSION,
+    ChainPlan, Configure, ErrorFrame, Frame, FrameBuf, IqTiming, MetricsReport, StatsReport,
+    TraceReport, HEADER_LEN, VERSION,
 };
-use ddc_core::{ChannelizerFarm, DdcConfig, DdcFarm};
-use ddc_obs::{kind, Counter, EventRing, MetricsSnapshot, SpanEvent, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use ddc_core::mixer::Iq;
+use ddc_core::{chain_metrics_for, ChannelizerFarm, FixedDdc};
+use ddc_obs::{
+    kind, Counter, EventRing, MetricsHandle, MetricsSnapshot, SpanEvent, TraceHandle, TraceSink,
+};
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -50,18 +58,11 @@ use std::time::{Duration, Instant};
 /// Tunables of one server instance.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Concurrent sessions = farm channels (slots).
+    /// Chain sessions that may hold a channel at once.
     pub max_sessions: usize,
-    /// Worker threads for the farm; 0 = one per host core, capped at
-    /// the slot count.
-    pub workers: usize,
-    /// I/O shard threads multiplexing the sockets; 0 = one per host
-    /// core, capped at 4 (a shard comfortably drives hundreds of
-    /// non-blocking sessions).
+    /// Shard threads, each owning its sessions' sockets and DSP; 0 =
+    /// one per host core, capped at 4.
     pub io_shards: usize,
-    /// Processor threads draining session queues into the farm; 0 =
-    /// one per host core, clamped to [2, 8].
-    pub processors: usize,
     /// Queue capacity used when Configure asks for 0.
     pub default_queue_cap: usize,
     /// Hard ceiling on the per-session queue capacity.
@@ -78,9 +79,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_sessions: 8,
-            workers: 0,
             io_shards: 0,
-            processors: 0,
             default_queue_cap: 8,
             max_queue_cap: 64,
             processing_delay: Duration::ZERO,
@@ -89,49 +88,65 @@ impl Default for ServerConfig {
     }
 }
 
-/// Shared server state: the farm, the slot free-list, and the
-/// lifecycle flags.
-/// Span tracks below this base belong to farm workers (one per worker
-/// plus one for inline jobs); session-level spans (ingest, queue-wait,
-/// service, egress) land on `SESSION_TRACK_BASE + id % 0x10000`, so
-/// each session renders as its own Perfetto process row. Collisions
-/// between long-lived sessions merely share a display row — span
-/// identity always comes from the trace/span IDs, never the track.
+/// Samples one DSP turn of a throughput session covers. It bounds how
+/// long any other session on the shard waits behind a large batch:
+/// about 130 µs of the DRM chain at 4 ns per sample.
+const THROUGHPUT_SLICE: usize = 1 << 15;
+
+/// Poller token of the listening socket. Session ids count up from 0,
+/// and the poller's own wake pipe uses `u64::MAX`.
+const LISTENER: u64 = u64::MAX - 1;
+
+/// DSP spans (`ddc_job` and the per-stage kernel spans) land on the
+/// track of the shard that ran them, below this base; session-level
+/// spans (ingest, queue-wait, service, egress) land on
+/// `SESSION_TRACK_BASE + id % 0x10000`, so each session renders as its
+/// own Perfetto process row. Collisions between long-lived sessions
+/// merely share a display row — span identity always comes from the
+/// trace/span IDs, never the track.
 const SESSION_TRACK_BASE: u32 = 64;
 
-/// Interned span-name indices for the session-level trace points.
+fn session_track(id: u64) -> u32 {
+    SESSION_TRACK_BASE + (id % 0x10000) as u32
+}
+
+/// Interned span-name indices for the server's trace points.
 #[derive(Clone, Copy)]
 struct TraceNames {
     ingest: u16,
     queue_wait: u16,
     service: u16,
     egress: u16,
+    job: u16,
 }
 
+/// State shared by every shard and the handle.
 struct ServerState {
-    farm: DdcFarm,
-    /// Server-wide span sink: farm workers and sessions all record
-    /// into its rings; a TraceRequest drains them.
+    /// Server-wide span sink: shards and sessions all record into its
+    /// rings; a TraceRequest drains them.
     trace: Arc<TraceSink>,
     trace_names: TraceNames,
     /// Single-consumer drain guard for TraceRequest (ring cursors are
     /// not safe under concurrent drains).
     trace_drain: Mutex<Vec<SpanEvent>>,
     cfg: ServerConfig,
-    free_slots: Mutex<Vec<usize>>,
+    /// Chain sessions currently holding a channel (≤ `max_sessions`).
+    channels_in_use: AtomicUsize,
     stop: AtomicBool,
     sessions_started: AtomicU64,
+    /// DSP jobs (slices) run across every chain session.
+    jobs_completed: Counter,
     /// Accepted connections that could not be set up (socket mode /
     /// poller registration) — each one also got a structured Error
     /// frame instead of a silent drop.
     accept_failures: Counter,
     /// Telemetry handles of live sessions, keyed by session id. Weak:
-    /// the connection owns the data; a dead entry just disappears
-    /// from the next snapshot.
+    /// the session owns the data; a dead entry just disappears from
+    /// the next snapshot.
     session_obs: Mutex<Vec<(u64, Weak<SessionObs>)>>,
-    /// Live channelizer banks keyed by spec name. A bank is owned by
-    /// its ingest session and removed when that session's drain
-    /// epilogue runs.
+    /// Live channelizer banks keyed by spec name. A bank is published
+    /// by its ingest session and removed by that session's drain
+    /// epilogue.
     banks: Mutex<HashMap<String, Arc<Bank>>>,
     /// Server lifecycle events (session open/close).
     events: EventRing,
@@ -142,12 +157,18 @@ struct ServerState {
 }
 
 impl ServerState {
-    fn claim_slot(&self) -> Option<usize> {
-        self.free_slots.lock().unwrap().pop()
+    fn claim_channel(&self) -> bool {
+        self.channels_in_use
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.cfg.max_sessions).then_some(n + 1)
+            })
+            .is_ok()
     }
 
-    fn release_slot(&self, slot: usize) {
-        self.free_slots.lock().unwrap().push(slot);
+    fn free_channels(&self) -> usize {
+        self.cfg
+            .max_sessions
+            .saturating_sub(self.channels_in_use.load(Ordering::SeqCst))
     }
 
     fn register_session(&self, id: u64, obs: &Arc<SessionObs>) {
@@ -165,14 +186,25 @@ impl ServerState {
         *g = g.saturating_sub(1);
         self.active_cv.notify_all();
     }
+
+    /// Removes `bank` from the registry, unless the name has since been
+    /// taken by a newer bank.
+    fn unpublish(&self, bank: &Arc<Bank>) {
+        let mut banks = self.banks.lock().unwrap();
+        if banks.get(&bank.name).is_some_and(|b| Arc::ptr_eq(b, bank)) {
+            banks.remove(&bank.name);
+        }
+    }
 }
 
 impl MetricsSource for ServerState {
-    /// One coherent snapshot across every layer: the farm's per-stage/
-    /// per-channel/per-worker metrics, then server-level gauges, then
-    /// each live session's frame-codec and queue telemetry.
+    /// One coherent snapshot across every layer: server-level gauges,
+    /// each bank's metrics, then each live session's codec and queue
+    /// telemetry and, for chain sessions, the per-channel and
+    /// per-stage DSP families.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.farm.metrics_snapshot().unwrap_or_default();
+        let mut snap = MetricsSnapshot::new();
+        snap.push_counter("ddc_farm_jobs_completed_total", self.jobs_completed.get());
         snap.push_counter(
             "ddc_server_sessions_started_total",
             self.sessions_started.load(Ordering::Relaxed),
@@ -184,10 +216,7 @@ impl MetricsSource for ServerState {
                 .collect()
         };
         snap.push_counter("ddc_server_sessions_active", live.len() as u64);
-        snap.push_counter(
-            "ddc_server_free_slots",
-            self.free_slots.lock().unwrap().len() as u64,
-        );
+        snap.push_counter("ddc_server_free_slots", self.free_channels() as u64);
         snap.push_counter(
             "ddc_server_accept_failures_total",
             self.accept_failures.get(),
@@ -244,55 +273,14 @@ impl MetricsSource for ServerState {
                     obs.deadline_misses.get(),
                 );
             }
+            // A chain session's DSP families, labelled with its channel
+            // number (the session id, as its StatsReport reports it).
+            if let Some(c) = obs.chain.get() {
+                c.stats()
+                    .push_metrics(&mut snap, id, Some(&c.metrics), &c.kernels);
+            }
         }
         snap
-    }
-}
-
-/// Hand-off queue between the shard threads (producers: sessions with
-/// queued batches) and the processor pool.
-struct Dispatch {
-    q: Mutex<(VecDeque<Arc<Conn>>, bool)>,
-    cv: Condvar,
-}
-
-impl Dispatch {
-    fn new() -> Arc<Dispatch> {
-        Arc::new(Dispatch {
-            q: Mutex::new((VecDeque::new(), false)),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Queues `conn` for a processor unless it is already queued or
-    /// being processed (the `scheduled` flag is the mutual exclusion:
-    /// at most one processor owns a session at a time, so Iq
-    /// acknowledgements stay in batch order).
-    fn schedule(&self, conn: &Arc<Conn>) {
-        if !conn.scheduled.swap(true, Ordering::SeqCst) {
-            let mut g = self.q.lock().unwrap();
-            g.0.push_back(Arc::clone(conn));
-            drop(g);
-            self.cv.notify_one();
-        }
-    }
-
-    fn pop(&self) -> Option<Arc<Conn>> {
-        let mut g = self.q.lock().unwrap();
-        loop {
-            if let Some(c) = g.0.pop_front() {
-                return Some(c);
-            }
-            if g.1 {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        self.q.lock().unwrap().1 = true;
-        self.cv.notify_all();
     }
 }
 
@@ -301,10 +289,7 @@ impl Dispatch {
 pub struct ServerHandle {
     local_addr: SocketAddr,
     state: Arc<ServerState>,
-    accept_thread: Option<JoinHandle<()>>,
     shards: Vec<(Arc<ShardMailbox>, Option<JoinHandle<()>>)>,
-    processors: Vec<JoinHandle<()>>,
-    dispatch: Arc<Dispatch>,
 }
 
 /// Binds the streaming service and starts accepting connections.
@@ -317,51 +302,29 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
 
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let n_shards = if cfg.io_shards == 0 {
-        cores.min(4)
-    } else {
-        cfg.io_shards
+    let n_shards = match cfg.io_shards {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
+        n => n,
     };
-    let n_procs = if cfg.processors == 0 {
-        cores.clamp(2, 8)
-    } else {
-        cfg.processors
-    };
-
-    // Placeholder configs; every slot is rebuilt by reconfigure_channel
-    // when a session claims it.
-    let configs: Vec<DdcConfig> = (0..cfg.max_sessions).map(|_| DdcConfig::drm(0.0)).collect();
-    let farm = if cfg.workers == 0 {
-        DdcFarm::new(configs)
-    } else {
-        DdcFarm::with_workers(configs, cfg.workers)
-    };
-    // Telemetry on from the start: the overhead is block-granular
-    // relaxed atomics (gated under 1% by the benchmark suite), and a
-    // live MetricsRequest endpoint is part of the service contract.
-    let farm = farm.with_telemetry();
-    // Span tracing is compiled in but costs one u64 compare per block
-    // until a batch actually carries a trace ID (head-sampled). Farm
-    // workers take tracks 0..workers+1; session spans start at
-    // SESSION_TRACK_BASE.
+    // Span tracing is compiled in but costs one u64 compare per slice
+    // until a batch actually carries a trace ID (head-sampled).
     let trace = Arc::new(TraceSink::new(16, 4096));
     let trace_names = TraceNames {
         ingest: trace.register_name("ingest"),
         queue_wait: trace.register_name("queue_wait"),
         service: trace.register_name("service"),
         egress: trace.register_name("egress"),
+        job: trace.register_name("ddc_job"),
     };
-    let farm = farm.with_tracing(Arc::clone(&trace), 0);
     let state = Arc::new(ServerState {
-        farm,
         trace,
         trace_names,
         trace_drain: Mutex::new(Vec::new()),
-        free_slots: Mutex::new((0..cfg.max_sessions).rev().collect()),
         cfg,
+        channels_in_use: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         sessions_started: AtomicU64::new(0),
+        jobs_completed: Counter::default(),
         accept_failures: Counter::default(),
         session_obs: Mutex::new(Vec::new()),
         banks: Mutex::new(HashMap::new()),
@@ -369,122 +332,80 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
         active: Mutex::new(0),
         active_cv: Condvar::new(),
     });
-    let dispatch = Dispatch::new();
 
+    let pollers = (0..n_shards)
+        .map(|_| Poller::new())
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let mailboxes: Vec<Arc<ShardMailbox>> = pollers
+        .iter()
+        .map(|p| ShardMailbox::new(p.waker()))
+        .collect();
+    pollers[0].add(fd_of(&listener), LISTENER, Interest::READ)?;
+    let mut listener = Some(listener);
     let mut shards = Vec::with_capacity(n_shards);
-    for k in 0..n_shards {
-        let poller = Poller::new()?;
-        let mailbox = ShardMailbox::new(poller.waker());
-        let thread = {
-            let state = Arc::clone(&state);
-            let dispatch = Arc::clone(&dispatch);
-            let mailbox = Arc::clone(&mailbox);
-            std::thread::Builder::new()
-                .name(format!("ddc-shard-{k}"))
-                .spawn(move || shard_loop(poller, mailbox, state, dispatch))
-                .expect("cannot spawn shard thread")
+    for (k, poller) in pollers.into_iter().enumerate() {
+        let shard = Shard {
+            track: k as u32,
+            poller,
+            mailbox: Arc::clone(&mailboxes[k]),
+            state: Arc::clone(&state),
+            sessions: HashMap::new(),
+            listener: listener.take(),
+            peers: if k == 0 {
+                mailboxes.clone()
+            } else {
+                Vec::new()
+            },
+            next_peer: 0,
+            work: Vec::new(),
         };
-        shards.push((mailbox, Some(thread)));
+        let thread = std::thread::Builder::new()
+            .name(format!("ddc-shard-{k}"))
+            .spawn(move || shard.run())
+            .expect("cannot spawn shard thread");
+        shards.push((Arc::clone(&mailboxes[k]), Some(thread)));
     }
-
-    let mut processors = Vec::with_capacity(n_procs);
-    for k in 0..n_procs {
-        let state = Arc::clone(&state);
-        let dispatch = Arc::clone(&dispatch);
-        processors.push(
-            std::thread::Builder::new()
-                .name(format!("ddc-proc-{k}"))
-                .spawn(move || processor_loop(state, dispatch))
-                .expect("cannot spawn processor thread"),
-        );
-    }
-
-    let accept_thread = {
-        let state = Arc::clone(&state);
-        let mailboxes: Vec<Arc<ShardMailbox>> = shards.iter().map(|(m, _)| Arc::clone(m)).collect();
-        std::thread::Builder::new()
-            .name("ddc-accept".into())
-            .spawn(move || accept_loop(listener, state, mailboxes))
-            .expect("cannot spawn accept thread")
-    };
 
     Ok(ServerHandle {
         local_addr,
         state,
-        accept_thread: Some(accept_thread),
         shards,
-        processors,
-        dispatch,
     })
 }
 
-// ------------------------------------------------------------- accept
-
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>, shards: Vec<Arc<ShardMailbox>>) {
-    let mut next = 0usize;
-    while !state.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                if let Err(e) = stream.set_nonblocking(true) {
-                    reject_setup_failure(&state, stream, &e);
-                    continue;
-                }
-                let id = state.sessions_started.fetch_add(1, Ordering::Relaxed);
-                let obs = Arc::new(SessionObs::default());
-                let mailbox = Arc::clone(&shards[next % shards.len()]);
-                next = next.wrapping_add(1);
-                let conn = Conn::new(id, stream, Arc::clone(&mailbox), Arc::clone(&obs));
-                state.register_session(id, &obs);
-                mailbox.post(Notice::Accept(conn));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
-        }
-    }
-}
-
 /// Accept-time setup failure: count it and tell the peer with a
-/// structured Error frame before closing (the old runtime dropped the
-/// connection silently).
+/// structured Error frame before closing.
 fn reject_setup_failure(state: &ServerState, mut stream: TcpStream, err: &std::io::Error) {
     state.accept_failures.inc();
     let mut fb = FrameBuf::new();
-    fb.encode(
-        &Frame::Error(ErrorFrame {
-            code: error_code::SESSION_SETUP,
-            message: format!("session setup failed: {err}"),
-        }),
-        0,
-    );
+    fb.encode(&setup_error(err), 0);
     let _ = stream.set_nonblocking(false);
     let _ = fb.write_to(&mut stream);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-// ------------------------------------------------------------- shards
-
-/// Shard-local bookkeeping for one registered connection.
-struct ShardEntry {
-    conn: Arc<Conn>,
-    interest: Interest,
+fn setup_error(err: &std::io::Error) -> Frame {
+    Frame::Error(ErrorFrame {
+        code: error_code::SESSION_SETUP,
+        message: format!("session setup failed: {err}"),
+    })
 }
+
+// ------------------------------------------------------------- shards
 
 /// What the read pump asks the shard to do with the fd afterwards.
 enum ReadOutcome {
     /// Keep current interest.
     Continue,
-    /// Block-policy pause: disarm read until the processor frees room.
+    /// Block-policy pause: disarm read until a DSP turn frees room.
     Pause,
     /// Input side ended: disarm read; the drain (or the flush) will
     /// finish the teardown.
     Drain,
 }
 
-/// Largest farm sub-batch a latency session may submit in one job:
-/// a quarter-budget's worth of input samples, so decode, queue wait,
+/// Largest sub-batch a latency session's DSP runs in one turn: a
+/// quarter-budget's worth of input samples, so decode, queue wait,
 /// processing and egress together fit inside the budget with headroom.
 /// Floored at one output word per chunk (below the total decimation a
 /// chunk could produce nothing and the ack would still wait for the
@@ -510,291 +431,534 @@ fn saturating_ns(d: Duration) -> u64 {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-fn shard_loop(
+/// One shard thread: a poller, the sessions registered with it, and —
+/// on shard 0 — the listener.
+struct Shard {
+    /// Span track of this shard's DSP work (its index).
+    track: u32,
     poller: Poller,
     mailbox: Arc<ShardMailbox>,
     state: Arc<ServerState>,
-    dispatch: Arc<Dispatch>,
-) {
-    let mut conns: HashMap<u64, ShardEntry> = HashMap::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut notices: Vec<Notice> = Vec::new();
-    loop {
-        // Throughput sessions let the poller sleep until readiness;
-        // latency sessions bound the sleep so queued-but-unwritten
-        // output is flushed on a deadline (a fraction of the tightest
-        // budget) instead of waiting for the next readiness event.
-        let timeout = conns
-            .values()
-            .filter_map(|e| e.conn.latency.get().map(|l| l.budget_us))
-            .min()
-            .map(|us| Duration::from_micros(u64::from(us / 4).clamp(1_000, 10_000)));
-        if poller.wait(&mut events, timeout).is_err() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        mailbox.drain_into(&mut notices);
-        for n in notices.drain(..) {
-            match n {
-                Notice::Accept(conn) => {
-                    let fd = fd_of(&conn.stream);
-                    match poller.add(fd, conn.id, Interest::READ) {
-                        Ok(()) => {
-                            let id = conn.id;
-                            conns.insert(
-                                id,
-                                ShardEntry {
-                                    conn,
-                                    interest: Interest::READ,
-                                },
-                            );
-                            // The client's Hello may already be queued
-                            // in the kernel; with level-triggered
-                            // polling the next wait reports it.
-                        }
-                        Err(e) => {
-                            state.accept_failures.inc();
-                            conn.enqueue(&Frame::Error(ErrorFrame {
-                                code: error_code::SESSION_SETUP,
-                                message: format!("session setup failed: {e}"),
-                            }));
-                            let _ = conn.flush();
-                            let _ = conn.stream.shutdown(Shutdown::Both);
-                            state.unregister_session(conn.id);
-                        }
-                    }
-                }
-                Notice::ResumeRead(id) => {
-                    if let Some(entry) = conns.get_mut(&id) {
-                        conn_set_interest(
-                            &poller,
-                            entry,
-                            Interest {
-                                read: true,
-                                ..entry.interest
-                            },
-                        );
-                        let conn = Arc::clone(&entry.conn);
-                        handle_readable(&poller, &mut conns, &state, &dispatch, &conn);
-                    }
-                }
-                Notice::WriteReady(id) => {
-                    if let Some(entry) = conns.get_mut(&id) {
-                        conn_set_interest(
-                            &poller,
-                            entry,
-                            Interest {
-                                write: true,
-                                ..entry.interest
-                            },
-                        );
-                    }
-                }
-                Notice::Deregister(id) => {
-                    do_close(&poller, &mut conns, &state, id);
-                }
-                Notice::DrainAll => {
-                    let ids: Vec<u64> = conns.keys().copied().collect();
-                    for id in ids {
-                        server_drain(&poller, &mut conns, &state, &dispatch, id);
-                    }
-                }
-                Notice::HardCloseAll => {
-                    for entry in conns.values() {
-                        let _ = entry.conn.stream.shutdown(Shutdown::Both);
-                    }
-                }
-                Notice::Exit => {
-                    let ids: Vec<u64> = conns.keys().copied().collect();
-                    for id in ids {
-                        do_close(&poller, &mut conns, &state, id);
-                    }
+    sessions: HashMap<u64, Session>,
+    /// Shard 0 only, until shutdown starts.
+    listener: Option<TcpListener>,
+    /// Shard 0 only: every shard's mailbox, to deal new sessions.
+    peers: Vec<Arc<ShardMailbox>>,
+    next_peer: usize,
+    /// Sessions given a DSP turn this iteration (reused buffer).
+    work: Vec<u64>,
+}
+
+impl Shard {
+    fn run(mut self) {
+        let mut events = Vec::new();
+        let mut notices = Vec::new();
+        loop {
+            // Sessions with queued work keep the loop spinning through
+            // non-blocking polls; otherwise sleep until readiness.
+            let busy = self.sessions.values().any(Session::has_work);
+            if self
+                .poller
+                .wait(&mut events, busy.then_some(Duration::ZERO))
+                .is_err()
+            {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.mailbox.drain_into(&mut notices);
+            for n in notices.drain(..) {
+                if !self.notice(n) {
                     return;
                 }
             }
+            for ev in &events {
+                if ev.token == LISTENER {
+                    self.accept_ready();
+                    continue;
+                }
+                if ev.readable {
+                    self.handle_readable(ev.token);
+                }
+                if ev.writable {
+                    self.flush(ev.token);
+                }
+            }
+            let mut work = std::mem::take(&mut self.work);
+            work.clear();
+            work.extend(
+                self.sessions
+                    .iter()
+                    .filter(|(_, s)| s.has_work())
+                    .map(|(&id, _)| id),
+            );
+            for &id in &work {
+                self.turn(id);
+            }
+            self.work = work;
         }
-        for &ev in &events {
-            let Some(entry) = conns.get(&ev.token) else {
-                continue;
+    }
+
+    /// Acts on one mailbox notice; `false` means exit the thread.
+    fn notice(&mut self, n: Notice) -> bool {
+        match n {
+            Notice::Accept(conn) => self.register(conn),
+            Notice::WriteReady(id) => {
+                if let Some(s) = self.sessions.get_mut(&id) {
+                    let want = Interest {
+                        write: true,
+                        ..s.interest
+                    };
+                    set_interest(&self.poller, s, want);
+                }
+            }
+            Notice::Deregister(id) => self.close(id),
+            Notice::DrainAll => {
+                if let Some(l) = self.listener.take() {
+                    let _ = self.poller.del(fd_of(&l));
+                }
+                let ids: Vec<u64> = self.sessions.keys().copied().collect();
+                for id in ids {
+                    self.drain(id);
+                }
+            }
+            Notice::HardCloseAll => {
+                for s in self.sessions.values() {
+                    let _ = s.conn.stream.shutdown(Shutdown::Both);
+                }
+            }
+            Notice::Exit => {
+                let ids: Vec<u64> = self.sessions.keys().copied().collect();
+                for id in ids {
+                    self.close(id);
+                }
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Accepts every pending connection and deals each to a shard.
+    fn accept_ready(&mut self) {
+        loop {
+            let Some(listener) = &self.listener else {
+                return;
             };
-            let conn = Arc::clone(&entry.conn);
-            if ev.readable {
-                handle_readable(&poller, &mut conns, &state, &dispatch, &conn);
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            };
+            let _ = stream.set_nodelay(true);
+            if let Err(e) = stream.set_nonblocking(true) {
+                reject_setup_failure(&self.state, stream, &e);
+                continue;
             }
-            if ev.writable && conns.contains_key(&ev.token) {
-                handle_writable(&poller, &mut conns, &state, &dispatch, &conn);
+            let id = self.state.sessions_started.fetch_add(1, Ordering::Relaxed);
+            let obs = Arc::new(SessionObs::default());
+            let k = self.next_peer % self.peers.len();
+            self.next_peer = self.next_peer.wrapping_add(1);
+            let conn = Conn::new(id, stream, Arc::clone(&self.peers[k]), Arc::clone(&obs));
+            self.state.register_session(id, &obs);
+            if Arc::ptr_eq(&self.peers[k], &self.mailbox) {
+                self.register(conn);
+            } else {
+                self.peers[k].post(Notice::Accept(conn));
             }
         }
-        // Deadline flush: push any latency session's pending output to
-        // the socket now rather than on the next readiness event.
-        if timeout.is_some() {
-            let due: Vec<Arc<Conn>> = conns
-                .values()
-                .filter(|e| e.conn.latency.get().is_some() && e.conn.out_pending() > 0)
-                .map(|e| Arc::clone(&e.conn))
-                .collect();
-            for conn in due {
-                flush_on_shard(&poller, &mut conns, &state, &dispatch, &conn);
+    }
+
+    /// Starts serving an accepted connection on this shard.
+    fn register(&mut self, conn: Arc<Conn>) {
+        let id = conn.id;
+        match self.poller.add(fd_of(&conn.stream), id, Interest::READ) {
+            // The client's Hello may already be queued in the kernel;
+            // with level-triggered polling the next wait reports it.
+            Ok(()) => {
+                self.sessions.insert(id, Session::new(conn));
+                // Accepted just as shutdown began: the DrainAll may
+                // already have passed this shard.
+                if self.state.stop.load(Ordering::Acquire) {
+                    self.drain(id);
+                }
+            }
+            Err(e) => {
+                self.state.accept_failures.inc();
+                conn.enqueue(&setup_error(&e));
+                let _ = conn.flush();
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                self.state.unregister_session(id);
             }
         }
     }
-}
 
-fn conn_set_interest(poller: &Poller, entry: &mut ShardEntry, want: Interest) {
-    if entry.interest != want {
-        let _ = poller.modify(fd_of(&entry.conn.stream), entry.conn.id, want);
-        entry.interest = want;
+    /// Deregisters, shuts and forgets one connection. The only place a
+    /// session leaves the shard.
+    fn close(&mut self, id: u64) {
+        let Some(mut s) = self.sessions.remove(&id) else {
+            return;
+        };
+        match &s.role {
+            Role::Subscriber { bank, channel } => {
+                // Eager unsubscribe (the Weak would also be pruned
+                // lazily at the next delivery): a closed subscriber
+                // stops costing the ingest's delivery loop anything.
+                if let Some(list) = bank.subs.lock().unwrap().get_mut(channel) {
+                    list.retain(|w| w.upgrade().is_some_and(|c| c.id != id));
+                }
+            }
+            Role::Ingest { bank, .. } if !s.finished => self.state.unpublish(bank),
+            _ => {}
+        }
+        release_channel(&self.state, &mut s);
+        let _ = self.poller.del(fd_of(&s.conn.stream));
+        let _ = s.conn.stream.shutdown(Shutdown::Both);
+        self.state.unregister_session(id);
     }
-}
 
-/// Deregisters, shuts and forgets one connection. The only place a
-/// session leaves the shard map.
-fn do_close(
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardEntry>,
-    state: &Arc<ServerState>,
-    id: u64,
-) {
-    let Some(entry) = conns.remove(&id) else {
-        return;
-    };
-    if let Some(Role::Subscriber { bank, channel }) = entry.conn.role.get() {
-        // Eager unsubscribe (the Weak would also be pruned lazily at
-        // the next delivery): a closed subscriber stops costing the
-        // ingest's delivery loop anything.
-        if let Some(list) = bank.subs.lock().unwrap().get_mut(channel) {
-            list.retain(|w| w.upgrade().is_some_and(|c| c.id != id));
+    /// Server-initiated drain of one session (graceful shutdown):
+    /// behaves exactly as if the client had half-closed — accepted
+    /// batches still process and acknowledge, then the connection
+    /// closes.
+    fn drain(&mut self, id: u64) {
+        let Some(s) = self.sessions.get_mut(&id) else {
+            return;
+        };
+        if s.reader.state != SessionState::Draining {
+            let outcome = end_input(s, EndKind::Disconnected);
+            self.apply_outcome(id, outcome);
         }
     }
-    let _ = poller.del(fd_of(&entry.conn.stream));
-    let _ = entry.conn.stream.shutdown(Shutdown::Both);
-    {
-        let mut r = entry.conn.reader.lock().unwrap();
-        r.state = SessionState::Closed;
-        r.buf = Vec::new();
-        r.filled = 0;
-        r.pos = 0;
-    }
-    state.unregister_session(id);
-}
 
-/// Server-initiated drain of one session (graceful shutdown): behaves
-/// exactly as if the client had half-closed — accepted batches still
-/// process and acknowledge, then the connection closes.
-fn server_drain(
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardEntry>,
-    state: &Arc<ServerState>,
-    dispatch: &Arc<Dispatch>,
-    id: u64,
-) {
-    let Some(entry) = conns.get_mut(&id) else {
-        return;
-    };
-    let conn = Arc::clone(&entry.conn);
-    let outcome = {
-        let mut r = conn.reader.lock().unwrap();
-        if matches!(r.state, SessionState::Draining | SessionState::Closed) {
-            ReadOutcome::Continue
+    fn handle_readable(&mut self, id: u64) {
+        let Some(s) = self.sessions.get_mut(&id) else {
+            return;
+        };
+        let outcome = pump_read(&self.state, s);
+        self.apply_outcome(id, outcome);
+    }
+
+    fn apply_outcome(&mut self, id: u64, outcome: ReadOutcome) {
+        if let Some(s) = self.sessions.get_mut(&id) {
+            if matches!(outcome, ReadOutcome::Pause | ReadOutcome::Drain) {
+                let want = Interest {
+                    read: false,
+                    ..s.interest
+                };
+                set_interest(&self.poller, s, want);
+            }
+        }
+        self.flush(id);
+    }
+
+    /// Writes what the socket takes, then arms write interest for the
+    /// rest, disarms it, or finishes the close.
+    fn flush(&mut self, id: u64) {
+        let Some(s) = self.sessions.get_mut(&id) else {
+            return;
+        };
+        let write = match s.conn.flush() {
+            FlushState::Done => return self.close(id),
+            FlushState::Pending => true,
+            FlushState::Idle => false,
+        };
+        let want = Interest {
+            write,
+            ..s.interest
+        };
+        set_interest(&self.poller, s, want);
+    }
+
+    /// One DSP turn for session `id`, then the follow-ups: resuming a
+    /// reader paused on a full queue, and flushing.
+    fn turn(&mut self, id: u64) {
+        let Some(s) = self.sessions.get_mut(&id) else {
+            return;
+        };
+        run_turn(&self.state, self.track, s);
+        let resume = s.read_paused && s.queue.as_ref().is_some_and(|q| !q.is_full());
+        if resume {
+            s.read_paused = false;
+            let want = Interest {
+                read: true,
+                ..s.interest
+            };
+            set_interest(&self.poller, s, want);
+            // Re-parse the frame the pause left in the read buffer.
+            self.handle_readable(id);
         } else {
-            end_input(&mut r, &conn, dispatch, EndKind::Disconnected)
+            self.flush(id);
         }
-    };
-    apply_outcome(poller, conns, state, dispatch, &conn, outcome);
+    }
 }
 
-fn handle_readable(
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardEntry>,
-    state: &Arc<ServerState>,
-    dispatch: &Arc<Dispatch>,
-    conn: &Arc<Conn>,
-) {
-    let outcome = pump_read(state, dispatch, conn);
-    apply_outcome(poller, conns, state, dispatch, conn, outcome);
+fn set_interest(poller: &Poller, s: &mut Session, want: Interest) {
+    if s.interest != want {
+        let _ = poller.modify(fd_of(&s.conn.stream), s.conn.id, want);
+        s.interest = want;
+    }
 }
 
-fn apply_outcome(
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardEntry>,
-    state: &Arc<ServerState>,
-    dispatch: &Arc<Dispatch>,
-    conn: &Arc<Conn>,
-    outcome: ReadOutcome,
-) {
-    if let Some(entry) = conns.get_mut(&conn.id) {
-        match outcome {
-            ReadOutcome::Continue => {}
-            ReadOutcome::Pause | ReadOutcome::Drain => {
-                conn_set_interest(
-                    poller,
-                    entry,
-                    Interest {
-                        read: false,
-                        ..entry.interest
-                    },
+fn release_channel(state: &ServerState, s: &mut Session) {
+    if std::mem::take(&mut s.holds_channel) {
+        state.channels_in_use.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+// ---------------------------------------------------------------- DSP
+
+/// Runs up to one slice of the session's queued samples — finishing
+/// batches, acknowledging each as it completes — and runs the drain
+/// epilogue once a closed queue is empty.
+fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
+    let mut budget = s.slice;
+    loop {
+        if s.current.is_none() {
+            if s.conn.out_pending() > OUT_HWM {
+                return;
+            }
+            let Some(batch) = s.queue.as_mut().and_then(BoundedQueue::pop) else {
+                break;
+            };
+            if !state.cfg.processing_delay.is_zero() {
+                // Fault-injection knob: simulates an overloaded
+                // backend so tests can force queue growth
+                // deterministically.
+                std::thread::sleep(state.cfg.processing_delay);
+            }
+            let started = Instant::now();
+            let started_ns = if batch.trace_id != 0 {
+                let now = state.trace.now_ns();
+                let waited = saturating_ns(started.duration_since(batch.arrived));
+                state.trace.span(
+                    session_track(s.conn.id),
+                    batch.trace_id,
+                    state.trace_names.queue_wait,
+                    now.saturating_sub(waited),
+                    now,
                 );
+                now
+            } else {
+                0
+            };
+            s.current = Some(InFlight {
+                batch,
+                done: 0,
+                started,
+                started_ns,
+            });
+        }
+        let job = s.current.as_mut().expect("a batch is in flight");
+        let n = (job.batch.samples.len() - job.done).min(budget);
+        let chunk = &job.batch.samples[job.done..job.done + n];
+        job.done += n;
+        budget -= n;
+        let last = job.done == job.batch.samples.len();
+        match &mut s.role {
+            Role::Chain(ddc) => {
+                let trace_id = job.batch.trace_id;
+                let before = s.pairs.len();
+                let ts0 = (trace_id != 0).then(|| state.trace.now_ns());
+                let t0 = Instant::now();
+                ddc.process_into_traced(chunk, &mut s.pairs, trace_id, track);
+                let busy = saturating_ns(t0.elapsed());
+                if let Some(ts0) = ts0 {
+                    let names = state.trace_names;
+                    state
+                        .trace
+                        .span(track, trace_id, names.job, ts0, state.trace.now_ns());
+                }
+                state.jobs_completed.inc();
+                if let Some(c) = s.conn.obs.chain.get() {
+                    c.jobs.inc();
+                    c.samples_in.add(n as u64);
+                    c.outputs.add((s.pairs.len() - before) as u64);
+                    c.busy_ns.add(busy);
+                }
+            }
+            Role::Ingest { bank, farm, rows } => {
+                let out = farm.process_block(chunk);
+                if last && rows.iter().all(Vec::is_empty) {
+                    deliver(bank, job.batch.index, out);
+                } else {
+                    for (acc, row) in rows.iter_mut().zip(out) {
+                        acc.extend_from_slice(row);
+                    }
+                    if last {
+                        deliver(bank, job.batch.index, rows);
+                        rows.iter_mut().for_each(Vec::clear);
+                    }
+                }
+            }
+            Role::Unconfigured | Role::Subscriber { .. } => {
+                unreachable!("only chain and ingest sessions queue batches")
             }
         }
-    }
-    flush_on_shard(poller, conns, state, dispatch, conn);
-}
-
-/// Shard-side flush: performs the writes and applies the follow-up
-/// directly (no mailbox round-trip) — arming or disarming write
-/// interest, finishing the close, and releasing a processor that
-/// paused on outbound backlog.
-fn handle_writable(
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardEntry>,
-    state: &Arc<ServerState>,
-    dispatch: &Arc<Dispatch>,
-    conn: &Arc<Conn>,
-) {
-    flush_on_shard(poller, conns, state, dispatch, conn);
-}
-
-fn flush_on_shard(
-    poller: &Poller,
-    conns: &mut HashMap<u64, ShardEntry>,
-    state: &Arc<ServerState>,
-    dispatch: &Arc<Dispatch>,
-    conn: &Arc<Conn>,
-) {
-    if !conns.contains_key(&conn.id) {
-        return;
-    }
-    match conn.flush() {
-        FlushState::Done => {
-            do_close(poller, conns, state, conn.id);
+        if last {
+            let job = s.current.take().expect("a batch is in flight");
+            acknowledge(state, s, job);
+        }
+        if budget == 0 {
             return;
         }
-        FlushState::Pending => {
-            if let Some(entry) = conns.get_mut(&conn.id) {
-                conn_set_interest(
-                    poller,
-                    entry,
-                    Interest {
-                        write: true,
-                        ..entry.interest
-                    },
-                );
+    }
+    if s.queue.as_ref().is_some_and(BoundedQueue::is_closed) && !s.finished {
+        finish(state, s);
+    }
+}
+
+/// Fans one batch's channel outputs out to the bank's subscribers.
+fn deliver(bank: &Bank, index: u64, rows: &[Vec<Iq>]) {
+    let mut subs = bank.subs.lock().unwrap();
+    for (row, ch) in bank.channels.iter().enumerate() {
+        let Some(list) = subs.get_mut(ch) else {
+            continue;
+        };
+        list.retain(|w| match w.upgrade() {
+            Some(sub) => {
+                if sub.out_pending() > OUT_HWM {
+                    // A stalled subscriber loses batches instead of
+                    // growing its backlog unboundedly; it sees the loss
+                    // as a gap in Iq batch indices.
+                    sub.obs.drops_oldest.inc();
+                } else {
+                    sub.enqueue_iq(index, 0, &rows[row], None, 0);
+                    sub.flush_and_post();
+                }
+                true
+            }
+            None => false,
+        });
+    }
+}
+
+/// Acknowledges a finished batch with its Iq frame and pushes the frame
+/// toward the socket. A latency session's end-to-end sample is recorded
+/// before the write, so a client that scrapes right after its last ack
+/// sees every sample.
+fn acknowledge(state: &ServerState, s: &mut Session, job: InFlight) {
+    let InFlight {
+        batch,
+        started,
+        started_ns,
+        ..
+    } = job;
+    let dropped = s.queue.as_ref().map_or(0, BoundedQueue::dropped);
+    let names = state.trace_names;
+    let strack = session_track(s.conn.id);
+    if matches!(s.role, Role::Ingest { .. }) {
+        // The ingest's own ack: an empty Iq frame keeps the
+        // one-ack-per-batch contract (and drop accounting) on the
+        // ingest connection.
+        s.conn
+            .enqueue_iq(batch.index, dropped, &[], None, batch.trace_id);
+    } else {
+        let timing = s.budget_us.map(|_| IqTiming {
+            queue_wait_ns: saturating_ns(started.duration_since(batch.arrived)),
+            service_ns: saturating_ns(started.elapsed()),
+        });
+        if batch.trace_id != 0 {
+            let now = state.trace.now_ns();
+            state
+                .trace
+                .span(strack, batch.trace_id, names.service, started_ns, now);
+        }
+        s.conn
+            .enqueue_iq(batch.index, dropped, &s.pairs, timing, batch.trace_id);
+        s.pairs.clear();
+        if let Some(budget_us) = s.budget_us {
+            let e2e = batch.arrived.elapsed();
+            s.conn.obs.e2e_ns.record(saturating_ns(e2e));
+            if e2e.as_micros() > u128::from(budget_us) {
+                s.conn.obs.deadline_misses.inc();
             }
         }
-        FlushState::Idle => {
-            if let Some(entry) = conns.get_mut(&conn.id) {
-                conn_set_interest(
-                    poller,
-                    entry,
-                    Interest {
-                        write: false,
-                        ..entry.interest
-                    },
-                );
+        if batch.trace_id != 0 {
+            // The ack is encoded and about to be written: the
+            // server-side end of the loop.
+            state.trace.instant(strack, batch.trace_id, names.egress);
+        }
+    }
+    let _ = s.conn.flush();
+    s.scratch.recycle(batch.samples);
+}
+
+/// The drain epilogue, run exactly once per configured session after
+/// its queue drains closed: the bank's teardown, the graceful Stats +
+/// Shutdown exchange, the channel's release and close-after-flush.
+fn finish(state: &ServerState, s: &mut Session) {
+    s.finished = true;
+    if let Role::Ingest { bank, .. } = &s.role {
+        // The bank dies with its ingest: unpublish it, then end every
+        // subscriber gracefully — each gets a Shutdown after its last
+        // flushed Iq frame.
+        state.unpublish(bank);
+        let mut subs = bank.subs.lock().unwrap();
+        for list in subs.values_mut() {
+            for w in list.drain(..) {
+                if let Some(sub) = w.upgrade() {
+                    sub.enqueue(&Frame::Shutdown);
+                    sub.set_close_after_flush();
+                    sub.flush_and_post();
+                }
             }
         }
     }
-    if conn.out_pending() <= OUT_HWM && conn.awaiting_drain.swap(false, Ordering::SeqCst) {
-        dispatch.schedule(conn);
+    if s.graceful {
+        // Client-initiated shutdown: a final snapshot then the closing
+        // Shutdown frame, so the client can read end-of-stream stats
+        // without racing the connection teardown.
+        s.conn.enqueue(&Frame::StatsReport(stats(state, s)));
+        s.conn.enqueue(&Frame::Shutdown);
+    }
+    release_channel(state, s);
+    s.conn.set_close_after_flush();
+}
+
+/// Point-in-time statistics of one session. Chain sessions report
+/// their channel's flow counters under their channel number (the
+/// session id); an ingest reports its bank's; a subscriber reports the
+/// bank channel it is attached to.
+fn stats(state: &ServerState, s: &Session) -> StatsReport {
+    let q = s.queue.as_ref();
+    let base = StatsReport {
+        channel: 0,
+        batches_accepted: s.batches_accepted,
+        batches_dropped: q.map_or(0, BoundedQueue::dropped),
+        samples_in: 0,
+        outputs: 0,
+        queue_len: q.map_or(0, BoundedQueue::len) as u32,
+        queue_hwm: q.map_or(0, BoundedQueue::high_water_mark) as u32,
+        busy_ns: 0,
+        farm_jobs_completed: state.jobs_completed.get(),
+        farm_steals: 0,
+        farm_orphans_reclaimed: 0,
+    };
+    match &s.role {
+        Role::Chain(_) => {
+            let c = s.conn.obs.chain.get();
+            StatsReport {
+                channel: s.conn.id as u32,
+                samples_in: c.map_or(0, |c| c.samples_in.get()),
+                outputs: c.map_or(0, |c| c.outputs.get()),
+                busy_ns: c.map_or(0, |c| c.busy_ns.get()),
+                ..base
+            }
+        }
+        Role::Ingest { bank, .. } => {
+            let (samples_in, outputs) = bank
+                .metrics
+                .as_ref()
+                .map_or((0, 0), |m| (m.samples_in.get(), m.samples_out.get()));
+            StatsReport {
+                samples_in,
+                outputs,
+                ..base
+            }
+        }
+        Role::Subscriber { channel, .. } => StatsReport {
+            channel: *channel as u32,
+            ..base
+        },
+        Role::Unconfigured => base,
     }
 }
 
@@ -811,18 +975,17 @@ enum ParseStep {
 
 /// Reads and parses until the socket would block, the per-event budget
 /// is spent, the session pauses, or the input side ends.
-fn pump_read(state: &Arc<ServerState>, dispatch: &Arc<Dispatch>, conn: &Arc<Conn>) -> ReadOutcome {
-    let mut r = conn.reader.lock().unwrap();
-    if matches!(r.state, SessionState::Draining | SessionState::Closed) {
+fn pump_read(state: &ServerState, s: &mut Session) -> ReadOutcome {
+    if s.reader.state == SessionState::Draining {
         return ReadOutcome::Continue;
     }
     let mut budget = READ_BUDGET;
     let mut drained = false;
     let outcome = loop {
-        match parse_frames(state, dispatch, conn, &mut r) {
+        match parse_frames(state, s) {
             ParseStep::NeedMore => {}
             ParseStep::Pause => break ReadOutcome::Pause,
-            ParseStep::End(kind) => break end_input(&mut r, conn, dispatch, kind),
+            ParseStep::End(kind) => break end_input(s, kind),
         }
         // A short read means the socket buffer is empty: skip the
         // speculative read that would just return WouldBlock — the
@@ -830,11 +993,12 @@ fn pump_read(state: &Arc<ServerState>, dispatch: &Arc<Dispatch>, conn: &Arc<Conn
         if drained || budget == 0 {
             break ReadOutcome::Continue;
         }
+        let r = &mut s.reader;
         // Make room for the next read without re-zeroing: compact the
         // consumed prefix in place, and only grow (zero-filling the new
         // tail once) when a frame genuinely straddles the whole buffer.
         if r.buf.len() - r.filled < READ_CHUNK {
-            compact(&mut r);
+            compact(r);
             if r.buf.len() - r.filled < READ_CHUNK {
                 let need = r.filled + READ_CHUNK;
                 r.buf.resize(need, 0);
@@ -842,8 +1006,8 @@ fn pump_read(state: &Arc<ServerState>, dispatch: &Arc<Dispatch>, conn: &Arc<Conn
         }
         let start = r.filled;
         let want = r.buf.len() - start;
-        match (&conn.stream).read(&mut r.buf[start..]) {
-            Ok(0) => break end_input(&mut r, conn, dispatch, EndKind::Disconnected),
+        match (&s.conn.stream).read(&mut r.buf[start..]) {
+            Ok(0) => break end_input(s, EndKind::Disconnected),
             Ok(n) => {
                 r.filled += n;
                 budget = budget.saturating_sub(n);
@@ -853,10 +1017,10 @@ fn pump_read(state: &Arc<ServerState>, dispatch: &Arc<Dispatch>, conn: &Arc<Conn
                 break ReadOutcome::Continue;
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break end_input(&mut r, conn, dispatch, EndKind::Disconnected),
+            Err(_) => break end_input(s, EndKind::Disconnected),
         }
     };
-    compact(&mut r);
+    compact(&mut s.reader);
     outcome
 }
 
@@ -872,43 +1036,45 @@ fn compact(r: &mut Reader) {
     }
 }
 
-/// Transitions the input side into Draining and arranges for the
-/// epilogue to run: streaming sessions close their queue and go
-/// through the processor (drain accepted batches, then
-/// `finish_conn`); pre-Configure sessions just flush out and close.
-fn end_input(
-    r: &mut Reader,
-    conn: &Arc<Conn>,
-    dispatch: &Arc<Dispatch>,
-    kind: EndKind,
-) -> ReadOutcome {
+/// Transitions the input side into Draining: streaming sessions close
+/// their queue, whose remaining batches the shard still runs before the
+/// epilogue; sessions without a queue just flush out and close.
+fn end_input(s: &mut Session, kind: EndKind) -> ReadOutcome {
     if kind == EndKind::Graceful {
-        conn.graceful.store(true, Ordering::Release);
+        s.graceful = true;
     }
-    r.state = SessionState::Draining;
-    if let Some(q) = conn.queue.get() {
-        q.close();
-        dispatch.schedule(conn);
-    } else {
-        if kind == EndKind::Graceful && conn.role.get().is_some() {
-            // A subscriber has no queue to drain; answer its graceful
-            // Shutdown inline so the client sees a clean end-of-stream.
-            conn.enqueue(&Frame::Shutdown);
+    s.reader.state = SessionState::Draining;
+    // Nothing is read after this, so a block-policy pause must not
+    // re-arm read interest once the queue frees room.
+    s.read_paused = false;
+    match &mut s.queue {
+        Some(q) => q.close(),
+        None => {
+            if kind == EndKind::Graceful && matches!(s.role, Role::Subscriber { .. }) {
+                // A subscriber has no queue to drain; answer its
+                // graceful Shutdown inline so the client sees a clean
+                // end-of-stream.
+                s.conn.enqueue(&Frame::Shutdown);
+            }
+            s.conn.set_close_after_flush();
         }
-        conn.set_close_after_flush();
     }
     ReadOutcome::Drain
 }
 
+fn protocol_error(s: &Session, message: String) -> ParseStep {
+    s.conn.enqueue(&Frame::Error(ErrorFrame {
+        code: error_code::PROTOCOL,
+        message,
+    }));
+    ParseStep::End(EndKind::Errored)
+}
+
 /// Consumes as many complete frames from the read buffer as possible,
 /// running the protocol state machine on each.
-fn parse_frames(
-    state: &Arc<ServerState>,
-    dispatch: &Arc<Dispatch>,
-    conn: &Arc<Conn>,
-    r: &mut Reader,
-) -> ParseStep {
+fn parse_frames(state: &ServerState, s: &mut Session) -> ParseStep {
     loop {
+        let r = &mut s.reader;
         if r.header.is_none() {
             if r.filled - r.pos < HEADER_LEN {
                 return ParseStep::NeedMore;
@@ -925,11 +1091,7 @@ fn parse_frames(
                         SessionState::ExpectConfigure => format!("bad Configure frame: {e}"),
                         _ => format!("unreadable frame: {e}"),
                     };
-                    conn.enqueue(&Frame::Error(ErrorFrame {
-                        code: error_code::PROTOCOL,
-                        message,
-                    }));
-                    return ParseStep::End(EndKind::Errored);
+                    return protocol_error(s, message);
                 }
             }
         }
@@ -937,28 +1099,19 @@ fn parse_frames(
         if r.filled - r.pos < h.payload_len as usize {
             return ParseStep::NeedMore;
         }
+        let streaming_samples = h.frame_type == 3 && r.state == SessionState::Streaming;
 
         // Block-policy admission: a full queue stops consumption right
         // here — the un-read bytes back up through TCP flow control to
-        // the client, exactly like the old blocking reader. The pause
-        // flag is set *before* the re-check so a concurrent pop cannot
-        // slip between "queue is full" and "reader is pausing" without
-        // posting the resume.
-        if h.frame_type == 3
-            && r.state == SessionState::Streaming
+        // the client. The shard re-parses once a DSP turn frees room.
+        // Subscriber sessions have no queue; their Samples frames are
+        // rejected below without admission control.
+        if streaming_samples
             && r.policy == Backpressure::Block
+            && s.queue.as_ref().is_some_and(BoundedQueue::is_full)
         {
-            // Subscriber sessions have no queue; their Samples frames
-            // are rejected below without admission control.
-            if let Some(q) = conn.queue.get() {
-                if q.len() >= q.capacity() {
-                    conn.read_paused.store(true, Ordering::SeqCst);
-                    if q.len() >= q.capacity() {
-                        return ParseStep::Pause;
-                    }
-                    conn.read_paused.store(false, Ordering::SeqCst);
-                }
-            }
+            s.read_paused = true;
+            return ParseStep::Pause;
         }
 
         let start = r.pos;
@@ -967,45 +1120,32 @@ fn parse_frames(
         r.header = None;
 
         // The streaming-Samples hot path: decode borrowed payload bytes
-        // straight into a pooled farm-input buffer, checksum fused into
-        // the same pass — no intermediate Vec, no second walk.
-        if h.frame_type == 3 && r.state == SessionState::Streaming {
-            let Some(q) = conn.queue.get().cloned() else {
-                // A subscriber's data flows outbound only.
-                conn.enqueue(&Frame::Error(ErrorFrame {
-                    code: error_code::PROTOCOL,
-                    message: "subscriber sessions cannot send Samples".into(),
-                }));
-                return ParseStep::End(EndKind::Errored);
-            };
-            let mut scratch = conn.take_scratch();
-            let decoded = {
-                let payload = &r.buf[start..end];
-                let t0 = Instant::now();
-                let res = decode_samples_into(&h, payload, &mut scratch);
-                conn.obs.decode_ns.record_duration(t0.elapsed());
-                res
-            };
+        // straight into a pooled sample buffer, checksum fused into the
+        // same pass — no intermediate Vec, no second walk.
+        if streaming_samples {
+            if s.queue.is_none() {
+                return protocol_error(s, "subscriber sessions cannot send Samples".into());
+            }
+            let mut samples = s.scratch.take();
+            let t0 = Instant::now();
+            let decoded = decode_samples_into(&h, &s.reader.buf[start..end], &mut samples);
+            s.conn.obs.decode_ns.record_duration(t0.elapsed());
             let (batch_index, wire_trace) = match decoded {
                 Ok(ix) => ix,
                 Err(e) => {
-                    conn.recycle_scratch(scratch);
-                    conn.enqueue(&Frame::Error(ErrorFrame {
-                        code: error_code::PROTOCOL,
-                        message: format!("unreadable frame: {e}"),
-                    }));
-                    return ParseStep::End(EndKind::Errored);
+                    s.scratch.recycle(samples);
+                    return protocol_error(s, format!("unreadable frame: {e}"));
                 }
             };
-            if h.seq != r.expected_seq {
-                conn.recycle_scratch(scratch);
-                conn.enqueue(&Frame::Error(ErrorFrame {
-                    code: error_code::PROTOCOL,
-                    message: format!("sequence gap: expected {}, got {}", r.expected_seq, h.seq),
-                }));
-                return ParseStep::End(EndKind::Errored);
+            if h.seq != s.reader.expected_seq {
+                s.scratch.recycle(samples);
+                let expected = s.reader.expected_seq;
+                return protocol_error(
+                    s,
+                    format!("sequence gap: expected {expected}, got {}", h.seq),
+                );
             }
-            r.expected_seq = r.expected_seq.wrapping_add(1);
+            s.reader.expected_seq = s.reader.expected_seq.wrapping_add(1);
             // Trace context: a client-stamped ID wins; otherwise the
             // Configure-negotiated interval head-samples every Nth
             // accepted batch with a server-allocated ID (top bit set,
@@ -1013,56 +1153,51 @@ fn parse_frames(
             let trace_id = if wire_trace != 0 {
                 wire_trace
             } else {
-                let n = conn.trace_interval.load(Ordering::Relaxed);
-                if n != 0
-                    && conn
-                        .trace_count
-                        .fetch_add(1, Ordering::Relaxed)
-                        .is_multiple_of(u64::from(n))
-                {
+                let n = s.trace_interval;
+                let count = s.trace_count;
+                s.trace_count += 1;
+                if n != 0 && count.is_multiple_of(u64::from(n)) {
                     state.trace.alloc_trace_id()
                 } else {
                     0
                 }
             };
             if trace_id != 0 {
-                let track = SESSION_TRACK_BASE + (conn.id % 0x10000) as u32;
+                let names = state.trace_names;
                 state
                     .trace
-                    .instant(track, trace_id, state.trace_names.ingest);
+                    .instant(session_track(s.conn.id), trace_id, names.ingest);
             }
             let batch = Batch {
                 index: batch_index,
-                samples: Arc::new(scratch),
+                samples,
                 arrived: Instant::now(),
                 trace_id,
             };
-            let outcome = match r.policy {
-                // Admission above guarantees room, and this reader is
-                // the only producer, so the blocking push cannot block.
-                Backpressure::Block => q.push_wait(batch),
+            let q = s.queue.as_mut().expect("checked above");
+            // Block-policy admission above guarantees room.
+            let outcome = match s.reader.policy {
                 Backpressure::DropOldest => q.push_drop_oldest(batch),
-                Backpressure::Disconnect => q.push_or_reject(batch),
+                Backpressure::Block | Backpressure::Disconnect => q.push_or_reject(batch),
             };
+            let depth = q.len() as u64;
             match outcome {
                 Push::Accepted => {
-                    conn.batches_accepted.fetch_add(1, Ordering::Relaxed);
-                    conn.obs.queue_depth.record(q.len() as u64);
-                    dispatch.schedule(conn);
+                    s.batches_accepted += 1;
+                    s.conn.obs.queue_depth.record(depth);
                 }
                 Push::Displaced(old) => {
                     // Eviction already counted by the queue; the
                     // displaced batch was never acknowledged, so the
                     // client sees it as a gap in Iq batch indices.
-                    conn.batches_accepted.fetch_add(1, Ordering::Relaxed);
-                    conn.obs.drops_oldest.inc();
-                    conn.obs.queue_depth.record(q.len() as u64);
-                    conn.recycle_batch(old);
-                    dispatch.schedule(conn);
+                    s.batches_accepted += 1;
+                    s.conn.obs.drops_oldest.inc();
+                    s.conn.obs.queue_depth.record(depth);
+                    s.scratch.recycle(old.samples);
                 }
                 Push::Full(batch) => {
-                    conn.obs.drops_reject.inc();
-                    conn.enqueue(&Frame::Error(ErrorFrame {
+                    s.conn.obs.drops_reject.inc();
+                    s.conn.enqueue(&Frame::Error(ErrorFrame {
                         code: error_code::QUEUE_OVERFLOW,
                         message: format!(
                             "queue full at batch {} under disconnect policy",
@@ -1078,226 +1213,50 @@ fn parse_frames(
 
         // Control frames (and anything pre-Streaming): owned decode —
         // they are small and rare, so the extra checksum pass is noise.
-        let decoded = {
-            let payload = &r.buf[start..end];
-            let t0 = Instant::now();
-            let res = decode_payload(&h, payload);
-            conn.obs.decode_ns.record_duration(t0.elapsed());
-            res
-        };
-        match r.state {
+        let t0 = Instant::now();
+        let decoded = decode_payload(&h, &s.reader.buf[start..end]);
+        s.conn.obs.decode_ns.record_duration(t0.elapsed());
+        match s.reader.state {
             SessionState::ExpectHello => match decoded {
                 Ok(Frame::Hello(hello)) if h.seq == 0 => {
                     if hello.proto != VERSION as u16 {
-                        conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::PROTOCOL,
-                            message: format!("unsupported protocol version {}", hello.proto),
-                        }));
-                        return ParseStep::End(EndKind::Errored);
+                        return protocol_error(
+                            s,
+                            format!("unsupported protocol version {}", hello.proto),
+                        );
                     }
-                    conn.enqueue(&Frame::Hello(server_hello(&state.cfg.banner)));
-                    r.state = SessionState::ExpectConfigure;
-                    r.expected_seq = 1;
+                    s.conn
+                        .enqueue(&Frame::Hello(server_hello(&state.cfg.banner)));
+                    s.reader.state = SessionState::ExpectConfigure;
+                    s.reader.expected_seq = 1;
                 }
                 Ok(other) => {
-                    conn.enqueue(&Frame::Error(ErrorFrame {
-                        code: error_code::PROTOCOL,
-                        message: format!(
+                    return protocol_error(
+                        s,
+                        format!(
                             "expected Hello with seq 0, got {} with seq {}",
                             frame_name(&other),
                             h.seq
                         ),
-                    }));
-                    return ParseStep::End(EndKind::Errored);
+                    );
                 }
-                Err(e) => {
-                    conn.enqueue(&Frame::Error(ErrorFrame {
-                        code: error_code::PROTOCOL,
-                        message: format!("bad opening frame: {e}"),
-                    }));
-                    return ParseStep::End(EndKind::Errored);
-                }
+                Err(e) => return protocol_error(s, format!("bad opening frame: {e}")),
             },
             SessionState::ExpectConfigure => match decoded {
                 Ok(Frame::Configure(c)) if h.seq == 1 => {
-                    if state.stop.load(Ordering::Acquire) {
-                        conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::SHUTTING_DOWN,
-                            message: "server is shutting down".into(),
-                        }));
+                    if let Err(e) = configure(state, s, &c) {
+                        s.conn.enqueue(&Frame::Error(e));
                         return ParseStep::End(EndKind::Errored);
-                    }
-                    let queue_cap = if c.queue_cap == 0 {
-                        state.cfg.default_queue_cap
-                    } else {
-                        (c.queue_cap as usize).min(state.cfg.max_queue_cap)
-                    };
-                    // Latency QoS is enforced by chunked farm
-                    // submission and the deadline flush, which exist
-                    // only for chain sessions. Accepting it on other
-                    // plans would negotiate a bound nothing enforces,
-                    // so refuse instead of silently degrading.
-                    if matches!(c.qos, QosProfile::Latency { .. })
-                        && !matches!(c.plan, ChainPlan::Preset { .. } | ChainPlan::Spec(_))
-                    {
-                        conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::BAD_CONFIG,
-                            message: "latency QoS requires a chain plan (preset or spec); \
-                                      channelizer and subscribe sessions are throughput-only"
-                                .into(),
-                        }));
-                        return ParseStep::End(EndKind::Errored);
-                    }
-                    // Server-side trace head-sampling applies to any
-                    // plan that accepts Samples; harmless on
-                    // subscriber sessions (they have no input).
-                    conn.trace_interval
-                        .store(c.trace_interval, Ordering::Relaxed);
-                    match &c.plan {
-                        // Chain sessions: claim a farm slot, bind the
-                        // spec to it.
-                        ChainPlan::Preset { .. } | ChainPlan::Spec(_) => {
-                            let slot = match state.claim_slot() {
-                                Some(s) => s,
-                                None => {
-                                    conn.enqueue(&Frame::Error(ErrorFrame {
-                                        code: error_code::SERVER_FULL,
-                                        message: format!(
-                                            "all {} channels are in use",
-                                            state.cfg.max_sessions
-                                        ),
-                                    }));
-                                    return ParseStep::End(EndKind::Errored);
-                                }
-                            };
-                            let spec = c
-                                .plan
-                                .to_spec()
-                                .expect("preset/spec plans lower to a ChainSpec");
-                            // Latency QoS: the chain's own group delay
-                            // is a hard floor no runtime can get under,
-                            // so a budget below it is a config error,
-                            // not a stream of deadline misses. The farm
-                            // sub-batch bound comes from the budget
-                            // before the spec moves into the slot.
-                            if let QosProfile::Latency { budget_us } = c.qos {
-                                let group_us = spec.latency_budget().total_us();
-                                if group_us > f64::from(budget_us) {
-                                    conn.enqueue(&Frame::Error(ErrorFrame {
-                                        code: error_code::BAD_CONFIG,
-                                        message: format!(
-                                            "chain group delay {group_us:.1} us exceeds \
-                                             latency budget {budget_us} us"
-                                        ),
-                                    }));
-                                    state.release_slot(slot);
-                                    return ParseStep::End(EndKind::Errored);
-                                }
-                                let _ = conn.latency.set(LatencyCtl {
-                                    budget_us,
-                                    chunk_samples: latency_chunk_samples(
-                                        spec.input_rate,
-                                        spec.total_decimation(),
-                                        budget_us,
-                                    ),
-                                });
-                            }
-                            if let Err(e) = state.farm.reconfigure_channel(slot, spec) {
-                                conn.enqueue(&Frame::Error(ErrorFrame {
-                                    code: error_code::BAD_CONFIG,
-                                    message: format!("rejected configuration: {e}"),
-                                }));
-                                state.release_slot(slot);
-                                return ParseStep::End(EndKind::Errored);
-                            }
-                            *conn.slot.lock().unwrap() = Some(slot);
-                            let _ = conn.queue.set(Arc::new(BoundedQueue::new(queue_cap)));
-                        }
-                        // Channelizer ingest: build the bank inline
-                        // (no farm slot — the bank runs on the
-                        // processor pool) and publish it by name.
-                        ChainPlan::Channelizer(cspec) => {
-                            let farm = match ChannelizerFarm::from_spec(cspec.clone()) {
-                                Ok(f) => f.with_telemetry(),
-                                Err(e) => {
-                                    conn.enqueue(&Frame::Error(ErrorFrame {
-                                        code: error_code::BAD_CONFIG,
-                                        message: format!("rejected channelizer: {e}"),
-                                    }));
-                                    return ParseStep::End(EndKind::Errored);
-                                }
-                            };
-                            let bank = {
-                                let mut banks = state.banks.lock().unwrap();
-                                if banks.contains_key(&cspec.name) {
-                                    drop(banks);
-                                    conn.enqueue(&Frame::Error(ErrorFrame {
-                                        code: error_code::BAD_CONFIG,
-                                        message: format!(
-                                            "channelizer bank \"{}\" is already live",
-                                            cspec.name
-                                        ),
-                                    }));
-                                    return ParseStep::End(EndKind::Errored);
-                                }
-                                let bank = Arc::new(Bank {
-                                    name: cspec.name.clone(),
-                                    channels: farm.enabled_channels().to_vec(),
-                                    metrics: farm.metrics().cloned(),
-                                    farm: Mutex::new(farm),
-                                    subs: Mutex::new(HashMap::new()),
-                                });
-                                banks.insert(cspec.name.clone(), Arc::clone(&bank));
-                                bank
-                            };
-                            let _ = conn.role.set(Role::Ingest(bank));
-                            let _ = conn.queue.set(Arc::new(BoundedQueue::new(queue_cap)));
-                        }
-                        // Subscriber: attach to one enabled channel of
-                        // a live bank. No input queue — data flows
-                        // outbound only.
-                        ChainPlan::Subscribe { name, channel } => {
-                            let bank = state.banks.lock().unwrap().get(name).cloned();
-                            let Some(bank) = bank else {
-                                conn.enqueue(&Frame::Error(ErrorFrame {
-                                    code: error_code::BAD_CONFIG,
-                                    message: format!("no live channelizer bank named \"{name}\""),
-                                }));
-                                return ParseStep::End(EndKind::Errored);
-                            };
-                            let ch = *channel as usize;
-                            if !bank.channels.contains(&ch) {
-                                conn.enqueue(&Frame::Error(ErrorFrame {
-                                    code: error_code::BAD_CONFIG,
-                                    message: format!(
-                                        "channel {channel} is not enabled in bank \"{name}\""
-                                    ),
-                                }));
-                                return ParseStep::End(EndKind::Errored);
-                            }
-                            bank.subscribe(ch, conn);
-                            let _ = conn.role.set(Role::Subscriber { bank, channel: ch });
-                        }
-                    }
-                    r.policy = c.policy;
-                    // Only chain plans reach here with a latency
-                    // profile (other plan kinds were refused above);
-                    // exporting the negotiated budget gates the
-                    // ddc_latency_* metrics family.
-                    if let QosProfile::Latency { budget_us } = c.qos {
-                        conn.obs
-                            .latency_budget_us
-                            .store(u64::from(budget_us), Ordering::Relaxed);
                     }
                     // Configure is acknowledged with the session's
                     // (zeroed) stats so the client learns its channel
                     // binding before streaming.
-                    conn.enqueue(&Frame::StatsReport(conn.stats(&state.farm)));
-                    r.state = SessionState::Streaming;
-                    r.expected_seq = 2;
+                    s.conn.enqueue(&Frame::StatsReport(stats(state, s)));
+                    s.reader.state = SessionState::Streaming;
+                    s.reader.expected_seq = 2;
                 }
                 Ok(other) => {
-                    conn.enqueue(&Frame::Error(ErrorFrame {
+                    s.conn.enqueue(&Frame::Error(ErrorFrame {
                         code: error_code::NOT_CONFIGURED,
                         message: format!(
                             "expected Configure with seq 1, got {} with seq {}",
@@ -1307,42 +1266,27 @@ fn parse_frames(
                     }));
                     return ParseStep::End(EndKind::Errored);
                 }
-                Err(e) => {
-                    conn.enqueue(&Frame::Error(ErrorFrame {
-                        code: error_code::PROTOCOL,
-                        message: format!("bad Configure frame: {e}"),
-                    }));
-                    return ParseStep::End(EndKind::Errored);
-                }
+                Err(e) => return protocol_error(s, format!("bad Configure frame: {e}")),
             },
             SessionState::Streaming => {
+                // After a framing error the byte stream cannot be
+                // trusted; report and drop the connection.
                 let frame = match decoded {
                     Ok(f) => f,
-                    Err(e) => {
-                        // After a framing error the byte stream cannot
-                        // be trusted; report and drop the connection.
-                        conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::PROTOCOL,
-                            message: format!("unreadable frame: {e}"),
-                        }));
-                        return ParseStep::End(EndKind::Errored);
-                    }
+                    Err(e) => return protocol_error(s, format!("unreadable frame: {e}")),
                 };
-                if h.seq != r.expected_seq {
-                    conn.enqueue(&Frame::Error(ErrorFrame {
-                        code: error_code::PROTOCOL,
-                        message: format!(
-                            "sequence gap: expected {}, got {}",
-                            r.expected_seq, h.seq
-                        ),
-                    }));
-                    return ParseStep::End(EndKind::Errored);
+                if h.seq != s.reader.expected_seq {
+                    let expected = s.reader.expected_seq;
+                    return protocol_error(
+                        s,
+                        format!("sequence gap: expected {expected}, got {}", h.seq),
+                    );
                 }
-                r.expected_seq = r.expected_seq.wrapping_add(1);
+                s.reader.expected_seq = s.reader.expected_seq.wrapping_add(1);
                 match frame {
                     Frame::StatsRequest => {
-                        conn.obs.stats_requests.inc();
-                        conn.enqueue(&Frame::StatsReport(conn.stats(&state.farm)));
+                        s.conn.obs.stats_requests.inc();
+                        s.conn.enqueue(&Frame::StatsReport(stats(state, s)));
                     }
                     Frame::MetricsRequest { format }
                         if matches!(
@@ -1352,20 +1296,21 @@ fn parse_frames(
                                 | metrics_format::BINARY
                         ) =>
                     {
-                        conn.obs.metrics_requests.inc();
+                        s.conn.obs.metrics_requests.inc();
                         let snap = state.metrics_snapshot();
                         let body = match format {
                             metrics_format::JSON => snap.to_json().into_bytes(),
                             metrics_format::PROMETHEUS => snap.to_prometheus().into_bytes(),
                             _ => snap.encode(),
                         };
-                        conn.enqueue(&Frame::MetricsReport(MetricsReport { format, body }));
+                        s.conn
+                            .enqueue(&Frame::MetricsReport(MetricsReport { format, body }));
                     }
                     Frame::MetricsRequest { format } => {
                         // Unknown format byte: refuse the request but
                         // keep the stream alive — metrics are advisory,
                         // not load-bearing.
-                        conn.enqueue(&Frame::Error(ErrorFrame {
+                        s.conn.enqueue(&Frame::Error(ErrorFrame {
                             code: error_code::PROTOCOL,
                             message: format!("cannot serve metrics format {format}"),
                         }));
@@ -1379,263 +1324,165 @@ fn parse_frames(
                         let dropped = state.trace.drain(&mut spans);
                         let mut body = String::new();
                         state.trace.render_chrome(&spans, "server", 1000, &mut body);
-                        conn.enqueue(&Frame::TraceReport(TraceReport {
+                        s.conn.enqueue(&Frame::TraceReport(TraceReport {
                             dropped,
                             body: body.into_bytes(),
                         }));
                     }
-                    Frame::Shutdown => {
-                        return ParseStep::End(EndKind::Graceful);
-                    }
+                    Frame::Shutdown => return ParseStep::End(EndKind::Graceful),
                     other => {
-                        conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::PROTOCOL,
-                            message: format!(
-                                "unexpected {:?} frame mid-stream",
-                                frame_name(&other)
-                            ),
-                        }));
-                        return ParseStep::End(EndKind::Errored);
+                        return protocol_error(
+                            s,
+                            format!("unexpected {:?} frame mid-stream", frame_name(&other)),
+                        );
                     }
                 }
             }
-            SessionState::Draining | SessionState::Closed => return ParseStep::NeedMore,
+            SessionState::Draining => return ParseStep::NeedMore,
         }
     }
 }
 
-// --------------------------------------------------------- processors
-
-fn processor_loop(state: Arc<ServerState>, dispatch: Arc<Dispatch>) {
-    while let Some(conn) = dispatch.pop() {
-        process_conn(&state, &dispatch, &conn);
+/// Applies a Configure: builds the session's DSP (or attaches it to a
+/// bank) and its input queue, or says why not.
+fn configure(state: &ServerState, s: &mut Session, c: &Configure) -> Result<(), ErrorFrame> {
+    let refuse = |code, message: String| Err(ErrorFrame { code, message });
+    if state.stop.load(Ordering::Acquire) {
+        return refuse(error_code::SHUTTING_DOWN, "server is shutting down".into());
     }
-}
-
-/// Drains one session's queue in order, submitting each batch to the
-/// farm and acknowledging it with an Iq frame — until the queue runs
-/// dry, the outbound backlog passes [`OUT_HWM`], or the queue drains
-/// closed (then the epilogue runs). The `scheduled` flag is released
-/// last, with a re-check, so work that arrived mid-release is never
-/// stranded.
-fn process_conn(state: &Arc<ServerState>, dispatch: &Arc<Dispatch>, conn: &Arc<Conn>) {
-    let Some(q) = conn.queue.get().cloned() else {
-        conn.scheduled.store(false, Ordering::SeqCst);
-        return;
+    let queue_cap = match c.queue_cap {
+        0 => state.cfg.default_queue_cap,
+        n => (n as usize).min(state.cfg.max_queue_cap),
     };
-    let channel = conn.slot.lock().unwrap().unwrap_or(0);
-    loop {
-        if conn.out_pending() > OUT_HWM {
-            conn.awaiting_drain.store(true, Ordering::SeqCst);
-            if conn.out_pending() > OUT_HWM {
-                // The shard's flush clears the flag and reschedules.
-                break;
+    // Latency QoS is enforced by slicing a chain's batches at the
+    // budget's chunk bound. Accepting it on other plans would negotiate
+    // a bound nothing enforces, so refuse instead of silently
+    // degrading.
+    let budget_us = c.qos.budget_us();
+    if budget_us.is_some() && !matches!(c.plan, ChainPlan::Preset { .. } | ChainPlan::Spec(_)) {
+        return refuse(
+            error_code::BAD_CONFIG,
+            "latency QoS requires a chain plan (preset or spec); \
+             channelizer and subscribe sessions are throughput-only"
+                .into(),
+        );
+    }
+    // Server-side trace head-sampling applies to any plan that accepts
+    // Samples; harmless on subscriber sessions (they have no input).
+    s.trace_interval = c.trace_interval;
+    match &c.plan {
+        ChainPlan::Preset { .. } | ChainPlan::Spec(_) => {
+            let spec = c
+                .plan
+                .to_spec()
+                .expect("preset/spec plans lower to a ChainSpec");
+            if let Err(e) = spec.validate() {
+                return refuse(
+                    error_code::BAD_CONFIG,
+                    format!("rejected configuration: {e}"),
+                );
             }
-            conn.awaiting_drain.store(false, Ordering::SeqCst);
-        }
-        match q.try_pop() {
-            Pop::Item(batch) => {
-                if !state.cfg.processing_delay.is_zero() {
-                    // Fault-injection knob: simulates an overloaded
-                    // backend so tests can force queue growth
-                    // deterministically.
-                    std::thread::sleep(state.cfg.processing_delay);
-                }
-                if let Some(Role::Ingest(bank)) = conn.role.get() {
-                    // Channelizer ingest: run the bank inline on this
-                    // processor and fan each channel's output to its
-                    // subscribers. The `scheduled` flag already
-                    // guarantees one processor per session, so the
-                    // farm lock never contends in steady state.
-                    {
-                        let mut farm = bank.farm.lock().unwrap();
-                        let rows = farm.process_block(&batch.samples);
-                        let mut subs = bank.subs.lock().unwrap();
-                        for (row, ch) in bank.channels.iter().enumerate() {
-                            let Some(list) = subs.get_mut(ch) else {
-                                continue;
-                            };
-                            list.retain(|w| match w.upgrade() {
-                                Some(sub) => {
-                                    if sub.out_pending() > OUT_HWM {
-                                        // A stalled subscriber loses
-                                        // batches instead of growing
-                                        // its backlog unboundedly; it
-                                        // sees the loss as a gap in Iq
-                                        // batch indices.
-                                        sub.obs.drops_oldest.inc();
-                                    } else {
-                                        sub.enqueue_iq(batch.index, 0, &rows[row], None, 0);
-                                        sub.flush_and_post();
-                                    }
-                                    true
-                                }
-                                None => false,
-                            });
-                        }
-                    }
-                    // The ingest's own ack: an empty Iq frame keeps
-                    // the one-ack-per-batch contract (and drop
-                    // accounting) on the ingest connection.
-                    conn.enqueue_iq(batch.index, q.dropped(), &[], None, batch.trace_id);
-                    conn.flush_and_post();
-                    conn.recycle_batch(batch);
-                    if conn.read_paused.load(Ordering::SeqCst) && q.len() < q.capacity() {
-                        conn.mailbox.post(Notice::ResumeRead(conn.id));
-                    }
-                    continue;
-                }
-                // Latency sessions split the farm submission into
-                // budget-bounded sub-batches (bit-exact with one whole
-                // submission — channel state persists across chunks)
-                // and report the queue-wait/service split on the ack.
-                let service_start = Instant::now();
-                let queue_wait = service_start.duration_since(batch.arrived);
-                // Session-level spans for sampled batches: queue-wait
-                // (batch accepted → farm start) then service, on the
-                // session's own track; the per-stage kernel spans the
-                // traced submission emits land on the worker tracks.
-                let trace_track = SESSION_TRACK_BASE + (conn.id % 0x10000) as u32;
-                let service_t0 = if batch.trace_id != 0 {
-                    let now = state.trace.now_ns();
-                    state.trace.span(
-                        trace_track,
-                        batch.trace_id,
-                        state.trace_names.queue_wait,
-                        now.saturating_sub(saturating_ns(queue_wait)),
-                        now,
+            s.slice = THROUGHPUT_SLICE;
+            // Latency QoS: the chain's own group delay is a hard floor
+            // no runtime can get under, so a budget below it is a
+            // config error, not a stream of deadline misses.
+            if let Some(budget_us) = budget_us {
+                let group_us = spec.latency_budget().total_us();
+                if group_us > f64::from(budget_us) {
+                    return refuse(
+                        error_code::BAD_CONFIG,
+                        format!(
+                            "chain group delay {group_us:.1} us exceeds \
+                             latency budget {budget_us} us"
+                        ),
                     );
-                    now
-                } else {
-                    0
-                };
-                let result = match conn.latency.get() {
-                    Some(l) => {
-                        let mut pairs = Vec::new();
-                        state
-                            .farm
-                            .submit_channel_chunked_traced(
-                                channel,
-                                &batch.samples,
-                                l.chunk_samples,
-                                &mut pairs,
-                                batch.trace_id,
-                            )
-                            .map(|()| pairs)
-                    }
-                    None => state.farm.submit_channel_shared_traced(
-                        channel,
-                        Arc::clone(&batch.samples),
-                        batch.trace_id,
-                    ),
-                };
-                match result {
-                    Some(pairs) => {
-                        let timing = conn.latency.get().map(|_| IqTiming {
-                            queue_wait_ns: saturating_ns(queue_wait),
-                            service_ns: saturating_ns(service_start.elapsed()),
-                        });
-                        if batch.trace_id != 0 {
-                            state.trace.span(
-                                trace_track,
-                                batch.trace_id,
-                                state.trace_names.service,
-                                service_t0,
-                                state.trace.now_ns(),
-                            );
-                        }
-                        conn.enqueue_iq(batch.index, q.dropped(), &pairs, timing, batch.trace_id);
-                        if batch.trace_id != 0 {
-                            // The ack is queued and pushed toward the
-                            // socket: the server-side end of the loop.
-                            state.trace.instant(
-                                trace_track,
-                                batch.trace_id,
-                                state.trace_names.egress,
-                            );
-                        }
-                        conn.flush_and_post();
-                        if let Some(l) = conn.latency.get() {
-                            // End-to-end: frame accepted → ack queued
-                            // and pushed toward the socket.
-                            let e2e = batch.arrived.elapsed();
-                            conn.obs.e2e_ns.record(saturating_ns(e2e));
-                            if e2e.as_micros() > u128::from(l.budget_us) {
-                                conn.obs.deadline_misses.inc();
-                            }
-                        }
-                    }
-                    None => {
-                        // Farm halted (hard server stop): nothing more
-                        // can be processed; drop the rest of the queue.
-                        conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::SHUTTING_DOWN,
-                            message: "server halted before batch was processed".into(),
-                        }));
-                        q.close();
-                        finish_conn(state, conn);
-                        conn.scheduled.store(false, Ordering::SeqCst);
-                        return;
-                    }
                 }
-                conn.recycle_batch(batch);
-                if conn.read_paused.load(Ordering::SeqCst) && q.len() < q.capacity() {
-                    conn.mailbox.post(Notice::ResumeRead(conn.id));
+                s.slice =
+                    latency_chunk_samples(spec.input_rate, spec.total_decimation(), budget_us);
+                s.budget_us = Some(budget_us);
+                s.conn
+                    .obs
+                    .latency_budget_us
+                    .store(u64::from(budget_us), Ordering::Relaxed);
+            }
+            if !state.claim_channel() {
+                return refuse(
+                    error_code::SERVER_FULL,
+                    format!("all {} channels are in use", state.cfg.max_sessions),
+                );
+            }
+            s.holds_channel = true;
+            let metrics = Arc::new(chain_metrics_for(&spec));
+            let ddc = FixedDdc::from_spec(spec)
+                .with_metrics(MetricsHandle::enabled(Arc::clone(&metrics)))
+                .with_tracer(TraceHandle::enabled(Arc::clone(&state.trace)));
+            let _ = s.conn.obs.chain.set(ChainObs {
+                jobs: Counter::default(),
+                samples_in: Counter::default(),
+                outputs: Counter::default(),
+                busy_ns: Counter::default(),
+                metrics,
+                kernels: ddc.stage_kernels(),
+            });
+            s.role = Role::Chain(Box::new(ddc));
+            s.queue = Some(BoundedQueue::new(queue_cap));
+        }
+        // Channelizer ingest: build the bank (it runs on this shard)
+        // and publish it by name.
+        ChainPlan::Channelizer(cspec) => {
+            let farm = match ChannelizerFarm::from_spec(cspec.clone()) {
+                Ok(f) => f.with_telemetry(),
+                Err(e) => {
+                    return refuse(error_code::BAD_CONFIG, format!("rejected channelizer: {e}"))
                 }
+            };
+            let bank = Arc::new(Bank {
+                name: cspec.name.clone(),
+                channels: farm.enabled_channels().to_vec(),
+                metrics: farm.metrics().cloned(),
+                subs: Mutex::new(HashMap::new()),
+            });
+            {
+                let mut banks = state.banks.lock().unwrap();
+                if banks.contains_key(&cspec.name) {
+                    return refuse(
+                        error_code::BAD_CONFIG,
+                        format!("channelizer bank \"{}\" is already live", cspec.name),
+                    );
+                }
+                banks.insert(cspec.name.clone(), Arc::clone(&bank));
             }
-            Pop::Drained => {
-                finish_conn(state, conn);
-                conn.scheduled.store(false, Ordering::SeqCst);
-                return;
+            s.slice = THROUGHPUT_SLICE;
+            s.role = Role::Ingest {
+                rows: vec![Vec::new(); bank.channels.len()],
+                bank,
+                farm: Box::new(farm),
+            };
+            s.queue = Some(BoundedQueue::new(queue_cap));
+        }
+        // Subscriber: attach to one enabled channel of a live bank. No
+        // input queue — data flows outbound only.
+        ChainPlan::Subscribe { name, channel } => {
+            let bank = state.banks.lock().unwrap().get(name).cloned();
+            let Some(bank) = bank else {
+                return refuse(
+                    error_code::BAD_CONFIG,
+                    format!("no live channelizer bank named \"{name}\""),
+                );
+            };
+            let ch = *channel as usize;
+            if !bank.channels.contains(&ch) {
+                return refuse(
+                    error_code::BAD_CONFIG,
+                    format!("channel {channel} is not enabled in bank \"{name}\""),
+                );
             }
-            Pop::TimedOut => break,
+            bank.subscribe(ch, &s.conn);
+            s.role = Role::Subscriber { bank, channel: ch };
         }
     }
-    conn.scheduled.store(false, Ordering::SeqCst);
-    let more = (!q.is_empty() || q.is_closed())
-        && !conn.awaiting_drain.load(Ordering::SeqCst)
-        && !conn.finish_started.load(Ordering::SeqCst);
-    if more {
-        dispatch.schedule(conn);
-    }
-}
-
-/// The drain epilogue, run exactly once per configured session after
-/// its queue drains closed: the graceful Stats + Shutdown exchange,
-/// slot release (no in-flight submission may outlive the claim — the
-/// drained queue guarantees that), and the close-after-flush hand-off.
-fn finish_conn(state: &Arc<ServerState>, conn: &Arc<Conn>) {
-    if conn.finish_started.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    if let Some(Role::Ingest(bank)) = conn.role.get() {
-        // The bank dies with its ingest: unpublish it, then end every
-        // subscriber gracefully — each gets a Shutdown after its last
-        // flushed Iq frame.
-        state.banks.lock().unwrap().remove(&bank.name);
-        let mut subs = bank.subs.lock().unwrap();
-        for list in subs.values_mut() {
-            for w in list.drain(..) {
-                if let Some(sub) = w.upgrade() {
-                    sub.enqueue(&Frame::Shutdown);
-                    sub.set_close_after_flush();
-                    sub.flush_and_post();
-                }
-            }
-        }
-    }
-    if conn.graceful.load(Ordering::Acquire) {
-        // Client-initiated shutdown: a final snapshot then the closing
-        // Shutdown frame, so the client can read end-of-stream stats
-        // without racing the connection teardown.
-        conn.enqueue(&Frame::StatsReport(conn.stats(&state.farm)));
-        conn.enqueue(&Frame::Shutdown);
-    }
-    if let Some(slot) = conn.slot.lock().unwrap().take() {
-        state.release_slot(slot);
-    }
-    conn.set_close_after_flush();
-    conn.flush_and_post();
+    s.reader.policy = c.policy;
+    Ok(())
 }
 
 // ------------------------------------------------------------- handle
@@ -1651,28 +1498,24 @@ impl ServerHandle {
         self.state.sessions_started.load(Ordering::Relaxed)
     }
 
-    /// Number of channel slots currently free.
+    /// Number of channels no chain session currently holds.
     pub fn free_slots(&self) -> usize {
-        self.state.free_slots.lock().unwrap().len()
+        self.state.free_channels()
     }
 
     /// The same telemetry snapshot a [`Frame::MetricsRequest`] gets —
-    /// farm, server and live-session metrics in one coherent view.
+    /// server, bank and live-session metrics in one coherent view.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         MetricsSource::metrics_snapshot(&*self.state)
     }
 
     /// Graceful shutdown: stop accepting, drain every live session
     /// (accepted batches finish and their Iq frames flush), close the
-    /// connections, then stop the shard/processor/farm threads within
-    /// `timeout`. Returns `true` if every session closed inside the
-    /// deadline.
+    /// connections, then stop the shard threads within `timeout`.
+    /// Returns `true` if every session closed inside the deadline.
     pub fn shutdown(mut self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         self.state.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         for (mailbox, _) in &self.shards {
             mailbox.post(Notice::DrainAll);
         }
@@ -1709,10 +1552,10 @@ impl ServerHandle {
         all_closed
     }
 
-    /// Tears down the runtime threads (idempotent; shared by the
+    /// Stops and joins the shard threads (idempotent; shared by the
     /// graceful path and Drop).
     fn stop_threads(&mut self) {
-        for (mailbox, thread) in &mut self.shards {
+        for (mailbox, thread) in &self.shards {
             if thread.is_some() {
                 mailbox.post(Notice::Exit);
             }
@@ -1722,24 +1565,15 @@ impl ServerHandle {
                 let _ = t.join();
             }
         }
-        self.dispatch.close();
-        for t in std::mem::take(&mut self.processors) {
-            let _ = t.join();
-        }
-        // Only after the sessions are done: stop the farm's workers.
-        self.state.farm.halt();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
-        // Hard path (handle dropped without shutdown()): stop the
-        // accept loop, sever every socket, close whatever remains.
-        // After shutdown() everything below is a no-op.
+        // Hard path (handle dropped without shutdown()): stop
+        // accepting, sever every socket, close whatever remains. After
+        // shutdown() everything below is a no-op.
         self.state.stop.store(true, Ordering::Release);
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
         for (mailbox, thread) in &self.shards {
             if thread.is_some() {
                 mailbox.post(Notice::HardCloseAll);

@@ -1,38 +1,42 @@
-//! One live connection as an explicit state machine, plus the shared
-//! mechanisms the readiness runtime drives it with.
+//! One live connection: the socket and outbound queue every thread may
+//! write to, plus the shard-local state its shard's readiness loop
+//! drives.
 //!
-//! The old runtime gave every session two dedicated blocking threads
-//! (socket reader + processor). This module is the per-connection half
-//! of its replacement: a [`Conn`] owns a non-blocking socket, a
-//! [`Reader`] with partial-frame cursors (frames arrive torn at
-//! arbitrary byte boundaries), and an [`Outbound`] queue of encoded
-//! [`FrameBuf`]s flushed with vectored writes and a partial-write
-//! cursor. The shard threads in [`crate::server`] multiplex many
-//! `Conn`s over one poller each; a small processor pool drains the
-//! per-session input queues into the shared farm.
+//! A [`Conn`] owns a non-blocking socket and an [`Outbound`] queue of
+//! encoded [`FrameBuf`]s flushed with vectored writes and a
+//! partial-write cursor. It is shared (`Arc`) because a channelizer
+//! ingest's shard writes its subscribers' frames, whichever shard those
+//! subscribers live on. Everything else a session owns sits in its
+//! [`Session`], which only its shard touches: a [`Reader`] with
+//! partial-frame cursors (frames arrive torn at arbitrary byte
+//! boundaries), the bounded input queue, and the session's own DSP — a
+//! [`FixedDdc`] or a channelizer bank — which the shard runs to
+//! completion in bounded slices.
 //!
 //! ```text
-//! shard thread ──read──▶ Reader(rbuf) ──zero-copy decode──▶ BoundedQueue<Batch>
-//!      ◀─────vectored flush───── Outbound(FrameBuf queue) ◀──processor pool──┘
+//! shard ──read──▶ Reader ──zero-copy decode──▶ BoundedQueue<Batch> ──slices──▶ FixedDdc / bank
+//!   ◀──vectored flush── Outbound(FrameBuf queue) ◀──Iq encode────────────────────────┘
 //! ```
 //!
 //! Protocol policy (handshake rules, backpressure, error texts) lives
 //! in [`crate::server`]; this module only provides the moving parts.
 
 use crate::queue::BoundedQueue;
-use crate::sys::Waker;
+use crate::sys::{Interest, Waker};
 use crate::wire::{
-    feature, Frame, FrameBuf, FrameHeader, Hello, IqTiming, StatsReport, HEADER_LEN, MAX_PAYLOAD,
+    feature, Backpressure, Frame, FrameBuf, FrameHeader, Hello, IqTiming, HEADER_LEN, MAX_PAYLOAD,
     VERSION,
 };
-use ddc_core::{ChannelizerFarm, ChannelizerMetrics, DdcFarm};
-use ddc_obs::{Counter, LogHistogram, MetricsSnapshot};
+use ddc_core::engine::ChannelStats;
+use ddc_core::mixer::Iq;
+use ddc_core::{ChannelizerFarm, ChannelizerMetrics, FixedDdc};
+use ddc_obs::{ChainMetrics, Counter, LogHistogram, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Bytes read from the socket per `read` call while pumping a session.
 /// Sized so a full DRM-scale Samples frame (tens of KiB) lands in one
@@ -45,21 +49,21 @@ pub(crate) const READ_CHUNK: usize = 128 * 1024;
 /// re-reports the fd, so fairness costs nothing).
 pub(crate) const READ_BUDGET: usize = 256 * 1024;
 /// Outbound high-water mark: above this many un-flushed bytes the
-/// processor stops popping batches for the session until the shard's
-/// flush drains the backlog — bounding per-session egress memory when
-/// a client stops reading.
+/// shard runs no more of the session's batches until a writable event
+/// drains the backlog — bounding per-session egress memory when a
+/// client stops reading.
 pub(crate) const OUT_HWM: usize = 1 << 20;
-/// Most frames submitted to one `write_vectored` call.
+/// Most header/payload segments submitted to one `write_vectored` call.
 const MAX_WRITE_SLICES: usize = 16;
 /// Encoded-frame buffers kept for reuse per session.
 const FREE_FRAMES_MAX: usize = 8;
-/// Decoded-sample scratch vectors kept for reuse per session.
+/// Decoded-sample buffers kept for reuse per session.
 const SCRATCH_POOL_MAX: usize = 16;
 
-/// Per-session telemetry, shared by the shard thread (decode times,
-/// queue pressure), the egress path (encode times) and the server's
-/// metrics endpoint. All fields are relaxed atomics updated at frame
-/// granularity — the session data path never takes a lock for them.
+/// Per-session telemetry, written by the session's shard and read by
+/// the server's metrics endpoint from any thread. All fields are
+/// relaxed atomics updated at frame or slice granularity — the data
+/// path never takes a lock for them.
 #[derive(Debug, Default)]
 pub struct SessionObs {
     /// Frame decode CPU time, ns (header + payload parse, no I/O).
@@ -78,19 +82,52 @@ pub struct SessionObs {
     /// Metrics requests answered.
     pub metrics_requests: Counter,
     /// End-to-end batch latency, ns: Samples frame accepted → its Iq
-    /// ack handed to the outbound queue. Recorded only for sessions on
-    /// the latency QoS profile.
+    /// ack encoded, recorded before the ack is written. Recorded only
+    /// for sessions on the latency QoS profile.
     pub e2e_ns: LogHistogram,
     /// Batches whose end-to-end latency exceeded the negotiated budget.
     pub deadline_misses: Counter,
     /// Negotiated latency budget in µs; 0 = throughput profile (the
     /// `ddc_latency_*` metrics family is exported only when non-zero).
     pub latency_budget_us: AtomicU64,
+    /// The session's chain telemetry; set at Configure for chain
+    /// sessions only.
+    pub chain: OnceLock<ChainObs>,
+}
+
+/// Telemetry of one chain session's [`FixedDdc`]: lifetime flow
+/// counters, the per-stage metrics the chain records into, and the
+/// kernel each stage resolved to.
+#[derive(Debug)]
+pub struct ChainObs {
+    /// DSP jobs (bounded slices) run.
+    pub jobs: Counter,
+    /// ADC samples processed.
+    pub samples_in: Counter,
+    /// Complex output words produced.
+    pub outputs: Counter,
+    /// Nanoseconds spent in the chain.
+    pub busy_ns: Counter,
+    /// Per-stage metrics, shared with the chain.
+    pub metrics: Arc<ChainMetrics>,
+    /// `(stage label, kernel label)` per stage, fixed at construction.
+    pub kernels: Vec<(String, &'static str)>,
+}
+
+impl ChainObs {
+    /// The flow counters as the farm reports a channel's.
+    pub fn stats(&self) -> ChannelStats {
+        ChannelStats {
+            batches: self.jobs.get(),
+            samples_in: self.samples_in.get(),
+            outputs: self.outputs.get(),
+            busy: Duration::from_nanos(self.busy_ns.get()),
+        }
+    }
 }
 
 /// Anything that can render a point-in-time telemetry snapshot — the
-/// server implements this over its farm + session registry; tests can
-/// stub it.
+/// server implements this over its session registry; tests can stub it.
 pub trait MetricsSource: Sync {
     /// Builds the current snapshot.
     fn metrics_snapshot(&self) -> MetricsSnapshot;
@@ -103,13 +140,11 @@ pub(crate) enum SessionState {
     ExpectHello,
     /// Hello answered; waiting for Configure (seq 1).
     ExpectConfigure,
-    /// Configured and bound to a farm channel; Samples flow.
+    /// Configured; Samples flow.
     Streaming,
     /// Input side done (EOF/Shutdown/error): no more reads; accepted
-    /// batches drain through the processor, then the outbound flushes.
+    /// batches run to completion, then the outbound flushes.
     Draining,
-    /// Fully torn down; the fd is deregistered and shut.
-    Closed,
 }
 
 /// Why a session's input side ended; decides the teardown epilogue.
@@ -130,16 +165,15 @@ pub(crate) enum EndKind {
 pub(crate) enum Notice {
     /// A freshly accepted connection to register and start reading.
     Accept(Arc<Conn>),
-    /// A paused (block-policy) session has queue room again: re-arm
-    /// read interest and re-parse already-buffered bytes.
-    ResumeRead(u64),
-    /// The session has un-flushed outbound bytes: arm write interest.
+    /// Another shard queued output it could not write at once (a bank
+    /// delivering to this shard's subscriber): arm write interest.
     WriteReady(u64),
-    /// The session is fully flushed and finished: deregister and close.
+    /// Another shard flushed the session's last byte after asking it
+    /// to close (a bank's teardown of its subscribers): deregister.
     Deregister(u64),
-    /// Server-initiated graceful shutdown: treat every session as if
-    /// its client had half-closed (drain accepted batches, flush,
-    /// close).
+    /// Server-initiated graceful shutdown: stop accepting and treat
+    /// every session as if its client had half-closed (drain accepted
+    /// batches, flush, close).
     DrainAll,
     /// Past the shutdown half-deadline: sever every socket so blocked
     /// peers fail fast.
@@ -148,9 +182,8 @@ pub(crate) enum Notice {
     Exit,
 }
 
-/// A shard's mailbox: lock-free for readers of the hot path (the shard
-/// only locks when woken), coalescing wakes through the poller's pipe
-/// waker.
+/// A shard's mailbox: the shard only locks it when woken, and wakes
+/// coalesce through the poller's pipe waker.
 pub(crate) struct ShardMailbox {
     notices: Mutex<Vec<Notice>>,
     waker: Waker,
@@ -179,23 +212,19 @@ impl ShardMailbox {
     }
 }
 
-/// One live channelizer bank: a [`ChannelizerFarm`] driven by exactly
-/// one ingest session's wideband Samples, fanning each enabled
-/// channel's output to that channel's subscriber sessions. Registered
-/// in the server's bank registry under the spec's `name` for the
-/// ingest's lifetime — the bank dies (and its subscribers are shut
-/// down) when the ingest session ends.
+/// The shared face of one live channelizer bank, registered in the
+/// server's bank registry under the spec's `name` for its ingest's
+/// lifetime. The bank itself ([`ChannelizerFarm`]) belongs to the
+/// ingest session and runs on the ingest's shard; the bank dies (and
+/// its subscribers are shut down) when the ingest session ends.
 pub(crate) struct Bank {
     /// Registry key — the [`ddc_core::ChannelizerSpec`] name.
     pub name: String,
-    /// The farm. Locked only by the ingest's processor per block (and
-    /// briefly at Subscribe time), so subscribers never contend on it.
-    pub farm: Mutex<ChannelizerFarm>,
-    /// Enabled channel indices in farm-row order, cached so the
-    /// delivery loop and Subscribe validation never lock `farm`.
+    /// Enabled channel indices in farm-row order, so Subscribe
+    /// validation needs nothing from the ingest's shard.
     pub channels: Vec<usize>,
     /// Telemetry handle cloned out of the farm, so stats and the
-    /// metrics endpoint read counters without locking the farm.
+    /// metrics endpoint read counters from any thread.
     pub metrics: Option<Arc<ChannelizerMetrics>>,
     /// channel index → subscribers. Weak: teardown of a subscriber
     /// needs no cooperation from the bank — dead entries are pruned
@@ -215,13 +244,23 @@ impl Bank {
     }
 }
 
-/// The channelizer role a session adopted at Configure time. Plain
-/// chain sessions (Preset/Spec plans) never set one.
+/// What a session does, fixed at Configure time.
 pub(crate) enum Role {
-    /// Streams the wideband input that drives the bank's farm; its own
-    /// Samples batches are acknowledged with empty Iq frames (channel
-    /// outputs travel on the subscriber connections).
-    Ingest(Arc<Bank>),
+    /// Not configured yet.
+    Unconfigured,
+    /// A chain session: the session's own bit-true DDC.
+    Chain(Box<FixedDdc>),
+    /// Streams the wideband input that drives a bank. Its own Samples
+    /// batches are acknowledged with empty Iq frames; channel outputs
+    /// travel on the subscriber connections.
+    Ingest {
+        /// The registered face of the bank.
+        bank: Arc<Bank>,
+        /// The bank, run by this session's shard.
+        farm: Box<ChannelizerFarm>,
+        /// Per-row outputs of a batch that spans several slices.
+        rows: Vec<Vec<Iq>>,
+    },
     /// Receives one channel's Iq stream; sends no Samples and owns no
     /// input queue.
     Subscriber {
@@ -232,41 +271,35 @@ pub(crate) enum Role {
     },
 }
 
-/// One accepted Samples batch queued for the processor pool. The
-/// samples sit behind an `Arc` so the farm submission shares the
-/// buffer instead of copying it, and the emptied vector can return to
-/// the session's scratch pool afterwards.
+/// One accepted Samples batch queued for the session's DSP.
 pub(crate) struct Batch {
     /// Sender-assigned batch number (echoed on the Iq ack).
     pub index: u64,
-    /// Decoded ADC samples, written straight from the wire payload.
-    pub samples: Arc<Vec<i32>>,
+    /// Decoded ADC samples, written straight from the wire payload into
+    /// a buffer from the session's scratch pool.
+    pub samples: Vec<i32>,
     /// When the decoded batch was accepted into the input queue — the
     /// zero point for queue-wait and end-to-end latency accounting.
     pub arrived: Instant,
     /// Span-trace ID riding this batch (client-stamped, or
     /// server-allocated under the Configure `trace_interval` tag);
-    /// 0 = unsampled. Threaded through the farm job and echoed on the
-    /// Iq ack.
+    /// 0 = unsampled. Echoed on the Iq ack.
     pub trace_id: u64,
 }
 
-/// Latency-QoS parameters negotiated at Configure time, fixed for the
-/// session's lifetime.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LatencyCtl {
-    /// The budget the client asked for, µs.
-    pub budget_us: u32,
-    /// Largest farm sub-batch the processor submits at once, derived
-    /// from the budget and the chain's input rate so a single job
-    /// cannot occupy the channel for more than a budget's worth of
-    /// samples.
-    pub chunk_samples: usize,
+/// The batch a session's DSP is part-way through.
+pub(crate) struct InFlight {
+    pub batch: Batch,
+    /// Samples of `batch` already processed.
+    pub done: usize,
+    /// When its first slice started (end of its queue wait).
+    pub started: Instant,
+    /// The same moment on the trace clock (0 for unsampled batches).
+    pub started_ns: u64,
 }
 
 /// The ingest half of a connection: unparsed bytes, partial-frame
-/// cursors and the protocol position. Only the owning shard thread
-/// locks this in steady state.
+/// cursors and the protocol position.
 pub(crate) struct Reader {
     /// Protocol lifecycle position.
     pub state: SessionState,
@@ -285,7 +318,113 @@ pub(crate) struct Reader {
     /// Next client sequence number the stream must carry.
     pub expected_seq: u32,
     /// Backpressure policy chosen at Configure time.
-    pub policy: crate::wire::Backpressure,
+    pub policy: Backpressure,
+}
+
+/// Everything one session owns that only its shard touches.
+pub(crate) struct Session {
+    /// The shared half: socket, outbound queue, telemetry.
+    pub conn: Arc<Conn>,
+    /// Poller interest currently registered for the socket.
+    pub interest: Interest,
+    /// Ingest state machine.
+    pub reader: Reader,
+    /// What the session does.
+    pub role: Role,
+    /// Input queue, created at Configure for chain and ingest sessions.
+    pub queue: Option<BoundedQueue<Batch>>,
+    /// The batch the DSP is part-way through.
+    pub current: Option<InFlight>,
+    /// Most samples one DSP turn covers: the latency-QoS chunk, or the
+    /// throughput slice.
+    pub slice: usize,
+    /// Negotiated latency budget, µs (latency-QoS sessions only).
+    pub budget_us: Option<u32>,
+    /// Server-side trace head-sampling interval (0 = off).
+    pub trace_interval: u32,
+    /// Accepted-batch counter driving server-side head sampling.
+    pub trace_count: u64,
+    /// Batches accepted into the queue (≥ batches processed).
+    pub batches_accepted: u64,
+    /// Client asked for a graceful Shutdown: the drain epilogue sends
+    /// a final Stats + Shutdown exchange.
+    pub graceful: bool,
+    /// Block-policy pause: parsing stopped at a full queue; the shard
+    /// re-arms reading once a turn frees room.
+    pub read_paused: bool,
+    /// The session counts against `max_sessions` until released.
+    pub holds_channel: bool,
+    /// The drain epilogue has run.
+    pub finished: bool,
+    /// Output words of the batch in flight, reused across batches.
+    pub pairs: Vec<Iq>,
+    /// Sample buffers for the zero-copy decode path.
+    pub scratch: ScratchPool,
+}
+
+impl Session {
+    /// A fresh, unconfigured session around an accepted connection.
+    pub(crate) fn new(conn: Arc<Conn>) -> Session {
+        Session {
+            conn,
+            interest: Interest::READ,
+            reader: Reader {
+                state: SessionState::ExpectHello,
+                buf: vec![0; READ_CHUNK],
+                filled: 0,
+                pos: 0,
+                header: None,
+                expected_seq: 0,
+                policy: Backpressure::Block,
+            },
+            role: Role::Unconfigured,
+            queue: None,
+            current: None,
+            slice: 0,
+            budget_us: None,
+            trace_interval: 0,
+            trace_count: 0,
+            batches_accepted: 0,
+            graceful: false,
+            read_paused: false,
+            holds_channel: false,
+            finished: false,
+            pairs: Vec::new(),
+            scratch: ScratchPool::default(),
+        }
+    }
+
+    /// Whether a DSP turn has anything to do: a batch in flight or
+    /// queued, or a drained queue whose epilogue has not run — unless
+    /// the outbound backlog is over [`OUT_HWM`].
+    pub(crate) fn has_work(&self) -> bool {
+        let pending = self.current.is_some()
+            || self
+                .queue
+                .as_ref()
+                .is_some_and(|q| !q.is_empty() || (q.is_closed() && !self.finished));
+        pending && self.conn.out_pending() <= OUT_HWM
+    }
+}
+
+/// Decoded-sample buffers a session reuses across batches.
+#[derive(Default)]
+pub(crate) struct ScratchPool(Vec<Vec<i32>>);
+
+impl ScratchPool {
+    /// An empty buffer, recycled when one is available.
+    pub(crate) fn take(&mut self) -> Vec<i32> {
+        let mut v = self.0.pop().unwrap_or_default();
+        v.clear();
+        v
+    }
+
+    /// Returns a buffer to the pool.
+    pub(crate) fn recycle(&mut self, v: Vec<i32>) {
+        if self.0.len() < SCRATCH_POOL_MAX {
+            self.0.push(v);
+        }
+    }
 }
 
 /// Flush progress of a session's outbound queue.
@@ -323,11 +462,10 @@ struct Outbound {
     close_after_flush: bool,
 }
 
-/// One live connection: socket, both half-machines, the input queue
-/// and the scheduling flags the shard/processor protocol uses. Shared
-/// as `Arc<Conn>` between exactly one shard thread and whichever
-/// processor currently owns the session (the `scheduled` flag ensures
-/// at most one).
+/// The shared half of one live connection: the socket and its outbound
+/// queue. Its shard reads and writes it; a channelizer ingest's shard
+/// also writes to its subscribers' connections, so the outbound queue
+/// sits behind a lock.
 pub(crate) struct Conn {
     /// Session id (also the poller registration token).
     pub id: u64,
@@ -337,44 +475,7 @@ pub(crate) struct Conn {
     pub mailbox: Arc<ShardMailbox>,
     /// Session telemetry (also in the server's metrics registry).
     pub obs: Arc<SessionObs>,
-    /// Ingest state machine.
-    pub reader: Mutex<Reader>,
     out: Mutex<Outbound>,
-    /// Input queue, created at Configure time. Subscriber sessions
-    /// never get one (their data flows outbound only).
-    pub queue: OnceLock<Arc<BoundedQueue<Batch>>>,
-    /// Channelizer role, set at Configure time for ingest/subscriber
-    /// sessions; never set for plain chain sessions.
-    pub role: OnceLock<Role>,
-    /// Farm channel slot, claimed at Configure, released by the drain
-    /// epilogue (never while a submission may be in flight).
-    pub slot: Mutex<Option<usize>>,
-    /// Latency-QoS parameters, set at Configure time when the client
-    /// negotiated `QosProfile::Latency`; never set for throughput
-    /// sessions.
-    pub latency: OnceLock<LatencyCtl>,
-    /// Server-side trace head-sampling interval (0 = off), set at
-    /// Configure time from the `trace_interval` tag.
-    pub trace_interval: AtomicU32,
-    /// Accepted-batch counter driving server-side head sampling.
-    pub trace_count: AtomicU64,
-    /// Batches accepted into the queue (≥ batches processed).
-    pub batches_accepted: AtomicU64,
-    /// Client asked for a graceful Shutdown: the drain epilogue sends
-    /// a final Stats + Shutdown exchange.
-    pub graceful: AtomicBool,
-    /// Block-policy pause: the reader stops consuming Samples until
-    /// the processor frees queue room. Set *before* the final
-    /// fullness re-check so the resume notice cannot be lost.
-    pub read_paused: AtomicBool,
-    /// The session is queued for (or held by) a processor.
-    pub scheduled: AtomicBool,
-    /// The processor stopped popping because the outbound backlog
-    /// passed [`OUT_HWM`]; the shard's flush reschedules it.
-    pub awaiting_drain: AtomicBool,
-    /// The drain epilogue has run (it must run exactly once).
-    pub finish_started: AtomicBool,
-    scratch: Mutex<Vec<Vec<i32>>>,
 }
 
 impl Conn {
@@ -390,15 +491,6 @@ impl Conn {
             stream,
             mailbox,
             obs,
-            reader: Mutex::new(Reader {
-                state: SessionState::ExpectHello,
-                buf: vec![0; READ_CHUNK],
-                filled: 0,
-                pos: 0,
-                header: None,
-                expected_seq: 0,
-                policy: crate::wire::Backpressure::Block,
-            }),
             out: Mutex::new(Outbound {
                 frames: VecDeque::new(),
                 cursor: 0,
@@ -408,61 +500,13 @@ impl Conn {
                 dead: false,
                 close_after_flush: false,
             }),
-            queue: OnceLock::new(),
-            role: OnceLock::new(),
-            slot: Mutex::new(None),
-            latency: OnceLock::new(),
-            trace_interval: AtomicU32::new(0),
-            trace_count: AtomicU64::new(0),
-            batches_accepted: AtomicU64::new(0),
-            graceful: AtomicBool::new(false),
-            read_paused: AtomicBool::new(false),
-            scheduled: AtomicBool::new(false),
-            awaiting_drain: AtomicBool::new(false),
-            finish_started: AtomicBool::new(false),
-            scratch: Mutex::new(Vec::new()),
         })
     }
 
-    /// A reusable sample buffer for the zero-copy decode path.
-    pub(crate) fn take_scratch(&self) -> Vec<i32> {
-        let mut v = self.scratch.lock().unwrap().pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    /// Returns an emptied sample buffer to the pool.
-    pub(crate) fn recycle_scratch(&self, v: Vec<i32>) {
-        let mut pool = self.scratch.lock().unwrap();
-        if pool.len() < SCRATCH_POOL_MAX {
-            pool.push(v);
-        }
-    }
-
-    /// Reclaims a processed batch's buffer when the farm has dropped
-    /// its reference (the common case: submission completed).
-    pub(crate) fn recycle_batch(&self, batch: Batch) {
-        if let Ok(v) = Arc::try_unwrap(batch.samples) {
-            self.recycle_scratch(v);
-        }
-    }
-
     /// Queues one frame (generic two-pass encode — control frames are
-    /// tiny). Sequence numbers stay gapless because allocation and
-    /// queueing happen under the same lock.
+    /// tiny).
     pub(crate) fn enqueue(&self, frame: &Frame) {
-        let mut o = self.out.lock().unwrap();
-        if o.dead {
-            return;
-        }
-        let mut fb = o.free.pop().unwrap_or_default();
-        let seq = o.seq;
-        o.seq = o.seq.wrapping_add(1);
-        let t0 = Instant::now();
-        fb.encode(frame, seq);
-        self.obs.encode_ns.record_duration(t0.elapsed());
-        o.pending_bytes += fb.total_len();
-        o.frames.push_back(fb);
+        self.push(|fb, seq| fb.encode(frame, seq));
     }
 
     /// Queues one Iq frame through the fused single-pass encoder (the
@@ -471,10 +515,17 @@ impl Conn {
         &self,
         batch_index: u64,
         dropped_total: u64,
-        pairs: &[ddc_core::mixer::Iq],
+        pairs: &[Iq],
         timing: Option<IqTiming>,
         trace_id: u64,
     ) {
+        self.push(|fb, seq| fb.encode_iq(seq, batch_index, dropped_total, pairs, timing, trace_id));
+    }
+
+    /// Encodes one frame into a recycled buffer and queues it. Sequence
+    /// numbers stay gapless because allocation and queueing happen under
+    /// the same lock.
+    fn push(&self, encode: impl FnOnce(&mut FrameBuf, u32)) {
         let mut o = self.out.lock().unwrap();
         if o.dead {
             return;
@@ -483,7 +534,7 @@ impl Conn {
         let seq = o.seq;
         o.seq = o.seq.wrapping_add(1);
         let t0 = Instant::now();
-        fb.encode_iq(seq, batch_index, dropped_total, pairs, timing, trace_id);
+        encode(&mut fb, seq);
         self.obs.encode_ns.record_duration(t0.elapsed());
         o.pending_bytes += fb.total_len();
         o.frames.push_back(fb);
@@ -510,28 +561,26 @@ impl Conn {
                 break;
             }
             let r = {
-                let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_WRITE_SLICES);
+                let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+                let mut n = 0;
                 for (k, f) in o.frames.iter().enumerate() {
-                    if slices.len() + 2 > MAX_WRITE_SLICES {
+                    if n + 2 > MAX_WRITE_SLICES {
                         break;
                     }
-                    if k == 0 && o.cursor > 0 {
-                        if o.cursor < HEADER_LEN {
-                            slices.push(IoSlice::new(&f.header[o.cursor..]));
-                            if !f.payload.is_empty() {
-                                slices.push(IoSlice::new(&f.payload));
-                            }
-                        } else {
-                            slices.push(IoSlice::new(&f.payload[o.cursor - HEADER_LEN..]));
-                        }
+                    let skip = if k == 0 { o.cursor } else { 0 };
+                    let (head, body) = if skip < HEADER_LEN {
+                        (&f.header[skip..], &f.payload[..])
                     } else {
-                        slices.push(IoSlice::new(&f.header));
-                        if !f.payload.is_empty() {
-                            slices.push(IoSlice::new(&f.payload));
+                        (&[][..], &f.payload[skip - HEADER_LEN..])
+                    };
+                    for seg in [head, body] {
+                        if !seg.is_empty() {
+                            slices[n] = IoSlice::new(seg);
+                            n += 1;
                         }
                     }
                 }
-                (&self.stream).write_vectored(&slices)
+                (&self.stream).write_vectored(&slices[..n])
             };
             match r {
                 Ok(0) => {
@@ -574,65 +623,14 @@ impl Conn {
         }
     }
 
-    /// Flush from off-shard contexts (the processor pool): performs the
-    /// writes here and posts the follow-up the shard must act on —
-    /// write-interest arming or final deregistration.
-    pub(crate) fn flush_and_post(self: &Arc<Self>) {
+    /// Flush from another shard (a bank delivering to a subscriber):
+    /// performs the writes here and posts the follow-up the owning
+    /// shard must act on — write-interest arming or deregistration.
+    pub(crate) fn flush_and_post(&self) {
         match self.flush() {
             FlushState::Done => self.mailbox.post(Notice::Deregister(self.id)),
             FlushState::Pending => self.mailbox.post(Notice::WriteReady(self.id)),
             FlushState::Idle => {}
-        }
-    }
-
-    /// Point-in-time statistics combining queue state with the farm's
-    /// per-channel counters and farm-wide totals. Channelizer sessions
-    /// substitute their bank's flow counters for the farm channel's
-    /// (an ingest owns no farm slot; a subscriber reports the channel
-    /// index it is attached to).
-    pub(crate) fn stats(&self, farm: &DdcFarm) -> StatsReport {
-        let totals = farm.totals();
-        let q = self.queue.get();
-        let base = StatsReport {
-            channel: 0,
-            batches_accepted: self.batches_accepted.load(Ordering::Relaxed),
-            batches_dropped: q.map_or(0, |q| q.dropped()),
-            samples_in: 0,
-            outputs: 0,
-            queue_len: q.map_or(0, |q| q.len()) as u32,
-            queue_hwm: q.map_or(0, |q| q.high_water_mark()) as u32,
-            busy_ns: 0,
-            farm_jobs_completed: totals.jobs_completed,
-            farm_steals: totals.steals,
-            farm_orphans_reclaimed: totals.orphans_reclaimed,
-        };
-        match self.role.get() {
-            Some(Role::Ingest(bank)) => {
-                let (samples_in, outputs) = bank
-                    .metrics
-                    .as_ref()
-                    .map_or((0, 0), |m| (m.samples_in.get(), m.samples_out.get()));
-                StatsReport {
-                    samples_in,
-                    outputs,
-                    ..base
-                }
-            }
-            Some(Role::Subscriber { channel, .. }) => StatsReport {
-                channel: *channel as u32,
-                ..base
-            },
-            None => {
-                let channel = self.slot.lock().unwrap().unwrap_or(0);
-                let ch = farm.channel_stats(channel);
-                StatsReport {
-                    channel: channel as u32,
-                    samples_in: ch.samples_in,
-                    outputs: ch.outputs,
-                    busy_ns: ch.busy.as_nanos().min(u64::MAX as u128) as u64,
-                    ..base
-                }
-            }
         }
     }
 }
@@ -727,6 +725,37 @@ mod tests {
     }
 
     #[test]
+    fn partial_writes_resume_mid_frame_without_reordering() {
+        // More Iq output than a loopback socket buffer holds: flushes
+        // stop part-way through a frame and must resume at the cursor.
+        let (mut client, server) = pair();
+        server.set_nonblocking(true).unwrap();
+        let poller = crate::sys::Poller::new().unwrap();
+        let mailbox = ShardMailbox::new(poller.waker());
+        let conn = Conn::new(3, server, mailbox, Arc::new(SessionObs::default()));
+        let pairs: Vec<Iq> = (0..40_000).map(|k| Iq { i: k, q: -k }).collect();
+        for b in 0..8u64 {
+            conn.enqueue_iq(b, 0, &pairs, None, 0);
+        }
+        let reader = std::thread::spawn(move || read_frames(&mut client, 8));
+        while conn.out_pending() > 0 {
+            if conn.flush() == FlushState::Pending {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+        for (b, f) in reader.join().unwrap().iter().enumerate() {
+            match f {
+                Frame::Iq(iq) => {
+                    assert_eq!(iq.batch_index, b as u64);
+                    assert_eq!(iq.pairs.len(), pairs.len());
+                    assert_eq!(iq.pairs[39_999], (39_999, -39_999));
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn close_after_flush_reports_done_only_when_drained() {
         let (_client, server) = pair();
         server.set_nonblocking(true).unwrap();
@@ -752,15 +781,12 @@ mod tests {
 
     #[test]
     fn scratch_pool_recycles_buffers() {
-        let (_client, server) = pair();
-        let poller = crate::sys::Poller::new().unwrap();
-        let mailbox = ShardMailbox::new(poller.waker());
-        let conn = Conn::new(2, server, mailbox, Arc::new(SessionObs::default()));
-        let mut v = conn.take_scratch();
+        let mut pool = ScratchPool::default();
+        let mut v = pool.take();
         v.extend_from_slice(&[1, 2, 3]);
         let cap = v.capacity();
-        conn.recycle_scratch(v);
-        let v2 = conn.take_scratch();
+        pool.recycle(v);
+        let v2 = pool.take();
         assert!(v2.is_empty(), "recycled scratch is cleared");
         assert_eq!(v2.capacity(), cap, "recycled scratch keeps its allocation");
     }

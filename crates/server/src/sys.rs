@@ -22,8 +22,8 @@
 //! it, the same loopback suite exercises both backends.
 //!
 //! Each [`Poller`] also owns a [`Waker`] — a `pipe(2)` whose read end
-//! sits in the interest set — so processor threads can interrupt a
-//! blocked `wait` the moment they enqueue work for a shard, instead of
+//! sits in the interest set — so another thread can interrupt a
+//! blocked `wait` the moment it posts a notice to a shard, instead of
 //! the shard discovering it a poll-timeout later. Waker readiness is
 //! absorbed inside [`Poller::wait`]; callers only ever see socket
 //! events.
@@ -81,16 +81,16 @@ pub type OsFd = std::os::fd::RawFd;
 #[cfg(not(unix))]
 pub type OsFd = i32;
 
-/// The raw fd of a socket, for registration.
+/// The raw fd of a socket or listener, for registration.
 #[cfg(unix)]
-pub fn fd_of(stream: &std::net::TcpStream) -> OsFd {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
+pub fn fd_of(socket: &impl std::os::fd::AsRawFd) -> OsFd {
+    socket.as_raw_fd()
 }
 
-/// The raw fd of a socket, for registration (placeholder off-Unix).
+/// The raw fd of a socket or listener, for registration (placeholder
+/// off-Unix).
 #[cfg(not(unix))]
-pub fn fd_of(_stream: &std::net::TcpStream) -> OsFd {
+pub fn fd_of<S>(_socket: &S) -> OsFd {
     0
 }
 

@@ -65,7 +65,7 @@ pub mod metrics_format {
 pub mod error_code {
     /// Malformed or unexpected frame.
     pub const PROTOCOL: u16 = 1;
-    /// All farm channels are occupied by live sessions.
+    /// All `max_sessions` channels are held by live chain sessions.
     pub const SERVER_FULL: u16 = 2;
     /// The Configure frame was rejected (bad preset/policy/config).
     pub const BAD_CONFIG: u16 = 3;
@@ -461,10 +461,10 @@ impl ChainPlan {
 /// Per-session quality-of-service profile, negotiated at Configure
 /// time. `Throughput` is the historical behaviour (fill buffers, let
 /// batches queue); `Latency` bounds the end-to-end sample-in → IQ-out
-/// delay: the session chunks farm submissions so no batch holds more
-/// than the budget's worth of input, acks carry queue-wait/service
-/// timing, and the readiness loop flushes on deadline instead of
-/// waiting for buffers to fill. `Latency` is valid on chain plans
+/// delay: the server runs the session's batches in slices of a
+/// quarter-budget's worth of input, writes each ack as soon as its
+/// batch completes, and annotates acks with queue-wait/service timing.
+/// `Latency` is valid on chain plans
 /// only; the server refuses it on channelizer ingest and subscriber
 /// plans (`BAD_CONFIG`) rather than accept a bound it cannot enforce.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -605,9 +605,10 @@ pub const IQ_TRACE_TAG: u8 = 2;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IqTiming {
     /// Nanoseconds the batch sat in the session's input queue between
-    /// arrival and the farm starting on it.
+    /// arrival and its first DSP slice.
     pub queue_wait_ns: u64,
-    /// Nanoseconds the farm spent processing the batch.
+    /// Nanoseconds from its first DSP slice to its ack, including any
+    /// turns the shard gave other sessions in between.
     pub service_ns: u64,
 }
 
@@ -615,7 +616,8 @@ pub struct IqTiming {
 /// Stats request; also sent once before Shutdown as the final word).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsReport {
-    /// Farm channel the session is bound to.
+    /// The session's channel: its session id for a chain session, the
+    /// bank channel for a subscriber, 0 otherwise.
     pub channel: u32,
     /// Samples batches accepted into the queue.
     pub batches_accepted: u64,
@@ -629,13 +631,14 @@ pub struct StatsReport {
     pub queue_len: u32,
     /// High-water mark of the input queue depth.
     pub queue_hwm: u32,
-    /// Nanoseconds the farm spent processing this channel.
+    /// Nanoseconds the session's chain spent processing.
     pub busy_ns: u64,
-    /// Farm-wide jobs completed across all channels.
+    /// DSP jobs (slices) completed across all chain sessions.
     pub farm_jobs_completed: u64,
-    /// Farm-wide jobs taken off another worker's queue.
+    /// Always 0: the server runs no work-stealing pool (the field
+    /// keeps the frame layout).
     pub farm_steals: u64,
-    /// Farm-wide orphaned jobs reclaimed after worker exit.
+    /// Always 0, for the same reason.
     pub farm_orphans_reclaimed: u64,
 }
 
@@ -1458,7 +1461,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
 /// Fletcher-32 verification into that same copy pass — the payload is
 /// walked exactly once, against twice for
 /// [`decode_payload`]-into-`Vec` (checksum pass, then parse/copy
-/// pass). `out` is typically a session's reusable farm-input scratch
+/// pass). `out` is typically a session's reusable sample scratch
 /// buffer, so the bytes go from the connection read buffer to the DSP
 /// input with no intermediate `Vec`.
 ///

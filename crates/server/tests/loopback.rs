@@ -796,3 +796,74 @@ fn stats_requests_track_progress_midstream() {
     let _ = client.send(&Frame::Shutdown);
     assert!(server.shutdown(Duration::from_secs(5)));
 }
+
+#[test]
+fn a_latency_batch_overtakes_a_bulk_batch_on_the_same_shard() {
+    use ddc_server::wire::{QosProfile, MAX_PAYLOAD};
+    use std::time::Instant;
+    // One shard: both sessions share one readiness loop, so only the
+    // slicing of the bulk batch lets the latency batch through early.
+    let server = serve(
+        "127.0.0.1:0",
+        ServerConfig {
+            io_shards: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut bulk = Client::connect(addr, "bulk").expect("connect");
+    bulk.configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
+        .expect("configure bulk");
+    let mut paced = Client::connect(addr, "paced")
+        .expect("connect")
+        .with_qos(QosProfile::Latency { budget_us: 1000 });
+    paced
+        .configure(ConfigPreset::Drm, 15e6, Backpressure::Block, 8)
+        .expect("configure latency");
+
+    // About 1 M samples: nearly the largest Samples frame allowed.
+    let big = stimulus(MAX_PAYLOAD as usize / 4 - 1024, 61);
+    let small = stimulus(2688 * 4, 62);
+    let (mut bulk_tx, mut bulk_rx) = bulk.split();
+    bulk_tx.send_samples(0, &big).expect("send bulk");
+    bulk_tx.send(&Frame::StatsRequest).expect("stats request");
+    // The server answers the StatsRequest when it parses it, right
+    // behind the bulk batch: from this report on, that batch is queued
+    // or running.
+    match bulk_rx.recv().expect("stats") {
+        Frame::StatsReport(r) => assert_eq!(r.batches_accepted, 1),
+        other => panic!("expected StatsReport, got {other:?}"),
+    }
+    let bulk_ack = std::thread::spawn(move || {
+        let frame = bulk_rx.recv().expect("bulk ack");
+        (Instant::now(), frame, bulk_rx)
+    });
+    paced.send_samples(0, &small).expect("send latency batch");
+    let paced_frame = paced.recv().expect("latency ack");
+    let paced_at = Instant::now();
+    let (bulk_at, bulk_frame, _bulk_rx) = bulk_ack.join().expect("bulk receiver");
+    assert!(
+        paced_at < bulk_at,
+        "the latency ack waited for the whole bulk batch"
+    );
+
+    let expect = |tune: f64, input: &[i32]| -> Vec<(i64, i64)> {
+        let mut solo = FixedDdc::new(ddc_core::DdcConfig::drm(tune));
+        solo.process_block(input)
+            .into_iter()
+            .map(|z| (z.i, z.q))
+            .collect()
+    };
+    match paced_frame {
+        Frame::Iq(iq) => assert_eq!(iq.pairs, expect(15e6, &small), "latency output"),
+        other => panic!("expected Iq, got {other:?}"),
+    }
+    match bulk_frame {
+        Frame::Iq(iq) => assert_eq!(iq.pairs, expect(10e6, &big), "bulk output"),
+        other => panic!("expected Iq, got {other:?}"),
+    }
+    let _ = bulk_tx.send(&Frame::Shutdown);
+    let _ = paced.send(&Frame::Shutdown);
+    assert!(server.shutdown(Duration::from_secs(5)));
+}

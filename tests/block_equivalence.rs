@@ -100,7 +100,6 @@ proptest! {
         for sel in [
             FirKernelSel::Generic,
             FirKernelSel::Flat,
-            FirKernelSel::Poly,
             FirKernelSel::Sym,
             FirKernelSel::Simd,
         ] {
