@@ -1,11 +1,10 @@
 //! Criterion benches for the full DDC chains: how many simulated
-//! MSPS the host sustains for the reference, bit-true, threaded and
+//! MSPS the host sustains for the reference, bit-true and
 //! multi-channel variants.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ddc_core::engine::DdcFarm;
 use ddc_core::params::DdcConfig;
-use ddc_core::pipeline::run_pipelined;
 use ddc_core::{FixedDdc, ReferenceDdc};
 use ddc_dsp::signal::{adc_quantize, SampleSource, Tone};
 use std::hint::black_box;
@@ -33,10 +32,6 @@ fn bench_chains(c: &mut Criterion) {
     g.bench_function("fixed_12bit_with_probes", |b| {
         let mut ddc = FixedDdc::new(DdcConfig::drm(10e6)).with_activity();
         b.iter(|| black_box(ddc.process_block(&adc12).len()))
-    });
-    g.bench_function("pipelined_two_threads", |b| {
-        let cfg = DdcConfig::drm(10e6);
-        b.iter(|| black_box(run_pipelined(&cfg, &adc12, 256).len()))
     });
     g.finish();
 }

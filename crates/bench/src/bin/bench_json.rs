@@ -21,7 +21,6 @@ use ddc_core::frontend::FusedFrontEnd;
 use ddc_core::mixer::FixedMixer;
 use ddc_core::nco::{CosSin, LutNco};
 use ddc_core::params::DdcConfig;
-use ddc_core::pipeline::run_pipelined;
 use ddc_core::spec::{ChainSpec, DRM_TOTAL_DECIMATION};
 use ddc_core::{chain_metrics_for, MetricsHandle};
 use ddc_dsp::firdes::quantize_taps;
@@ -438,11 +437,6 @@ fn main() {
         });
     }
 
-    // --- Two-thread pipelined chain (block kernels both ends) -----
-    let pipelined_msps = measure(n, || {
-        black_box(run_pipelined(&cfg, &adc, 4096).len());
-    }) / 1e6;
-
     // --- Multi-channel farm: channels × cores scaling curve --------
     // Aggregate throughput = (channels × input samples) per wall-clock
     // second: on a many-core host it should grow with the channel
@@ -756,10 +750,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"pipelined_two_thread_msps\": {:.2},\n",
-        pipelined_msps
-    ));
     json.push_str("  \"engine_scaling\": {\n");
     json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
     json.push_str("    \"points\": [\n");
@@ -810,7 +800,6 @@ fn main() {
             ),
         }
     }
-    println!("pipelined (2 threads)  {pipelined_msps:>24.2} Ms/s");
     println!("farm scaling ({host_cores} host cores):");
     for p in &scaling {
         println!(

@@ -425,8 +425,8 @@ fn comb2_output(a1: i64, d0: &mut i64, d1: &mut i64, w: u32, out_shift: u32, out
 }
 
 /// A self-contained fused front end: owns the NCO, mixer and the two
-/// CIC1 rails, so pipeline threads and benchmarks can run the fused
-/// kernel without assembling the pieces themselves.
+/// CIC1 rails, so benchmarks can run the fused kernel without
+/// assembling the pieces themselves.
 #[derive(Clone, Debug)]
 pub struct FusedFrontEnd {
     nco: LutNco,

@@ -34,10 +34,10 @@
 //! * [`frontend`] — the fused NCO→mixer→CIC1 single-pass kernel that
 //!   serves the input-rate part of the chain.
 //! * [`engine`] — [`engine::DdcFarm`], the persistent multi-channel
-//!   execution engine (worker pool, bounded queues, work stealing).
+//!   engine: a work-stealing batch pool over every channel, plus
+//!   inline single-channel runs.
 //! * [`activity`] — per-stage switching-activity and operation-count
 //!   instrumentation feeding the power models.
-//! * [`pipeline`] — multi-threaded block pipeline for fast simulation.
 //! * [`pruned`] — a Hogenauer register-pruned CIC (area/noise study).
 //! * [`duc`] — the transmit-side dual (up-converter) for loopback tests.
 
@@ -59,14 +59,13 @@ pub mod frontend;
 pub mod mixer;
 pub mod nco;
 pub mod params;
-pub mod pipeline;
 pub mod pruned;
 pub mod spec;
 
 pub use chain::{chain_metrics_for, FixedDdc, ReferenceDdc};
 pub use channelizer::{ChannelBackend, Channelizer, ChannelizerFarm, ChannelizerMetrics};
 pub use ddc_obs::{ChainMetrics, MetricsHandle, MetricsSnapshot};
-pub use engine::{DdcFarm, FarmMetrics, FarmTotals};
+pub use engine::DdcFarm;
 pub use frontend::FusedFrontEnd;
 pub use params::{DdcConfig, FixedFormat};
 pub use spec::{ChainSpec, ChannelizerSpec, SpecError, SpecNote, SpecNoteKind, StageSpec};

@@ -2,14 +2,13 @@
 //!
 //! Aggregate counters (the [`crate::MetricsHandle`] world) answer "how
 //! much"; this module answers "which batch, where, when". A
-//! [`TraceSink`] owns a set of [`SpanRing`]s — the same seqlock ring
-//! idiom as [`crate::EventRing`], widened to carry 64-bit trace and
-//! span IDs — plus an interned span-name table built at configure
-//! time. Recording a span is a handful of atomic stores: no locks, no
-//! heap allocation, never blocks. A [`TraceHandle`] gates recording
-//! exactly like `MetricsHandle` gates metrics: disabled is a single
-//! branch on an always-`None` option, and the DSP results are
-//! bit-exact either way because tracing only *observes*.
+//! [`TraceSink`] owns a set of [`SpanRing`]s plus an interned span-name
+//! table built at configure time. Recording a span is a handful of
+//! atomic operations: no locks, no heap allocation, never blocks. A
+//! [`TraceHandle`] gates recording exactly like `MetricsHandle` gates
+//! metrics: disabled is a single branch on an always-`None` option, and
+//! the DSP results are bit-exact either way because tracing only
+//! *observes*.
 //!
 //! Span events come in three kinds — `begin`, `end`, `instant` — with
 //! timestamps measured from the sink's shared origin instant, so rings
@@ -18,6 +17,39 @@
 //! ID (orphans from ring overwrite are dropped, never emitted
 //! unbalanced) and renders Chrome trace-event JSON objects that
 //! Perfetto loads directly.
+//!
+//! # The ring's claim/complete protocol
+//!
+//! A [`SpanRing`] is a power-of-two array of five-word slots: a stamp
+//! and four payload words. Any number of threads may push; one thread
+//! drains. A push takes sequence `s` with one `fetch_add` on `head`,
+//! then claims slot `s mod cap` with a compare-exchange on its stamp,
+//! only from an even stamp below `2s+1`. It writes the payload and
+//! publishes by storing `2s+2`. So a slot's stamp only grows, and one
+//! writer owns a slot at a time. A writer that finds the slot owned
+//! (odd stamp) or holding a newer sequence loses the claim and
+//! publishes nothing. Every push, published or not, then bumps the
+//! ring's completion counter, which [`SpanRing::produced`] reports.
+//!
+//! A drain walks the sequences from its cursor up to `head`, and counts
+//! each one either delivered or dropped:
+//! - a slot stamped exactly `2s+2` is copied and kept if the stamp
+//!   reads the same afterwards; a copy torn by a later writer is
+//!   dropped;
+//! - a slot stamped higher was overwritten: dropped;
+//! - a slot stamped lower is not published yet, so the drain stops
+//!   there, unless the completion counter (read before `head`) equalled
+//!   `head`: then every claimed push had finished, its writer lost the
+//!   claim, and it is dropped;
+//! - sequences more than a ring's worth behind `head` are dropped at
+//!   once.
+//!
+//! Once the writers are quiet, one drain therefore ends with the
+//! delivered and dropped counts summing to the produced count. Slots
+//! start all-zero (stamp 0 is claimable by every sequence), so an idle
+//! ring commits no memory until it is written. Everything is an
+//! `AtomicU64`: there is no `unsafe`, and a racing copy can at worst be
+//! torn, which the stamp re-check rejects.
 
 use std::collections::HashMap;
 use std::sync::atomic::{
@@ -89,14 +121,22 @@ impl Slot {
     }
 }
 
-/// Bounded, drop-counted ring of [`SpanEvent`]s. Same seqlock stamp
-/// protocol as [`crate::EventRing`]: writers never block and never
-/// allocate, a slow reader loses the oldest spans and the loss is
-/// counted, and torn reads are rejected by stamp re-validation.
+/// Bounded, drop-counted ring of [`SpanEvent`]s that any number of
+/// threads may write and one thread drains (the claim/complete protocol
+/// in the module docs): writers never block and never allocate, a slow
+/// reader loses the oldest spans and the loss is counted, and torn
+/// reads are rejected by stamp re-validation.
 #[derive(Debug)]
 pub struct SpanRing {
     slots: Box<[Slot]>,
+    /// Sequence numbers claimed by writers.
     head: AtomicU64,
+    /// Pushes finished, whether they published or lost the claim.
+    /// Bumped with `Release` after the push's last stamp store, so a
+    /// drain that reads it with `Acquire` sees every counted push's
+    /// final stamp.
+    completed: AtomicU64,
+    /// Next sequence number to drain (single consumer).
     cursor: AtomicU64,
     dropped: AtomicU64,
     origin: Instant,
@@ -117,6 +157,7 @@ impl SpanRing {
         Self {
             slots: slots.into_boxed_slice(),
             head: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
             cursor: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             origin,
@@ -128,12 +169,13 @@ impl SpanRing {
         self.slots.len()
     }
 
-    /// Total span events ever pushed.
+    /// Total pushes finished, published or lost.
     pub fn produced(&self) -> u64 {
-        self.head.load(Relaxed)
+        self.completed.load(Relaxed)
     }
 
-    /// Total span events lost to overwrite, as counted by drains.
+    /// Total span events lost to overwrite or a lost claim, as counted
+    /// by drains.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Relaxed)
     }
@@ -151,17 +193,41 @@ impl SpanRing {
 
     /// Records a span event at an explicit timestamp. Never blocks,
     /// never allocates; overwrites the oldest undrained event when the
-    /// ring is full.
+    /// ring is full, and records nothing (a counted drop) when another
+    /// writer holds the slot or has already published a newer event in
+    /// it.
     #[inline]
     pub fn push_at(&self, t_ns: u64, trace_id: u64, span_id: u64, kind: u8, name: u16, track: u32) {
         let seq = self.head.fetch_add(1, Relaxed);
         let slot = &self.slots[(seq as usize) & (self.slots.len() - 1)];
-        slot.stamp.store(2 * seq + 1, SeqCst);
-        slot.t_ns.store(t_ns, Release);
-        slot.trace_id.store(trace_id, Release);
-        slot.span_id.store(span_id, Release);
-        slot.meta.store(pack_meta(kind, name, track), Release);
-        slot.stamp.store(2 * seq + 2, SeqCst);
+        let writing = 2 * seq + 1;
+        let mut stamp = slot.stamp.load(SeqCst);
+        // Claim only from a published (even) stamp older than ours.
+        while stamp & 1 == 0 && stamp < writing {
+            match slot
+                .stamp
+                .compare_exchange_weak(stamp, writing, SeqCst, SeqCst)
+            {
+                Ok(_) => {
+                    #[cfg(test)]
+                    tests::in_claim_window();
+                    slot.t_ns.store(t_ns, Release);
+                    slot.trace_id.store(trace_id, Release);
+                    slot.span_id.store(span_id, Release);
+                    slot.meta.store(pack_meta(kind, name, track), Release);
+                    // Release pairs with the drain's stamp load: a drain
+                    // that reads `writing + 1` sees this payload. If its
+                    // copy picks up a later writer's payload instead,
+                    // that writer's claim happened before it, so the
+                    // drain's stamp re-check sees the claim and rejects
+                    // the copy.
+                    slot.stamp.store(writing + 1, Release);
+                    break;
+                }
+                Err(now) => stamp = now,
+            }
+        }
+        self.completed.fetch_add(1, Release);
     }
 
     /// Records a span event stamped "now".
@@ -172,9 +238,15 @@ impl SpanRing {
 
     /// Drains every published span since the last drain into `out`, in
     /// sequence order; returns how many spans were newly detected as
-    /// dropped. Single-consumer, like [`crate::EventRing::drain_into`].
+    /// dropped. Single-consumer: concurrent drains of one ring race on
+    /// the cursor and would double-deliver.
     pub fn drain_into(&self, out: &mut Vec<SpanEvent>) -> u64 {
+        // Completions first: if they still equal the claims read after
+        // them, every claimed push had finished, so a slot stamped
+        // below its sequence lost its claim rather than being mid-push.
+        let completed = self.completed.load(Acquire);
         let head = self.head.load(Acquire);
+        let quiet = completed == head;
         let cap = self.slots.len() as u64;
         let mut cursor = self.cursor.load(Relaxed);
         let mut newly_dropped = 0u64;
@@ -189,10 +261,10 @@ impl SpanRing {
             let slot = &self.slots[(cursor as usize) & (self.slots.len() - 1)];
             let want = 2 * cursor + 2;
             let s1 = slot.stamp.load(SeqCst);
-            if s1 < want {
+            if s1 < want && !quiet {
                 break;
             }
-            if s1 > want {
+            if s1 != want {
                 newly_dropped += 1;
                 cursor += 1;
                 continue;
@@ -595,6 +667,79 @@ pub fn render_chrome_events(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cell::RefCell;
+    use std::sync::mpsc;
+
+    type Hook = Box<dyn FnMut()>;
+
+    thread_local! {
+        /// Runs on this thread between a span writer claiming its slot
+        /// and publishing it.
+        static CLAIM_WINDOW: RefCell<Option<Hook>> = const { RefCell::new(None) };
+    }
+
+    /// The test seam [`SpanRing::push_at`] calls.
+    pub(super) fn in_claim_window() {
+        CLAIM_WINDOW.with(|h| {
+            if let Some(f) = h.borrow_mut().as_mut() {
+                f();
+            }
+        });
+    }
+
+    /// Pushes the span whose every word derives from `a`.
+    fn push_tagged(ring: &SpanRing, a: u64) {
+        ring.push_at(a, a ^ 0x5aa5, !a, span_kind::INSTANT, a as u16, 0);
+    }
+
+    fn is_tagged(ev: &SpanEvent) -> bool {
+        let a = ev.t_ns;
+        (ev.trace_id, ev.span_id, ev.kind, ev.name)
+            == (a ^ 0x5aa5, !a, span_kind::INSTANT, a as u16)
+    }
+
+    /// Writer A parks between claiming slot 0 and publishing it while
+    /// writer B laps the ring three times. B's pushes that land on A's
+    /// slot lose the claim instead of writing under A, and once both
+    /// are done one drain accounts for every push with no torn span.
+    #[test]
+    fn writer_parked_mid_push_while_another_laps_is_accounted_exactly() {
+        const CAP: u64 = 8;
+        let ring = Arc::new(SpanRing::new(CAP as usize));
+        let (parked_tx, parked_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let writer_a = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                CLAIM_WINDOW.with(|h| {
+                    *h.borrow_mut() = Some(Box::new(move || {
+                        parked_tx.send(()).unwrap();
+                        release_rx.recv().unwrap();
+                    }))
+                });
+                push_tagged(&ring, 0);
+            })
+        };
+        parked_rx.recv().unwrap();
+        for a in 1..=3 * CAP {
+            push_tagged(&ring, a);
+        }
+        release_tx.send(()).unwrap();
+        writer_a.join().unwrap();
+
+        let mut out = Vec::new();
+        let dropped = ring.drain_into(&mut out);
+        assert_eq!(ring.produced(), 3 * CAP + 1);
+        assert_eq!(
+            out.len() as u64 + dropped,
+            ring.produced(),
+            "delivered + dropped must equal produced"
+        );
+        assert!(out.iter().all(is_tagged), "torn span in {out:?}");
+        // The newest lap survives except the push that met A's claim.
+        let seqs: Vec<u64> = out.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (2 * CAP + 1..3 * CAP).collect::<Vec<_>>());
+    }
 
     #[test]
     fn span_events_roundtrip_through_ring() {

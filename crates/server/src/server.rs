@@ -32,9 +32,9 @@
 
 use crate::queue::{BoundedQueue, Push};
 use crate::session::{
-    frame_name, server_hello, Bank, Batch, ChainObs, Conn, EndKind, FlushState, InFlight,
-    MetricsSource, Notice, Reader, Role, Session, SessionObs, SessionState, ShardMailbox, OUT_HWM,
-    READ_BUDGET, READ_CHUNK,
+    frame_name, server_hello, Bank, Batch, ChainObs, Conn, EndKind, FlushState, InFlight, Notice,
+    Reader, Role, Session, SessionObs, SessionState, ShardMailbox, OUT_HWM, READ_BUDGET,
+    READ_CHUNK,
 };
 use crate::sys::{fd_of, Interest, Poller};
 use crate::wire::{
@@ -44,9 +44,7 @@ use crate::wire::{
 };
 use ddc_core::mixer::Iq;
 use ddc_core::{chain_metrics_for, ChannelizerFarm, FixedDdc};
-use ddc_obs::{
-    kind, Counter, EventRing, MetricsHandle, MetricsSnapshot, SpanEvent, TraceHandle, TraceSink,
-};
+use ddc_obs::{Counter, MetricsHandle, MetricsSnapshot, SpanEvent, TraceHandle, TraceSink};
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -148,8 +146,6 @@ struct ServerState {
     /// by its ingest session and removed by that session's drain
     /// epilogue.
     banks: Mutex<HashMap<String, Arc<Bank>>>,
-    /// Server lifecycle events (session open/close).
-    events: EventRing,
     /// Live (registered, not yet closed) connections, with a condvar
     /// so shutdown can wait for the drain instead of polling joins.
     active: Mutex<usize>,
@@ -175,13 +171,11 @@ impl ServerState {
         let mut reg = self.session_obs.lock().unwrap();
         reg.retain(|(_, w)| w.strong_count() > 0);
         reg.push((id, Arc::downgrade(obs)));
-        self.events.push(kind::SESSION_OPEN, id, 0);
         *self.active.lock().unwrap() += 1;
     }
 
     fn unregister_session(&self, id: u64) {
         self.session_obs.lock().unwrap().retain(|(k, _)| *k != id);
-        self.events.push(kind::SESSION_CLOSE, id, 0);
         let mut g = self.active.lock().unwrap();
         *g = g.saturating_sub(1);
         self.active_cv.notify_all();
@@ -195,9 +189,7 @@ impl ServerState {
             banks.remove(&bank.name);
         }
     }
-}
 
-impl MetricsSource for ServerState {
     /// One coherent snapshot across every layer: server-level gauges,
     /// each bank's metrics, then each live session's codec and queue
     /// telemetry and, for chain sessions, the per-channel and
@@ -221,8 +213,6 @@ impl MetricsSource for ServerState {
             "ddc_server_accept_failures_total",
             self.accept_failures.get(),
         );
-        snap.push_counter("ddc_server_events_produced_total", self.events.produced());
-        snap.push_counter("ddc_server_events_dropped_total", self.events.dropped());
         // Channelizer banks, each under its own bank="name" label so
         // concurrently live banks never collide in one scrape.
         let banks: Vec<Arc<Bank>> = self.banks.lock().unwrap().values().cloned().collect();
@@ -276,8 +266,7 @@ impl MetricsSource for ServerState {
             // A chain session's DSP families, labelled with its channel
             // number (the session id, as its StatsReport reports it).
             if let Some(c) = obs.chain.get() {
-                c.stats()
-                    .push_metrics(&mut snap, id, Some(&c.metrics), &c.kernels);
+                c.push_metrics(&mut snap, id);
             }
         }
         snap
@@ -328,7 +317,6 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
         accept_failures: Counter::default(),
         session_obs: Mutex::new(Vec::new()),
         banks: Mutex::new(HashMap::new()),
-        events: EventRing::new(256),
         active: Mutex::new(0),
         active_cv: Condvar::new(),
     });
@@ -1506,7 +1494,7 @@ impl ServerHandle {
     /// The same telemetry snapshot a [`Frame::MetricsRequest`] gets —
     /// server, bank and live-session metrics in one coherent view.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        MetricsSource::metrics_snapshot(&*self.state)
+        self.state.metrics_snapshot()
     }
 
     /// Graceful shutdown: stop accepting, drain every live session

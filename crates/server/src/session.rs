@@ -27,7 +27,6 @@ use crate::wire::{
     feature, Backpressure, Frame, FrameBuf, FrameHeader, Hello, IqTiming, HEADER_LEN, MAX_PAYLOAD,
     VERSION,
 };
-use ddc_core::engine::ChannelStats;
 use ddc_core::mixer::Iq;
 use ddc_core::{ChannelizerFarm, ChannelizerMetrics, FixedDdc};
 use ddc_obs::{ChainMetrics, Counter, LogHistogram, MetricsSnapshot};
@@ -36,7 +35,7 @@ use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Bytes read from the socket per `read` call while pumping a session.
 /// Sized so a full DRM-scale Samples frame (tens of KiB) lands in one
@@ -115,22 +114,55 @@ pub struct ChainObs {
 }
 
 impl ChainObs {
-    /// The flow counters as the farm reports a channel's.
-    pub fn stats(&self) -> ChannelStats {
-        ChannelStats {
-            batches: self.jobs.get(),
-            samples_in: self.samples_in.get(),
-            outputs: self.outputs.get(),
-            busy: Duration::from_nanos(self.busy_ns.get()),
+    /// Exports this chain under `channel="ch"`: its lifetime flow
+    /// counters, the kernel each stage resolved to, and its whole-chain
+    /// and per-stage families.
+    pub fn push_metrics(&self, snap: &mut MetricsSnapshot, ch: u64) {
+        let lbl = format!("{{channel=\"{ch}\"}}");
+        snap.push_counter(format!("ddc_channel_batches_total{lbl}"), self.jobs.get());
+        snap.push_counter(
+            format!("ddc_channel_samples_in_total{lbl}"),
+            self.samples_in.get(),
+        );
+        snap.push_counter(
+            format!("ddc_channel_outputs_total{lbl}"),
+            self.outputs.get(),
+        );
+        snap.push_counter(
+            format!("ddc_channel_busy_ns_total{lbl}"),
+            self.busy_ns.get(),
+        );
+        // Which specialised kernel each stage resolved to — a static
+        // info gauge (constant 1) in the Prometheus `build_info` idiom.
+        // Resolution happened at chain construction; reading the label
+        // here costs nothing on the processing path.
+        for (stage, kernel) in &self.kernels {
+            snap.push_counter(
+                format!("ddc_stage_kernel_info{{channel=\"{ch}\",stage=\"{stage}\",kernel=\"{kernel}\"}}"),
+                1,
+            );
+        }
+        snap.push_hist(
+            format!("ddc_chain_latency_ns{lbl}"),
+            self.metrics.chain.latency_ns.snapshot(),
+        );
+        for sm in &self.metrics.stages {
+            let slbl = format!("{{channel=\"{ch}\",stage=\"{}\"}}", sm.name);
+            snap.push_counter(format!("ddc_stage_blocks_total{slbl}"), sm.blocks.get());
+            snap.push_counter(
+                format!("ddc_stage_samples_in_total{slbl}"),
+                sm.samples_in.get(),
+            );
+            snap.push_counter(
+                format!("ddc_stage_samples_out_total{slbl}"),
+                sm.samples_out.get(),
+            );
+            snap.push_hist(
+                format!("ddc_stage_latency_ns{slbl}"),
+                sm.latency_ns.snapshot(),
+            );
         }
     }
-}
-
-/// Anything that can render a point-in-time telemetry snapshot — the
-/// server implements this over its session registry; tests can stub it.
-pub trait MetricsSource: Sync {
-    /// Builds the current snapshot.
-    fn metrics_snapshot(&self) -> MetricsSnapshot;
 }
 
 /// Where a session is in its protocol lifecycle.
@@ -789,5 +821,56 @@ mod tests {
         let v2 = pool.take();
         assert!(v2.is_empty(), "recycled scratch is cleared");
         assert_eq!(v2.capacity(), cap, "recycled scratch keeps its allocation");
+    }
+
+    /// A chain session's export carries its flow counters, per-stage
+    /// counters under the spec's stage labels, and the kernel each
+    /// stage resolved to.
+    #[test]
+    fn chain_obs_exports_flow_stage_and_kernel_families() {
+        use ddc_core::{chain_metrics_for, ChainSpec, DdcConfig};
+        use ddc_obs::MetricsHandle;
+
+        let spec: ChainSpec = DdcConfig::drm(10e6).into();
+        let metrics = Arc::new(chain_metrics_for(&spec));
+        let mut ddc =
+            FixedDdc::from_spec(spec).with_metrics(MetricsHandle::enabled(Arc::clone(&metrics)));
+        let obs = ChainObs {
+            jobs: Counter::default(),
+            samples_in: Counter::default(),
+            outputs: Counter::default(),
+            busy_ns: Counter::default(),
+            metrics,
+            kernels: ddc.stage_kernels(),
+        };
+        let block: Vec<i32> = (0..2688 * 2).map(|k| (k * 37) % 4095 - 2047).collect();
+        let mut out = Vec::new();
+        for _ in 0..3 {
+            ddc.process_into(&block, &mut out);
+            obs.jobs.inc();
+            obs.samples_in.add(block.len() as u64);
+        }
+        let mut snap = MetricsSnapshot::new();
+        obs.push_metrics(&mut snap, 7);
+        assert_eq!(
+            snap.counter("ddc_channel_batches_total{channel=\"7\"}"),
+            Some(3)
+        );
+        assert_eq!(
+            snap.counter("ddc_stage_samples_in_total{channel=\"7\",stage=\"cic2r16\"}"),
+            Some(3 * block.len() as u64)
+        );
+        let lat = snap
+            .histogram("ddc_stage_latency_ns{channel=\"7\",stage=\"fir125r8\"}")
+            .expect("stage latency exported");
+        assert_eq!(lat.count, 3);
+        // The DRM FIR never runs the generic fallback.
+        let (name, v) = snap
+            .counters
+            .iter()
+            .find(|(n, _)| n.starts_with("ddc_stage_kernel_info{channel=\"7\",stage=\"fir125r8\""))
+            .expect("FIR kernel info exported");
+        assert_eq!(*v, 1);
+        assert!(!name.contains("kernel=\"generic\""), "{name}");
     }
 }

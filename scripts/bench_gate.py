@@ -51,13 +51,6 @@ def stages_of(doc):
     stages = {}
     for entry in doc.get("stages", []):
         stages[entry["stage"]] = entry
-    # The pipelined chain is a scalar key, not a stage entry; fold it in
-    # so it is gated like everything else.
-    if "pipelined_two_thread_msps" in doc:
-        stages["pipelined_two_thread"] = {
-            "stage": "pipelined_two_thread",
-            "block_msps": doc["pipelined_two_thread_msps"],
-        }
     return stages
 
 
@@ -431,12 +424,6 @@ def self_test():
     lone = doc(channelizer_n8={"block_msps": 40.0, "per_channel_cost_ns": 3.1})
     code, out, err = gate(lone, lone)
     check("lone channelizer stage has no curve to fail", code == 0)
-
-    # 11. the pipelined scalar key is folded in as a stage
-    base_scalar = {"stages": [], "pipelined_two_thread_msps": 50.0}
-    fresh_scalar = {"stages": [], "pipelined_two_thread_msps": 10.0}
-    code, out, err = gate(base_scalar, fresh_scalar)
-    check("pipelined scalar key is gated", code == 1)
 
     bad = [label for label, cond in checks if not cond]
     if bad:

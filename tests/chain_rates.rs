@@ -2,7 +2,6 @@
 //! every implementation of the chain.
 
 use ddc_suite::arch_montium::mapping::run_ddc as run_montium;
-use ddc_suite::core::pipeline::run_pipelined;
 use ddc_suite::core::{DdcConfig, FixedDdc, ReferenceDdc};
 use ddc_suite::dsp::signal::{adc_quantize, SampleSource, WhiteNoise};
 
@@ -22,9 +21,6 @@ fn every_implementation_produces_one_output_per_2688_inputs() {
 
     let mut fixed = FixedDdc::new(DdcConfig::drm(10e6));
     assert_eq!(fixed.process_block(&adc_quantize(&sig, 12)).len(), BLOCKS);
-
-    let piped = run_pipelined(&DdcConfig::drm(10e6), &adc_quantize(&sig, 12), 32);
-    assert_eq!(piped.len(), BLOCKS);
 
     let montium = run_montium(DdcConfig::drm_montium(10e6), &adc_quantize(&sig, 16), 0);
     assert_eq!(montium.outputs.len(), BLOCKS);

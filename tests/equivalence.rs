@@ -2,7 +2,7 @@
 //!
 //! The Montium tile simulator must match the 16-bit fixed chain
 //! bit-for-bit; the GPP assembly must match its golden integer model
-//! bit-for-bit; the threaded pipeline must match the sequential chain
+//! bit-for-bit; the multi-channel farm must match the sequential chain
 //! bit-for-bit; and every bit-true path must track the floating-point
 //! reference within its quantization budget.
 
@@ -10,7 +10,6 @@ use ddc_suite::arch_gpp::golden::{drm_coefficients, GppDdc};
 use ddc_suite::arch_gpp::programs::{optimized, run_ddc as run_gpp, unoptimized};
 use ddc_suite::arch_montium::mapping::run_ddc as run_montium;
 use ddc_suite::core::nco::tuning_word;
-use ddc_suite::core::pipeline::run_pipelined;
 use ddc_suite::core::{DdcConfig, DdcFarm, FixedDdc, ReferenceDdc};
 use ddc_suite::dsp::signal::{adc_quantize, Mix, SampleSource, Tone, WhiteNoise};
 use ddc_suite::dsp::stats::ser_db;
@@ -56,13 +55,9 @@ fn gpp_programs_equal_golden_model_bit_for_bit() {
 }
 
 #[test]
-fn pipeline_equals_sequential_bit_for_bit() {
+fn farm_equals_sequential_bit_for_bit() {
     let sig = stimulus(2688 * 7 + 531);
     let adc = adc_quantize(&sig, 12);
-    let cfg = DdcConfig::drm(F_TUNE);
-    let mut seq = FixedDdc::new(cfg.clone());
-    let expect = seq.process_block(&adc);
-    assert_eq!(run_pipelined(&cfg, &adc, 48), expect);
 
     // four farm channels at different tunings each match their
     // individually-run counterpart
