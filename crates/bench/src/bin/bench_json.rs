@@ -253,29 +253,19 @@ fn main() {
             block_msps: blk / 1e6,
             extra: Vec::new(),
         });
-        println!(
-            "fir_seq auto-selected kernel: {} (simd feature {})",
-            fir_b.kernel_label(),
-            if cfg!(feature = "simd") { "on" } else { "off" },
-        );
+        println!("fir_seq auto-selected kernel: {}", fir_b.kernel_label());
 
         // Kernel-layout shootout: the same filter, same stimulus, with
         // each block kernel forced, racing the layouts against each
         // other. `fir_seq_*` above stays the auto-selected winner; the
         // per-variant stages are block-only (the per-sample reference
-        // path is identical for every variant). The SIMD stage exists
-        // only under `--features simd`, so it must not enter the
-        // committed baseline (the gate treats baseline-only stages as
-        // failures). The polyphase layout is not raced by default: at
-        // the DRM filter's 125 taps / R=8 shape it never wins against
-        // flat or symmetric, so its stage was pure bench time — the
-        // kernel itself stays selectable (and property-tested) for the
-        // shapes where a phase-split layout does pay.
+        // path is identical for every variant). Forcing `Simd` on a CPU
+        // without AVX2 runs the scalar flat kernel, and the line printed
+        // below says so, so the stage set is the same on every host.
         let variants: &[(ddc_core::fir::FirKernelSel, &str)] = &[
             (ddc_core::fir::FirKernelSel::Generic, "fir_generic"),
             (ddc_core::fir::FirKernelSel::Flat, "fir_flat"),
             (ddc_core::fir::FirKernelSel::Sym, "fir_sym"),
-            #[cfg(feature = "simd")]
             (ddc_core::fir::FirKernelSel::Simd, "fir_simd"),
         ];
         for &(sel, prefix) in variants {

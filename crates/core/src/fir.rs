@@ -25,9 +25,10 @@
 //! * **sym** — linear-phase designs (`firdes` lowpass taps are
 //!   palindromes) fold `x[j] + x[N−1−j]` before the multiply, halving
 //!   the multiply count.
-//! * **simd** — with `--features simd` on x86_64, an AVX2
-//!   widening-multiply dot product (runtime-detected, with the scalar
-//!   flat kernel as fallback).
+//! * **simd** — on x86_64, an AVX2 widening-multiply dot product,
+//!   compiled into every build and selected when the CPU reports AVX2
+//!   at construction time; other CPUs and architectures run the scalar
+//!   kernels above.
 //!
 //! All specialised kernels require the construction-time **width
 //! audit**: `Σ|h| · max|x|` (computed in `i128`) must fit `acc_bits`.
@@ -209,7 +210,7 @@ pub enum FirKernelSel {
     Flat,
     /// Symmetric-coefficient folding (linear-phase taps only).
     Sym,
-    /// AVX2 widening dot (`--features simd`, runtime-detected).
+    /// AVX2 widening dot (x86_64, runtime-detected).
     Simd,
 }
 
@@ -221,7 +222,7 @@ enum KernelKind {
     FlatConst,
     Sym,
     SymConst,
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Simd,
 }
 
@@ -233,7 +234,7 @@ impl KernelKind {
             KernelKind::FlatConst => "flat_const",
             KernelKind::Sym => "sym",
             KernelKind::SymConst => "sym_const",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             KernelKind::Simd => "simd_avx2",
         }
     }
@@ -341,21 +342,21 @@ impl<const TAPS: usize, const DECIM: usize> FirKernel<TAPS, DECIM> {
     }
 }
 
-/// AVX2 widening dot product, compiled only with `--features simd` and
+/// AVX2 widening dot product, compiled into every x86_64 build and
 /// selected only when the CPU reports AVX2 at construction time.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
-    #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    /// Runtime CPU check gating kernel selection.
-    pub fn available() -> bool {
-        is_x86_feature_detected!("avx2")
-    }
-
-    /// Safe entry point; construction guarantees [`available`] held.
+    /// Safe entry point: construction selects it only when
+    /// `crate::avx2_detected` held.
     pub fn dot(rev: &[i32], w: &[i32]) -> i64 {
+        assert_eq!(rev.len(), w.len(), "window length mismatch");
+        // SAFETY: `resolve_kernel` returns this function only after
+        // `crate::avx2_detected()` held, so the CPU has AVX2, and with
+        // equal lengths every load of `dot_avx2` stays inside both
+        // slices.
         unsafe { dot_avx2(rev, w) }
     }
 
@@ -364,9 +365,13 @@ mod simd {
     /// 32-bit logical shift exposes the odd lanes. Partial sums cannot
     /// wrap: selection requires the width audit, which bounds every
     /// partial sum by `max_signed(acc_bits)`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2, and `w` must be at least as long as
+    /// `rev`.
     #[target_feature(enable = "avx2")]
     unsafe fn dot_avx2(rev: &[i32], w: &[i32]) -> i64 {
-        debug_assert_eq!(rev.len(), w.len());
         let n = rev.len();
         let mut acc_even = _mm256_setzero_si256();
         let mut acc_odd = _mm256_setzero_si256();
@@ -649,14 +654,13 @@ fn width_audit_passes(coeffs: &[i32], data_bits: u32, acc_bits: u32) -> bool {
 }
 
 /// Automatic kernel choice, ordered by the measured shootout: the AVX2
-/// kernel when compiled in and detected, then the symmetric fold, then
-/// the flat dot.
+/// kernel when the CPU has it, then the symmetric fold, then the flat
+/// dot.
 fn auto_select(audit_ok: bool, symmetric: bool) -> FirKernelSel {
     if !audit_ok {
         return FirKernelSel::Generic;
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::available() {
+    if crate::avx2_detected() {
         return FirKernelSel::Simd;
     }
     if symmetric {
@@ -683,11 +687,11 @@ fn resolve_kernel(
     match sel {
         FirKernelSel::Generic => (KernelKind::Generic, dot_flat as DotFn),
         FirKernelSel::Simd => {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            if simd::available() {
+            #[cfg(target_arch = "x86_64")]
+            if crate::avx2_detected() {
                 return (KernelKind::Simd, simd::dot as DotFn);
             }
-            // SIMD-off fallback: the scalar family.
+            // No AVX2 on this CPU: the scalar family.
             resolve_kernel(FirKernelSel::Flat, true, symmetric, taps, decim)
         }
         FirKernelSel::Sym => {
@@ -899,11 +903,15 @@ mod tests {
         assert_ne!(f.kernel_label(), "sym");
         assert_ne!(f.kernel_label(), "sym_const");
         assert_ne!(f.kernel_label(), "generic");
-        // The SIMD request resolves to something runnable.
+        // The SIMD request runs AVX2 where the CPU has it and falls
+        // back to the scalar flat kernel everywhere else.
         let f = SequentialFir::with_kernel(&sym, 8, 12, 12, 34, FirKernelSel::Simd);
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        assert_eq!(f.kernel_label(), "flat_const");
-        let _ = f;
+        let expect = if crate::avx2_detected() {
+            "simd_avx2"
+        } else {
+            "flat_const"
+        };
+        assert_eq!(f.kernel_label(), expect);
     }
 
     #[test]
@@ -936,11 +944,12 @@ mod tests {
         let cfg = crate::params::DdcConfig::drm(0.0);
         let q = ddc_dsp::firdes::quantize_taps(&cfg.fir_taps, 12, 11);
         let f = SequentialFir::new(&q, 8, 12, 12, 31);
-        assert!(
-            matches!(f.kernel_label(), "sym_const" | "simd_avx2"),
-            "unexpected kernel {}",
-            f.kernel_label()
-        );
+        let expect = if crate::avx2_detected() {
+            "simd_avx2"
+        } else {
+            "sym_const"
+        };
+        assert_eq!(f.kernel_label(), expect);
     }
 
     #[test]

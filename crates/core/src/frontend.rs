@@ -14,7 +14,11 @@
 //! The fused fast path covers an order-2, unit-differential-delay CIC1
 //! (the paper's CIC2-decimate-by-16); any other front-end shape falls
 //! back to a per-sample staged loop that is bit-exact by construction.
-//! Bit-exactness of the fast path follows from two facts:
+//! The fast path has two kernels: an AVX2 one, compiled into every
+//! x86_64 build and run when the CPU has AVX2 and the chain's widths
+//! keep its 32-bit lanes exact, and a scalar one that runs everywhere
+//! else. [`front_end_kernel_label`] names the one that runs.
+//! Bit-exactness of the scalar fast path follows from two facts:
 //!
 //! * the inlined multiply–round–clamp is the same arithmetic as
 //!   [`FixedMixer::mix`] (`coeff_frac ≥ 1` always, so the half-LSB
@@ -30,6 +34,38 @@ use crate::mixer::FixedMixer;
 use crate::nco::LutNco;
 use crate::params::DdcConfig;
 use ddc_dsp::fixed::{max_signed, min_signed, saturate, trunc_shift, wrap};
+
+/// The kernel [`process_front_end`] runs for a set of stage objects.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// Per-sample staged loop: any CIC1 other than order 2, `M == 1`.
+    Staged,
+    /// Scalar fused order-2 kernel.
+    FusedScalar,
+    /// AVX2 fused order-2 kernel.
+    #[cfg(target_arch = "x86_64")]
+    FusedAvx2,
+}
+
+impl Kernel {
+    /// The one kernel decision: dispatch and telemetry both read it.
+    fn select(mixer: &FixedMixer, cic_i: &CicDecimator, cic_q: &CicDecimator) -> Kernel {
+        let fusable = cic_i.order() == 2
+            && cic_i.diff_delay() == 1
+            && cic_q.order() == 2
+            && cic_q.diff_delay() == 1
+            && cic_i.decimation() == cic_q.decimation();
+        if !fusable {
+            return Kernel::Staged;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if simd::usable(mixer, cic_i) {
+            return Kernel::FusedAvx2;
+        }
+        let _ = mixer;
+        Kernel::FusedScalar
+    }
+}
 
 /// Runs the fused NCO → mixer → CIC1 pass over `input`, appending the
 /// CIC1-rate I and Q outputs to `out_i` / `out_q`. Bit-exact with the
@@ -48,57 +84,52 @@ pub fn process_front_end(
     out_i: &mut Vec<i64>,
     out_q: &mut Vec<i64>,
 ) {
-    let fusable = cic_i.order() == 2
-        && cic_i.diff_delay() == 1
-        && cic_q.order() == 2
-        && cic_q.diff_delay() == 1
-        && cic_i.decimation() == cic_q.decimation();
-    if fusable {
-        fused_order2(nco, mixer, cic_i, cic_q, input, out_i, out_q);
-    } else {
-        // Staged per-sample fallback for exotic front-end shapes —
-        // bit-exact by construction, zero-allocation, but not the hot
-        // path (every preset uses the order-2 CIC1).
-        for &x in input {
-            let cs = nco.next();
-            let m = mixer.mix(i64::from(x), cs);
-            if let Some(i1) = cic_i.process(m.i) {
-                out_i.push(i1);
-            }
-            if let Some(q1) = cic_q.process(m.q) {
-                out_q.push(q1);
+    match Kernel::select(mixer, cic_i, cic_q) {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::FusedAvx2 => {
+            simd::fused_order2_avx2(nco, mixer, cic_i, cic_q, input, out_i, out_q);
+        }
+        Kernel::FusedScalar => {
+            fused_order2_scalar(nco, mixer, cic_i, cic_q, input, out_i, out_q);
+        }
+        Kernel::Staged => {
+            // Staged per-sample fallback for exotic front-end shapes —
+            // bit-exact by construction, zero-allocation, but not the
+            // hot path (every preset uses the order-2 CIC1).
+            for &x in input {
+                let cs = nco.next();
+                let m = mixer.mix(i64::from(x), cs);
+                if let Some(i1) = cic_i.process(m.i) {
+                    out_i.push(i1);
+                }
+                if let Some(q1) = cic_q.process(m.q) {
+                    out_q.push(q1);
+                }
             }
         }
     }
 }
 
 /// Short label of the kernel [`process_front_end`] will run for these
-/// stage objects — the name per-stage telemetry reports. Resolved the
-/// same way the dispatch above resolves it, including the runtime AVX2
-/// probe, so the label always matches the code that actually runs.
+/// stage objects — the name per-stage telemetry reports:
+/// `"fused_avx2"`, `"fused_scalar"` or `"staged_scalar"`. It comes
+/// from the same decision the dispatch makes, runtime AVX2 probe
+/// included, so the label always names the code that runs.
 pub fn front_end_kernel_label(
     mixer: &FixedMixer,
     cic_i: &CicDecimator,
     cic_q: &CicDecimator,
 ) -> &'static str {
-    let fusable = cic_i.order() == 2
-        && cic_i.diff_delay() == 1
-        && cic_q.order() == 2
-        && cic_q.diff_delay() == 1
-        && cic_i.decimation() == cic_q.decimation();
-    if !fusable {
-        return "staged_scalar";
+    match Kernel::select(mixer, cic_i, cic_q) {
+        Kernel::Staged => "staged_scalar",
+        Kernel::FusedScalar => "fused_scalar",
+        #[cfg(target_arch = "x86_64")]
+        Kernel::FusedAvx2 => "fused_avx2",
     }
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::usable(mixer, cic_i) {
-        return "fused_avx2";
-    }
-    let _ = mixer;
-    "fused_scalar"
 }
 
-/// The fused fast path: order-2, `M == 1` CIC1 on both rails.
-fn fused_order2(
+/// The scalar fused fast path: order-2, `M == 1` CIC1 on both rails.
+fn fused_order2_scalar(
     nco: &mut LutNco,
     mixer: &FixedMixer,
     cic_i: &mut CicDecimator,
@@ -107,10 +138,6 @@ fn fused_order2(
     out_i: &mut Vec<i64>,
     out_q: &mut Vec<i64>,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if simd::usable(mixer, cic_i) {
-        return simd::fused_order2_avx2(nco, mixer, cic_i, cic_q, input, out_i, out_q);
-    }
     // NCO constants and state, hoisted as in `LutNco::fill_block`.
     let addr_bits = nco.addr_bits();
     let n_shift = 32 - addr_bits;
@@ -199,10 +226,11 @@ fn fused_order2(
     cic_q.set_order2_state(aq0, aq1, dq0, dq1, cic_phase as u32);
 }
 
-/// AVX2 fused front end (`--features simd`): the mixer runs 8-wide in
-/// `i32` lanes (phase vector arithmetic, two table gathers, `mullo`,
-/// round-shift-clamp) and the order-2 integrator cascade over each
-/// decimation group collapses to two data-parallel reductions via
+/// AVX2 fused front end, compiled into every x86_64 build and run when
+/// [`usable`] holds: the mixer runs 8-wide in `i32` lanes (phase vector
+/// arithmetic, two table gathers, `mullo`, round-shift-clamp) and the
+/// order-2 integrator cascade over each decimation group collapses to
+/// two data-parallel reductions via
 ///
 /// ```text
 /// a1' = a1 + g·a0 + Σₖ (g−k)·mₖ        a0' = a0 + Σₖ mₖ
@@ -219,7 +247,7 @@ fn fused_order2(
 /// (tiny: ≤ `r²·2^{data_bits−1}`); and the final group update uses
 /// wrapping `i64` ops, over which multiplication distributes mod 2⁶⁴ —
 /// the same congruence argument as the scalar path's deferred wrap.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod simd {
     use super::comb2_output;
@@ -240,7 +268,7 @@ mod simd {
             // r·2^(db−1) does …
             && i64::from(cic.decimation()) * (1i64 << (db - 1)) <= i64::from(i32::MAX)
             // … and the CPU actually has the instructions.
-            && is_x86_feature_detected!("avx2")
+            && crate::avx2_detected()
     }
 
     /// Horizontal sum of four i64 lanes. Exact: callers only feed it
@@ -262,7 +290,7 @@ mod simd {
         _mm256_add_epi64(lo, hi)
     }
 
-    /// Safe wrapper: construction-time [`usable`] gate guarantees AVX2.
+    /// Safe wrapper: callers run it only when [`usable`] held.
     pub fn fused_order2_avx2(
         nco: &mut LutNco,
         mixer: &FixedMixer,
@@ -272,6 +300,11 @@ mod simd {
         out_i: &mut Vec<i64>,
         out_q: &mut Vec<i64>,
     ) {
+        assert!(crate::avx2_detected(), "AVX2 kernel on a CPU without AVX2");
+        // SAFETY: the CPU has AVX2 (asserted above); `run` loads from
+        // `input` only below its length and gathers from the NCO table
+        // only at indices masked to `2^addr_bits − 1`, and `LutNco`
+        // builds that table with exactly `2^addr_bits` entries.
         unsafe { run(nco, mixer, cic_i, cic_q, input, out_i, out_q) }
     }
 
@@ -497,7 +530,19 @@ impl FusedFrontEnd {
 mod tests {
     use super::*;
     use crate::nco::tuning_word;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+
+    /// The signature both fused order-2 kernels share.
+    type FusedKernel = fn(
+        &mut LutNco,
+        &FixedMixer,
+        &mut CicDecimator,
+        &mut CicDecimator,
+        &[i32],
+        &mut Vec<i64>,
+        &mut Vec<i64>,
+    );
 
     fn staged_reference(cfg: &DdcConfig, input: &[i32]) -> (Vec<i64>, Vec<i64>) {
         let f = cfg.format;
@@ -586,6 +631,84 @@ mod tests {
         }
         assert_eq!(got_i, expect_i);
         assert_eq!(got_q, expect_q);
+    }
+
+    /// Feeds `input` through the staged per-sample stages, appending
+    /// their CIC1-rate outputs.
+    fn run_staged(
+        nco: &mut LutNco,
+        mixer: &FixedMixer,
+        cic_i: &mut CicDecimator,
+        cic_q: &mut CicDecimator,
+        input: &[i32],
+        out_i: &mut Vec<i64>,
+        out_q: &mut Vec<i64>,
+    ) {
+        for &x in input {
+            let m = mixer.mix(i64::from(x), nco.next());
+            out_i.extend(cic_i.process(m.i));
+            out_q.extend(cic_q.process(m.q));
+        }
+    }
+
+    proptest! {
+        /// Each fused order-2 kernel, called directly, equals the staged
+        /// per-sample chain: the scalar kernel always (on an AVX2 host
+        /// the dispatch never reaches it for 12-bit chains), the AVX2
+        /// kernel when this CPU has it. Ragged chunks carry the group
+        /// phase across calls; a final decimation group run through
+        /// both sides checks the residual NCO, integrator and comb
+        /// state.
+        #[test]
+        fn fused_kernels_equal_staged(
+            word in any::<u32>(),
+            decim in 1u32..=24,
+            input in prop::collection::vec(-2048i32..=2047, 0..600),
+            chunks in prop::collection::vec(1usize..97, 1..8),
+        ) {
+            let mixer = FixedMixer::new(12, 12);
+            let cic = CicDecimator::new(2, decim, 12, 12);
+            let mut kernels: Vec<FusedKernel> = vec![fused_order2_scalar];
+            #[cfg(target_arch = "x86_64")]
+            if crate::avx2_detected() {
+                // 12-bit chains meet the lane-exactness preconditions,
+                // so the dispatch must pick the AVX2 kernel here.
+                prop_assert_eq!(Kernel::select(&mixer, &cic, &cic), Kernel::FusedAvx2);
+                kernels.push(simd::fused_order2_avx2);
+            }
+            let tail: Vec<i32> = (0..decim as i32).map(|k| (k * 97) % 2048).collect();
+            let mut ref_nco = LutNco::new(word, 10, 12);
+            let (mut ref_i, mut ref_q) = (cic.clone(), cic.clone());
+            let mut staged = |x: &[i32], out_i: &mut Vec<i64>, out_q: &mut Vec<i64>| {
+                run_staged(&mut ref_nco, &mixer, &mut ref_i, &mut ref_q, x, out_i, out_q);
+            };
+            let (mut expect_i, mut expect_q) = (Vec::new(), Vec::new());
+            staged(&input, &mut expect_i, &mut expect_q);
+            let (mut tail_i, mut tail_q) = (Vec::new(), Vec::new());
+            staged(&tail, &mut tail_i, &mut tail_q);
+            for kernel in kernels {
+                let mut nco = LutNco::new(word, 10, 12);
+                let (mut cic_i, mut cic_q) = (cic.clone(), cic.clone());
+                let mut fused = |x: &[i32], out_i: &mut Vec<i64>, out_q: &mut Vec<i64>| {
+                    kernel(&mut nco, &mixer, &mut cic_i, &mut cic_q, x, out_i, out_q);
+                };
+                let (mut got_i, mut got_q) = (Vec::new(), Vec::new());
+                let (mut i, mut c) = (0, 0);
+                while i < input.len() {
+                    let take = chunks[c % chunks.len()].min(input.len() - i);
+                    fused(&input[i..i + take], &mut got_i, &mut got_q);
+                    i += take;
+                    c += 1;
+                }
+                prop_assert_eq!(&got_i, &expect_i);
+                prop_assert_eq!(&got_q, &expect_q);
+                let (mut got_ti, mut got_tq) = (Vec::new(), Vec::new());
+                fused(&tail, &mut got_ti, &mut got_tq);
+                prop_assert_eq!(&got_ti, &tail_i);
+                prop_assert_eq!(&got_tq, &tail_q);
+                prop_assert_eq!(nco.phase(), ref_nco.phase());
+            }
+        }
     }
 
     #[test]

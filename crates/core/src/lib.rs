@@ -41,11 +41,10 @@
 //! * [`pruned`] — a Hogenauer register-pruned CIC (area/noise study).
 //! * [`duc`] — the transmit-side dual (up-converter) for loopback tests.
 
-// The only unsafe in the crate is the feature-gated `std::arch` FIR
-// kernel (`fir::simd`), which carries its own scoped allow; default
-// builds still forbid unsafe outright.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The crate's only unsafe code is in the two x86_64 `std::arch`
+// kernel modules, `fir::simd` and `frontend::simd`, each behind its
+// own scoped allow.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activity;
@@ -69,3 +68,17 @@ pub use engine::DdcFarm;
 pub use frontend::FusedFrontEnd;
 pub use params::{DdcConfig, FixedFormat};
 pub use spec::{ChainSpec, ChannelizerSpec, SpecError, SpecNote, SpecNoteKind, StageSpec};
+
+/// Whether this CPU runs the AVX2 kernels in `fir::simd` and
+/// `frontend::simd`. Always `false` off x86_64, where only the scalar
+/// kernels are compiled.
+pub(crate) fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}

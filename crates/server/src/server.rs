@@ -95,6 +95,12 @@ const THROUGHPUT_SLICE: usize = 1 << 15;
 /// and the poller's own wake pipe uses `u64::MAX`.
 const LISTENER: u64 = u64::MAX - 1;
 
+/// How long shard 0 leaves the listener out of its poller after
+/// `accept` fails with a persistent error (EMFILE, ENFILE, ENOBUFS, …).
+/// The pending connection keeps the level-triggered listener readable
+/// while the error lasts, so re-arming it at once would spin the shard.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
 /// DSP spans (`ddc_job` and the per-stage kernel spans) land on the
 /// track of the shard that ran them, below this base; session-level
 /// spans (ingest, queue-wait, service, egress) land on
@@ -136,7 +142,8 @@ struct ServerState {
     jobs_completed: Counter,
     /// Accepted connections that could not be set up (socket mode /
     /// poller registration) — each one also got a structured Error
-    /// frame instead of a silent drop.
+    /// frame instead of a silent drop — plus `accept` calls that failed
+    /// with anything but `WouldBlock` or `Interrupted`.
     accept_failures: Counter,
     /// Telemetry handles of live sessions, keyed by session id. Weak:
     /// the session owns the data; a dead entry just disappears from
@@ -339,6 +346,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
             state: Arc::clone(&state),
             sessions: HashMap::new(),
             listener: listener.take(),
+            accept_resume: None,
             peers: if k == 0 {
                 mailboxes.clone()
             } else {
@@ -430,6 +438,9 @@ struct Shard {
     sessions: HashMap<u64, Session>,
     /// Shard 0 only, until shutdown starts.
     listener: Option<TcpListener>,
+    /// Set while the listener is out of the poller after an accept
+    /// error: when it goes back in.
+    accept_resume: Option<Instant>,
     /// Shard 0 only: every shard's mailbox, to deal new sessions.
     peers: Vec<Arc<ShardMailbox>>,
     next_peer: usize,
@@ -443,15 +454,18 @@ impl Shard {
         let mut notices = Vec::new();
         loop {
             // Sessions with queued work keep the loop spinning through
-            // non-blocking polls; otherwise sleep until readiness.
-            let busy = self.sessions.values().any(Session::has_work);
-            if self
-                .poller
-                .wait(&mut events, busy.then_some(Duration::ZERO))
-                .is_err()
-            {
+            // non-blocking polls; otherwise sleep until readiness, or
+            // until the listener's accept back-off runs out.
+            let timeout = if self.sessions.values().any(Session::has_work) {
+                Some(Duration::ZERO)
+            } else {
+                self.accept_resume
+                    .map(|t| t.saturating_duration_since(Instant::now()))
+            };
+            if self.poller.wait(&mut events, timeout).is_err() {
                 std::thread::sleep(Duration::from_millis(1));
             }
+            self.rearm_listener();
             self.mailbox.drain_into(&mut notices);
             for n in notices.drain(..) {
                 if !self.notice(n) {
@@ -533,7 +547,12 @@ impl Shard {
             let stream = match listener.accept() {
                 Ok((stream, _peer)) => stream,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    self.state.accept_failures.inc();
+                    self.pause_accept();
+                    return;
+                }
             };
             let _ = stream.set_nodelay(true);
             if let Err(e) = stream.set_nonblocking(true) {
@@ -550,6 +569,28 @@ impl Shard {
                 self.register(conn);
             } else {
                 self.peers[k].post(Notice::Accept(conn));
+            }
+        }
+    }
+
+    /// Takes the listener out of the poller for [`ACCEPT_BACKOFF`].
+    fn pause_accept(&mut self) {
+        if let Some(l) = &self.listener {
+            let _ = self.poller.del(fd_of(l));
+        }
+        self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+    }
+
+    /// Puts the listener back into the poller once its back-off has
+    /// run out (a shutdown that took the listener meanwhile ends it).
+    fn rearm_listener(&mut self) {
+        if self.accept_resume.is_none_or(|t| Instant::now() < t) {
+            return;
+        }
+        self.accept_resume = None;
+        if let Some(l) = &self.listener {
+            if self.poller.add(fd_of(l), LISTENER, Interest::READ).is_err() {
+                self.pause_accept();
             }
         }
     }

@@ -77,8 +77,10 @@ proptest! {
     /// at 125 taps — the const-generic instantiations), decimations
     /// longer than the delay line, and a whole-stream single block
     /// (one input run strictly longer than `taps()`, exercising the
-    /// history double-buffer wrap). Forcing `Simd` in a build without
-    /// the `simd` feature exercises the scalar fallback path.
+    /// history double-buffer wrap). Forcing `Simd` runs the AVX2 kernel
+    /// on CPUs that have it and the scalar flat fallback elsewhere;
+    /// the other three selections keep the scalar kernels covered on
+    /// every CPU.
     #[test]
     fn every_fir_kernel_variant_equals_per_sample(
         coeffs in prop::collection::vec(-1024i32..=1023, 1..140),
