@@ -66,7 +66,7 @@ impl From<FrameReadError> for ClientError {
 
 /// Sending half: owns the outbound sequence counter and one reusable
 /// encode buffer, so steady-state streaming allocates nothing — each
-/// Samples batch is serialised (checksum fused into the same pass) and
+/// Samples batch is serialised and checksummed into that buffer and
 /// handed to the kernel as a single vectored write.
 pub struct ClientSender {
     stream: TcpStream,
@@ -83,9 +83,8 @@ impl ClientSender {
         self.buf.write_to(&mut self.stream)
     }
 
-    /// Sends one Samples batch through the fused encoder: one pass
-    /// over the samples produces both the wire bytes and the
-    /// Fletcher-32 checksum, with no intermediate `Vec<i32>`.
+    /// Sends one Samples batch straight from the borrowed slice, with
+    /// no intermediate `Vec<i32>`.
     pub fn send_samples(&mut self, batch_index: u64, samples: &[i32]) -> io::Result<()> {
         self.send_samples_traced(batch_index, samples, 0)
     }

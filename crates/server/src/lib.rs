@@ -10,8 +10,8 @@
 //!
 //! * [`wire`] — versioned frame types (Hello/Configure/Samples/Iq/
 //!   Stats/Error/Shutdown) with pure, socket-free encode/decode,
-//!   including the zero-copy Samples decode and the fused-checksum
-//!   [`wire::FrameBuf`] egress encoders.
+//!   including the zero-copy Samples decode, the [`wire::FrameBuf`]
+//!   egress encoders and the vectorised Fletcher-32 they all share.
 //! * [`queue`] — the bounded per-session input queue behind the three
 //!   backpressure policies (block, drop-oldest, disconnect).
 //! * [`session`] — the per-connection state machine (handshake →
@@ -32,7 +32,8 @@
 //! matching the repo's offline-build constraint. `unsafe` is denied
 //! crate-wide and allowed only inside [`sys`], whose whole job is to
 //! wrap four syscalls (`epoll_create1`/`epoll_ctl`/`epoll_wait` or
-//! `poll`, plus `pipe2`) behind a safe API.
+//! `poll`, plus `pipe2`) behind a safe API, and inside the x86_64 SSE2
+//! Fletcher-32 lane kernel in [`wire`].
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -101,6 +101,13 @@ const LISTENER: u64 = u64::MAX - 1;
 /// while the error lasts, so re-arming it at once would spin the shard.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 
+/// How long a connection may take from its accept to a completed
+/// handshake (Hello, then Configure). A session still short of
+/// Streaming then gets a [`error_code::PROTOCOL`] Error frame and is
+/// closed, so a silent peer cannot hold a descriptor and a session
+/// forever.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// DSP spans (`ddc_job` and the per-stage kernel spans) land on the
 /// track of the shard that ran them, below this base; session-level
 /// spans (ingest, queue-wait, service, egress) land on
@@ -145,6 +152,9 @@ struct ServerState {
     /// frame instead of a silent drop — plus `accept` calls that failed
     /// with anything but `WouldBlock` or `Interrupted`.
     accept_failures: Counter,
+    /// Sessions closed for not finishing their handshake within
+    /// [`HANDSHAKE_TIMEOUT`].
+    handshake_timeouts: Counter,
     /// Telemetry handles of live sessions, keyed by session id. Weak:
     /// the session owns the data; a dead entry just disappears from
     /// the next snapshot.
@@ -219,6 +229,10 @@ impl ServerState {
         snap.push_counter(
             "ddc_server_accept_failures_total",
             self.accept_failures.get(),
+        );
+        snap.push_counter(
+            "ddc_server_handshake_timeouts_total",
+            self.handshake_timeouts.get(),
         );
         // Channelizer banks, each under its own bank="name" label so
         // concurrently live banks never collide in one scrape.
@@ -322,6 +336,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
         sessions_started: AtomicU64::new(0),
         jobs_completed: Counter::default(),
         accept_failures: Counter::default(),
+        handshake_timeouts: Counter::default(),
         session_obs: Mutex::new(Vec::new()),
         banks: Mutex::new(HashMap::new()),
         active: Mutex::new(0),
@@ -454,12 +469,22 @@ impl Shard {
         let mut notices = Vec::new();
         loop {
             // Sessions with queued work keep the loop spinning through
-            // non-blocking polls; otherwise sleep until readiness, or
-            // until the listener's accept back-off runs out.
+            // non-blocking polls; otherwise sleep until readiness, until
+            // the listener's accept back-off runs out, or until the
+            // earliest handshake deadline.
+            let handshake_due = self
+                .sessions
+                .values()
+                .filter(|s| s.in_handshake())
+                .map(|s| s.accepted + HANDSHAKE_TIMEOUT)
+                .min();
             let timeout = if self.sessions.values().any(Session::has_work) {
                 Some(Duration::ZERO)
             } else {
-                self.accept_resume
+                [self.accept_resume, handshake_due]
+                    .into_iter()
+                    .flatten()
+                    .min()
                     .map(|t| t.saturating_duration_since(Instant::now()))
             };
             if self.poller.wait(&mut events, timeout).is_err() {
@@ -483,6 +508,9 @@ impl Shard {
                 if ev.writable {
                     self.flush(ev.token);
                 }
+            }
+            if handshake_due.is_some_and(|t| t <= Instant::now()) {
+                self.expire_handshakes();
             }
             let mut work = std::mem::take(&mut self.work);
             work.clear();
@@ -570,6 +598,34 @@ impl Shard {
             } else {
                 self.peers[k].post(Notice::Accept(conn));
             }
+        }
+    }
+
+    /// Times out every session still short of Streaming
+    /// [`HANDSHAKE_TIMEOUT`] after its accept: it gets a PROTOCOL Error
+    /// frame, and closes once that has flushed.
+    fn expire_handshakes(&mut self) {
+        let now = Instant::now();
+        let expired: Vec<u64> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.in_handshake() && s.accepted + HANDSHAKE_TIMEOUT <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in expired {
+            let Some(s) = self.sessions.get_mut(&id) else {
+                continue;
+            };
+            self.state.handshake_timeouts.inc();
+            s.conn.enqueue(&Frame::Error(ErrorFrame {
+                code: error_code::PROTOCOL,
+                message: format!(
+                    "handshake timeout: Hello and Configure not completed within {} s of accept",
+                    HANDSHAKE_TIMEOUT.as_secs()
+                ),
+            }));
+            let outcome = end_input(s, EndKind::Errored);
+            self.apply_outcome(id, outcome);
         }
     }
 
@@ -1149,8 +1205,7 @@ fn parse_frames(state: &ServerState, s: &mut Session) -> ParseStep {
         r.header = None;
 
         // The streaming-Samples hot path: decode borrowed payload bytes
-        // straight into a pooled sample buffer, checksum fused into the
-        // same pass — no intermediate Vec, no second walk.
+        // straight into a pooled sample buffer — no intermediate Vec.
         if streaming_samples {
             if s.queue.is_none() {
                 return protocol_error(s, "subscriber sessions cannot send Samples".into());
@@ -1241,7 +1296,7 @@ fn parse_frames(state: &ServerState, s: &mut Session) -> ParseStep {
         }
 
         // Control frames (and anything pre-Streaming): owned decode —
-        // they are small and rare, so the extra checksum pass is noise.
+        // they are small and rare.
         let t0 = Instant::now();
         let decoded = decode_payload(&h, &s.reader.buf[start..end]);
         s.conn.obs.decode_ns.record_duration(t0.elapsed());

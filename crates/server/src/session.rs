@@ -357,6 +357,9 @@ pub(crate) struct Reader {
 pub(crate) struct Session {
     /// The shared half: socket, outbound queue, telemetry.
     pub conn: Arc<Conn>,
+    /// When the shard took the connection on, right after its accept:
+    /// the start of its handshake deadline.
+    pub accepted: Instant,
     /// Poller interest currently registered for the socket.
     pub interest: Interest,
     /// Ingest state machine.
@@ -399,6 +402,7 @@ impl Session {
     pub(crate) fn new(conn: Arc<Conn>) -> Session {
         Session {
             conn,
+            accepted: Instant::now(),
             interest: Interest::READ,
             reader: Reader {
                 state: SessionState::ExpectHello,
@@ -424,6 +428,15 @@ impl Session {
             pairs: Vec::new(),
             scratch: ScratchPool::default(),
         }
+    }
+
+    /// Whether the session is still short of Streaming: no Hello, or
+    /// no Configure, yet.
+    pub(crate) fn in_handshake(&self) -> bool {
+        matches!(
+            self.reader.state,
+            SessionState::ExpectHello | SessionState::ExpectConfigure
+        )
     }
 
     /// Whether a DSP turn has anything to do: a batch in flight or
@@ -535,14 +548,13 @@ impl Conn {
         })
     }
 
-    /// Queues one frame (generic two-pass encode — control frames are
-    /// tiny).
+    /// Queues one frame (generic encode — control frames are tiny).
     pub(crate) fn enqueue(&self, frame: &Frame) {
         self.push(|fb, seq| fb.encode(frame, seq));
     }
 
-    /// Queues one Iq frame through the fused single-pass encoder (the
-    /// egress hot path).
+    /// Queues one Iq frame, encoded from the borrowed pairs (the egress
+    /// hot path).
     pub(crate) fn enqueue_iq(
         &self,
         batch_index: u64,

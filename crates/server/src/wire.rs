@@ -143,8 +143,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Fletcher-32 over the byte stream (16-bit words, odd tail
-/// zero-padded). Cheap, order-sensitive, and std-only.
+/// Fletcher-32 over the byte stream (16-bit little-endian words, odd
+/// tail zero-padded), reducing both sums after every word. The
+/// specification [`Fletcher32`] is tested against; no frame path calls
+/// it.
 pub fn checksum(bytes: &[u8]) -> u32 {
     let mut a: u32 = 0xffff;
     let mut b: u32 = 0xffff;
@@ -157,26 +159,45 @@ pub fn checksum(bytes: &[u8]) -> u32 {
     (b << 16) | a
 }
 
-/// Incremental Fletcher-32, bit-exact with [`checksum`], for fusing
-/// the checksum into the pass that already moves the payload bytes
-/// (encode serialisation, zero-copy decode). Uses 64-bit accumulators
-/// with a deferred modulo: the reference reduces after every 16-bit
-/// word, but reduction is a ring homomorphism, so folding only every
-/// [`FOLD_EVERY`] words leaves both residues unchanged while keeping
-/// the sums far from overflow (a < 2^27, b < 2^37 between folds).
+/// Incremental Fletcher-32, bit-exact with [`checksum`]: the checksum
+/// every frame path computes and verifies.
+///
+/// Absorbing k words w₀..wₖ₋₁ into `a += w; b += a` from state (a, b)
+/// gives a' = a + Σ wᵢ and b' = b + k·a + Σ (k−i)·wᵢ, so the kernel
+/// needs no serial chain. It reads whole 16-byte blocks, eight words
+/// each, and keeps two `u32` sums per word position j, updated per
+/// block by adds alone: `r[j] += s[j]; s[j] += w`. After n blocks
+/// s[j] = Σₜ w(t, j) and r[j] = Σₜ (n−1−t)·w(t, j); word (t, j) has
+/// index 8t + j, so
+///
+/// ```text
+/// a' = a + Σⱼ s[j]        b' = b + 8n·a + 8·Σⱼ r[j] + Σⱼ (8−j)·s[j]
+/// ```
+///
+/// and reduction mod 65535 is a ring homomorphism, so both residues
+/// come out unchanged. An all-0xFFFF position reaches
+/// r = 65535·n(n−1)/2, which stays below 2³² up to n = 362 blocks;
+/// the sums fold into (a, b) every [`FOLD_BLOCKS`] blocks, so no lane
+/// wraps. Odd bytes and words past the last whole block run the
+/// recurrence directly.
 #[derive(Clone, Debug)]
 pub struct Fletcher32 {
-    a: u64,
-    b: u64,
-    unfolded: u32,
+    /// Both sums, reduced mod 65535 at the end of every `update`.
+    a: u32,
+    b: u32,
     pending: Option<u8>,
     /// Whether any word has been absorbed — the reference only reduces
     /// per word, so an empty input keeps the raw 0xffff seeds.
     any: bool,
 }
 
-/// Words accumulated between modulo folds of [`Fletcher32`].
-const FOLD_EVERY: u32 = 1024;
+/// 16-byte blocks the lane sums cover between folds (at most 362, see
+/// [`Fletcher32`]).
+const FOLD_BLOCKS: usize = 256;
+
+/// Per-position lane sums `(s, r)` over a whole number of 16-byte
+/// blocks, at most [`FOLD_BLOCKS`] of them.
+type LaneSums = fn(&[u8]) -> ([u32; 8], [u32; 8]);
 
 impl Default for Fletcher32 {
     fn default() -> Self {
@@ -185,113 +206,149 @@ impl Default for Fletcher32 {
 }
 
 impl Fletcher32 {
-    /// A fresh accumulator (equivalent to `checksum(&[])` state).
+    /// A fresh accumulator: the state of the empty input.
     pub fn new() -> Self {
         Fletcher32 {
             a: 0xffff,
             b: 0xffff,
-            unfolded: 0,
             pending: None,
             any: false,
         }
     }
 
-    #[inline(always)]
-    fn word(&mut self, w: u16) {
-        self.a += w as u64;
-        self.b += self.a;
-        self.any = true;
-        self.unfolded += 1;
-        if self.unfolded >= FOLD_EVERY {
-            self.fold();
-        }
+    /// Absorbs `bytes`, continuing any odd-length tail from the
+    /// previous call.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.absorb(bytes, lane_sums);
     }
 
     #[inline]
-    fn fold(&mut self) {
-        self.a %= 65535;
-        self.b %= 65535;
-        self.unfolded = 0;
-    }
-
-    /// Absorbs `bytes`, continuing any odd-length tail from the
-    /// previous call.
-    ///
-    /// The body runs in [`BLOCK`]-word steps using the closed form of
-    /// the recurrence: absorbing k words w₀..wₖ₋₁ from state (a, b)
-    /// yields a' = a + S and b' = b + k·a + T, with S = Σ wᵢ and
-    /// T = Σ (k−i)·wᵢ. Unlike the serial `b += a += w` chain, S and T
-    /// are independent multiply-adds the CPU can pipeline, which is
-    /// what makes checksumming run near copy speed on large payloads.
-    /// Folding may land a block late (unfolded ≤ FOLD_EVERY − 1 +
-    /// BLOCK words), which the deferred-modulo bounds absorb.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut bytes = bytes;
+    fn absorb(&mut self, mut bytes: &[u8], lanes: LaneSums) {
+        let (mut a, mut b) = (u64::from(self.a), u64::from(self.b));
         if let Some(lo) = self.pending.take() {
-            match bytes.split_first() {
-                Some((&hi, rest)) => {
-                    self.word(lo as u16 | ((hi as u16) << 8));
-                    bytes = rest;
-                }
-                None => {
-                    self.pending = Some(lo);
-                    return;
-                }
-            }
-        }
-        /// Words per closed-form step.
-        const BLOCK: usize = 32;
-        let mut blocks = bytes.chunks_exact(2 * BLOCK);
-        for blk in &mut blocks {
-            // u32 lane math: w < 2^16 and coefficients ≤ BLOCK keep
-            // every product under 2^21 and both block sums under 2^26,
-            // narrow enough for the compiler to use packed 32-bit SIMD.
-            let mut s: u32 = 0;
-            let mut t: u32 = 0;
-            for (i, c) in blk.chunks_exact(2).enumerate() {
-                let w = c[0] as u32 | ((c[1] as u32) << 8);
-                s += w;
-                t += (BLOCK - i) as u32 * w;
-            }
-            self.b += BLOCK as u64 * self.a + t as u64;
-            self.a += s as u64;
+            let Some((&hi, rest)) = bytes.split_first() else {
+                self.pending = Some(lo);
+                return;
+            };
+            a += u64::from(u16::from_le_bytes([lo, hi]));
+            b += a;
             self.any = true;
-            self.unfolded += BLOCK as u32;
-            if self.unfolded >= FOLD_EVERY {
-                self.fold();
+            bytes = rest;
+        }
+        let whole = bytes.len() & !15;
+        for span in bytes[..whole].chunks(16 * FOLD_BLOCKS) {
+            let (s, r) = lanes(span);
+            let mut db = 8 * (span.len() / 16) as u64 * a;
+            for (j, (&s, &r)) in s.iter().zip(&r).enumerate() {
+                db += 8 * u64::from(r) + (8 - j as u64) * u64::from(s);
+                a += u64::from(s);
             }
+            // a < 2^28 and b < 2^40 here: one fold per span keeps u64
+            // far from overflow.
+            b = (b + db) % 65535;
+            a %= 65535;
         }
-        let mut chunks = blocks.remainder().chunks_exact(2);
-        for c in &mut chunks {
-            self.word(c[0] as u16 | ((c[1] as u16) << 8));
+        let mut words = bytes[whole..].chunks_exact(2);
+        for w in &mut words {
+            a += u64::from(u16::from_le_bytes([w[0], w[1]]));
+            b += a;
         }
-        if let [last] = chunks.remainder() {
+        if let [last] = words.remainder() {
             self.pending = Some(*last);
         }
-    }
-
-    /// Absorbs one little-endian 32-bit value (two words) — the
-    /// sample-copy fast path. Callers must be 2-byte aligned in the
-    /// stream (no pending odd byte).
-    #[inline(always)]
-    pub fn push_u32_le(&mut self, v: u32) {
-        debug_assert!(self.pending.is_none(), "push_u32_le on odd byte boundary");
-        self.word(v as u16);
-        self.word((v >> 16) as u16);
+        self.any |= bytes.len() >= 2;
+        self.a = (a % 65535) as u32;
+        self.b = (b % 65535) as u32;
     }
 
     /// The Fletcher-32 of everything absorbed so far (odd tail
     /// zero-padded, exactly like [`checksum`]). Non-destructive.
     pub fn finish(&self) -> u32 {
-        let mut a = self.a;
-        let mut b = self.b;
+        let (mut a, mut b) = (self.a, self.b);
         if let Some(lo) = self.pending {
-            a += lo as u64;
+            a += u32::from(lo);
             b += a;
         } else if !self.any {
-            return 0xffff_ffff; // checksum(&[]) never reduces its seeds
+            return 0xffff_ffff; // the reference never reduces its seeds
         }
-        (((b % 65535) as u32) << 16) | (a % 65535) as u32
+        ((b % 65535) << 16) | (a % 65535)
+    }
+}
+
+/// The Fletcher-32 of `bytes` in one call.
+fn fletcher32(bytes: &[u8]) -> u32 {
+    let mut acc = Fletcher32::new();
+    acc.update(bytes);
+    acc.finish()
+}
+
+// The lane sums this target runs: SSE2 on x86_64, whose baseline
+// includes it, and the scalar loop elsewhere.
+#[cfg(not(target_arch = "x86_64"))]
+use lane_sums_scalar as lane_sums;
+#[cfg(target_arch = "x86_64")]
+use sse2::lane_sums;
+
+/// The lane sums one position at a time. On x86_64 only the tests
+/// run it, against the SSE2 kernel and the reference.
+#[cfg_attr(all(target_arch = "x86_64", not(test)), allow(dead_code))]
+fn lane_sums_scalar(blocks: &[u8]) -> ([u32; 8], [u32; 8]) {
+    let mut s = [0u32; 8];
+    let mut r = [0u32; 8];
+    for block in blocks.chunks_exact(16) {
+        for (j, w) in block.chunks_exact(2).enumerate() {
+            r[j] += s[j];
+            s[j] += u32::from(u16::from_le_bytes([w[0], w[1]]));
+        }
+    }
+    (s, r)
+}
+
+/// The lane sums in two SSE2 registers per sum: the even word
+/// positions of each block are its `u32` lanes masked to their low
+/// halves, the odd positions the same lanes shifted right by 16.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod sse2 {
+    use std::arch::x86_64::*;
+
+    /// Safe entry point of the kernel.
+    pub fn lane_sums(blocks: &[u8]) -> ([u32; 8], [u32; 8]) {
+        assert_eq!(blocks.len() % 16, 0, "lane sums take whole blocks");
+        // SAFETY: SSE2 is part of the x86_64 baseline, so every x86_64
+        // CPU has it, and `run` reads `blocks` only.
+        unsafe { run(blocks) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have SSE2. Every load is unaligned and reads block
+    /// k of `blocks` only for 16·k + 16 ≤ `blocks.len()`, so it stays
+    /// inside the slice.
+    unsafe fn run(blocks: &[u8]) -> ([u32; 8], [u32; 8]) {
+        let low = _mm_set1_epi32(0xffff);
+        let mut s_even = _mm_setzero_si128();
+        let mut s_odd = _mm_setzero_si128();
+        let mut r_even = _mm_setzero_si128();
+        let mut r_odd = _mm_setzero_si128();
+        let base = blocks.as_ptr() as *const __m128i;
+        for k in 0..blocks.len() / 16 {
+            let v = _mm_loadu_si128(base.add(k));
+            r_even = _mm_add_epi32(r_even, s_even);
+            r_odd = _mm_add_epi32(r_odd, s_odd);
+            s_even = _mm_add_epi32(s_even, _mm_and_si128(v, low));
+            s_odd = _mm_add_epi32(s_odd, _mm_srli_epi32(v, 16));
+        }
+        // Lane m of an even/odd pair holds positions 2m and 2m + 1;
+        // interleaving the pair restores position order.
+        let mut sums = [[0u32; 8]; 2];
+        for (dst, (even, odd)) in sums.iter_mut().zip([(s_even, s_odd), (r_even, r_odd)]) {
+            let p = dst.as_mut_ptr() as *mut __m128i;
+            _mm_storeu_si128(p, _mm_unpacklo_epi32(even, odd));
+            _mm_storeu_si128(p.add(1), _mm_unpackhi_epi32(even, odd));
+        }
+        let [s, r] = sums;
+        (s, r)
     }
 }
 
@@ -798,40 +855,15 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
                 put_u32(out, c.trace_interval);
             }
         }
-        Frame::Samples(s) => {
-            put_u64(out, s.batch_index);
-            put_u32(out, s.samples.len() as u32);
-            for &x in &s.samples {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-            // Trailing trace-ID stamp on head-sampled batches only.
-            if s.trace_id != 0 {
-                out.push(SAMPLES_TRACE_TAG);
-                put_u64(out, s.trace_id);
-            }
-        }
-        Frame::Iq(iq) => {
-            put_u64(out, iq.batch_index);
-            put_u64(out, iq.dropped_total);
-            put_u32(out, iq.pairs.len() as u32);
-            for &(i, q) in &iq.pairs {
-                out.extend_from_slice(&i.to_le_bytes());
-                out.extend_from_slice(&q.to_le_bytes());
-            }
-            // Trailing per-batch timing (latency-QoS sessions only):
-            // a tag byte then two u64s after the declared pairs.
-            // Absent → legacy frame.
-            if let Some(t) = &iq.timing {
-                out.push(IQ_TIMING_TAG);
-                put_u64(out, t.queue_wait_ns);
-                put_u64(out, t.service_ns);
-            }
-            // Trace-ID echo, after any timing trailer.
-            if iq.trace_id != 0 {
-                out.push(IQ_TRACE_TAG);
-                put_u64(out, iq.trace_id);
-            }
-        }
+        Frame::Samples(s) => put_samples(out, s.batch_index, &s.samples, s.trace_id),
+        Frame::Iq(iq) => put_iq(
+            out,
+            iq.batch_index,
+            iq.dropped_total,
+            iq.pairs.iter().copied(),
+            iq.timing,
+            iq.trace_id,
+        ),
         Frame::StatsRequest => out.push(0),
         Frame::StatsReport(r) => {
             out.push(1);
@@ -874,6 +906,50 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
+/// A Samples payload: the sample words, then the trace-ID stamp on
+/// head-sampled batches only.
+fn put_samples(out: &mut Vec<u8>, batch_index: u64, samples: &[i32], trace_id: u64) {
+    out.reserve(21 + samples.len() * 4);
+    put_u64(out, batch_index);
+    put_u32(out, samples.len() as u32);
+    out.extend(samples.iter().flat_map(|x| x.to_le_bytes()));
+    if trace_id != 0 {
+        out.push(SAMPLES_TRACE_TAG);
+        put_u64(out, trace_id);
+    }
+}
+
+/// An Iq payload: the pairs, then the per-batch timing (latency-QoS
+/// sessions only; absent → legacy frame), then the trace-ID echo.
+fn put_iq(
+    out: &mut Vec<u8>,
+    batch_index: u64,
+    dropped_total: u64,
+    pairs: impl ExactSizeIterator<Item = (i64, i64)>,
+    timing: Option<IqTiming>,
+    trace_id: u64,
+) {
+    out.reserve(42 + pairs.len() * 16);
+    put_u64(out, batch_index);
+    put_u64(out, dropped_total);
+    put_u32(out, pairs.len() as u32);
+    out.extend(pairs.flat_map(|(i, q)| {
+        let mut pair = [0u8; 16];
+        pair[..8].copy_from_slice(&i.to_le_bytes());
+        pair[8..].copy_from_slice(&q.to_le_bytes());
+        pair
+    }));
+    if let Some(t) = timing {
+        out.push(IQ_TIMING_TAG);
+        put_u64(out, t.queue_wait_ns);
+        put_u64(out, t.service_ns);
+    }
+    if trace_id != 0 {
+        out.push(IQ_TRACE_TAG);
+        put_u64(out, trace_id);
+    }
+}
+
 /// Serialises `frame` with sequence number `seq` into a fresh buffer.
 pub fn encode_frame(frame: &Frame, seq: u32) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + 64);
@@ -889,14 +965,14 @@ pub fn encode_frame_into(frame: &Frame, seq: u32, buf: &mut Vec<u8>) {
     encode_payload(frame, buf);
     let payload_len = (buf.len() - HEADER_LEN) as u32;
     debug_assert!(payload_len <= MAX_PAYLOAD, "oversized frame produced");
-    let payload_sum = checksum(&buf[HEADER_LEN..]);
+    let payload_sum = fletcher32(&buf[HEADER_LEN..]);
     buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
     buf[2] = VERSION;
     buf[3] = frame.type_byte();
     buf[4..8].copy_from_slice(&seq.to_le_bytes());
     buf[8..12].copy_from_slice(&payload_len.to_le_bytes());
     buf[12..16].copy_from_slice(&payload_sum.to_le_bytes());
-    let header_sum = checksum(&buf[0..16]);
+    let header_sum = fletcher32(&buf[0..16]);
     buf[16..20].copy_from_slice(&header_sum.to_le_bytes());
 }
 
@@ -908,11 +984,10 @@ pub fn encode_frame_into(frame: &Frame, seq: u32, buf: &mut Vec<u8>) {
 ///
 /// The hot-path frame types have dedicated encoders
 /// ([`encode_samples`](FrameBuf::encode_samples),
-/// [`encode_iq`](FrameBuf::encode_iq)) that fold the Fletcher-32
-/// payload checksum into the serialisation pass itself, so the payload
-/// bytes are walked exactly once; [`encode`](FrameBuf::encode) covers
-/// every frame type generically (control frames are tiny, so their
-/// separate checksum pass costs nothing).
+/// [`encode_iq`](FrameBuf::encode_iq)) that serialise from borrowed
+/// slices, so no owned [`Frame`] is built;
+/// [`encode`](FrameBuf::encode) covers every frame type. Each copies
+/// the payload in bulk, then [`Fletcher32`] checksums it.
 #[derive(Clone, Debug, Default)]
 pub struct FrameBuf {
     /// The sealed 20-byte frame header.
@@ -935,12 +1010,13 @@ impl FrameBuf {
         HEADER_LEN + self.payload.len()
     }
 
-    /// Fills in the header for the current payload.
-    fn seal(&mut self, frame_type: u8, seq: u32, payload_sum: u32) {
+    /// Checksums the current payload and fills in the header.
+    fn seal(&mut self, frame_type: u8, seq: u32) {
         debug_assert!(
             self.payload.len() <= MAX_PAYLOAD as usize,
             "oversized frame"
         );
+        let payload_sum = fletcher32(&self.payload);
         let h = &mut self.header;
         h[0..2].copy_from_slice(&MAGIC.to_le_bytes());
         h[2] = VERSION;
@@ -948,23 +1024,19 @@ impl FrameBuf {
         h[4..8].copy_from_slice(&seq.to_le_bytes());
         h[8..12].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
         h[12..16].copy_from_slice(&payload_sum.to_le_bytes());
-        let header_sum = checksum(&h[0..16]);
+        let header_sum = fletcher32(&h[0..16]);
         h[16..20].copy_from_slice(&header_sum.to_le_bytes());
     }
 
-    /// Serialises any frame (two passes over the payload: serialise,
-    /// then checksum — fine for small control frames).
+    /// Serialises any frame.
     pub fn encode(&mut self, frame: &Frame, seq: u32) {
         self.payload.clear();
         encode_payload(frame, &mut self.payload);
-        let sum = checksum(&self.payload);
-        self.seal(frame.type_byte(), seq, sum);
+        self.seal(frame.type_byte(), seq);
     }
 
-    /// Fused Samples encoder: serialises the batch and computes its
-    /// payload checksum in the same single pass over `samples` — the
-    /// serial Fletcher chain hides entirely under the copy latency.
-    /// Byte-identical to `encode(&Frame::Samples(..))`.
+    /// Samples encoder over a borrowed batch. Byte-identical to
+    /// `encode(&Frame::Samples(..))`.
     pub fn encode_samples(&mut self, seq: u32, batch_index: u64, samples: &[i32]) {
         self.encode_samples_traced(seq, batch_index, samples, 0);
     }
@@ -980,28 +1052,12 @@ impl FrameBuf {
         trace_id: u64,
     ) {
         self.payload.clear();
-        self.payload.reserve(21 + samples.len() * 4);
-        put_u64(&mut self.payload, batch_index);
-        put_u32(&mut self.payload, samples.len() as u32);
-        let mut acc = Fletcher32::new();
-        acc.update(&self.payload);
-        for &x in samples {
-            self.payload.extend_from_slice(&x.to_le_bytes());
-            acc.push_u32_le(x as u32);
-        }
-        if trace_id != 0 {
-            // The tag byte breaks u32-word alignment, so the trailer
-            // is absorbed bytewise.
-            let trailer_start = self.payload.len();
-            self.payload.push(SAMPLES_TRACE_TAG);
-            self.payload.extend_from_slice(&trace_id.to_le_bytes());
-            acc.update(&self.payload[trailer_start..]);
-        }
-        self.seal(3, seq, acc.finish());
+        put_samples(&mut self.payload, batch_index, samples, trace_id);
+        self.seal(3, seq);
     }
 
-    /// Fused Iq encoder: one pass over the output pairs. Byte-identical
-    /// to `encode(&Frame::Iq(..))`, including the optional trailing
+    /// Iq encoder over borrowed output pairs. Byte-identical to
+    /// `encode(&Frame::Iq(..))`, including the optional trailing
     /// timing and trace-echo extensions.
     pub fn encode_iq(
         &mut self,
@@ -1013,37 +1069,15 @@ impl FrameBuf {
         trace_id: u64,
     ) {
         self.payload.clear();
-        self.payload.reserve(36 + pairs.len() * 16);
-        put_u64(&mut self.payload, batch_index);
-        put_u64(&mut self.payload, dropped_total);
-        put_u32(&mut self.payload, pairs.len() as u32);
-        let mut acc = Fletcher32::new();
-        acc.update(&self.payload);
-        for p in pairs {
-            for v in [p.i, p.q] {
-                self.payload.extend_from_slice(&v.to_le_bytes());
-                let u = v as u64;
-                acc.push_u32_le(u as u32);
-                acc.push_u32_le((u >> 32) as u32);
-            }
-        }
-        if let Some(t) = timing {
-            // The tag byte breaks u32-word alignment, so the trailer
-            // is absorbed bytewise (update pairs odd boundaries up).
-            let trailer_start = self.payload.len();
-            self.payload.push(IQ_TIMING_TAG);
-            self.payload
-                .extend_from_slice(&t.queue_wait_ns.to_le_bytes());
-            self.payload.extend_from_slice(&t.service_ns.to_le_bytes());
-            acc.update(&self.payload[trailer_start..]);
-        }
-        if trace_id != 0 {
-            let trailer_start = self.payload.len();
-            self.payload.push(IQ_TRACE_TAG);
-            self.payload.extend_from_slice(&trace_id.to_le_bytes());
-            acc.update(&self.payload[trailer_start..]);
-        }
-        self.seal(4, seq, acc.finish());
+        put_iq(
+            &mut self.payload,
+            batch_index,
+            dropped_total,
+            pairs.iter().map(|p| (p.i, p.q)),
+            timing,
+            trace_id,
+        );
+        self.seal(4, seq);
     }
 
     /// Writes the whole frame to a blocking writer with vectored
@@ -1094,7 +1128,7 @@ pub struct FrameHeader {
 /// Validates the fixed header: magic, version, checksum, length bound.
 pub fn decode_header(bytes: &[u8; HEADER_LEN]) -> Result<FrameHeader, WireError> {
     let header_sum = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    if checksum(&bytes[0..16]) != header_sum {
+    if fletcher32(&bytes[0..16]) != header_sum {
         return Err(WireError::HeaderChecksum);
     }
     let magic = u16::from_le_bytes(bytes[0..2].try_into().unwrap());
@@ -1161,7 +1195,7 @@ impl<'a> Cursor<'a> {
 /// payload checksum before parsing.
 pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, WireError> {
     debug_assert_eq!(payload.len(), header.payload_len as usize);
-    if checksum(payload) != header.payload_sum {
+    if fletcher32(payload) != header.payload_sum {
         return Err(WireError::PayloadChecksum);
     }
     let mut c = Cursor {
@@ -1270,51 +1304,10 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
             })
         }
         3 => {
-            let batch_index = c.u64("samples batch_index")?;
-            let count = c.u32("samples count")?;
-            // Exactly the declared samples, or the declared samples
-            // plus the 9-byte trace trailer. 9 is not a multiple of
-            // the 4-byte sample stride, so the shapes cannot alias.
-            let sample_bytes = count as usize * 4;
-            let traced = match c.remaining() {
-                r if r == sample_bytes => false,
-                r if r == sample_bytes + 9 => true,
-                _ => {
-                    return Err(WireError::CountMismatch {
-                        declared: count,
-                        available: c.remaining(),
-                    })
-                }
-            };
-            let mut samples = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                samples.push(i32::from_le_bytes(
-                    c.take(4, "sample word")?.try_into().unwrap(),
-                ));
-            }
-            let trace_id = if traced {
-                match c.u8("samples trace tag")? {
-                    SAMPLES_TRACE_TAG => {
-                        let id = c.u64("samples trace_id")?;
-                        if id == 0 {
-                            return Err(WireError::BadSpec(
-                                "samples trace_id must be non-zero when tagged".into(),
-                            ));
-                        }
-                        id
-                    }
-                    other => {
-                        return Err(WireError::BadSpec(format!(
-                            "unknown samples trailer tag {other}"
-                        )))
-                    }
-                }
-            } else {
-                0
-            };
+            let (batch_index, words, trace_id) = samples_parts(&mut c)?;
             Frame::Samples(Samples {
                 batch_index,
-                samples,
+                samples: le_samples(words).collect(),
                 trace_id,
             })
         }
@@ -1342,12 +1335,17 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                     })
                 }
             };
-            let mut pairs = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let i = i64::from_le_bytes(c.take(8, "iq i word")?.try_into().unwrap());
-                let q = i64::from_le_bytes(c.take(8, "iq q word")?.try_into().unwrap());
-                pairs.push((i, q));
-            }
+            let pairs = c
+                .take(pair_bytes, "iq pairs")?
+                .chunks_exact(16)
+                .map(|p| {
+                    let (i, q) = p.split_at(8);
+                    (
+                        i64::from_le_bytes(i.try_into().expect("8-byte half")),
+                        i64::from_le_bytes(q.try_into().expect("8-byte half")),
+                    )
+                })
+                .collect();
             let timing = if timed {
                 match c.u8("iq timing tag")? {
                     IQ_TIMING_TAG => Some(IqTiming {
@@ -1456,19 +1454,66 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
     Ok(frame)
 }
 
-/// Zero-copy Samples decode: parses the payload prefix and then moves
-/// the sample words straight into `out` (appending), folding the
-/// Fletcher-32 verification into that same copy pass — the payload is
-/// walked exactly once, against twice for
-/// [`decode_payload`]-into-`Vec` (checksum pass, then parse/copy
-/// pass). `out` is typically a session's reusable sample scratch
+/// The parts of a Samples payload whose checksum already held: the
+/// batch index, the sample bytes and the trace ID (0 when untraced).
+fn samples_parts<'a>(c: &mut Cursor<'a>) -> Result<(u64, &'a [u8], u64), WireError> {
+    let batch_index = c.u64("samples batch_index")?;
+    let count = c.u32("samples count")?;
+    // Exactly the declared samples, or the declared samples plus the
+    // 9-byte trace trailer. 9 is not a multiple of the 4-byte sample
+    // stride, so the shapes cannot alias.
+    let sample_bytes = count as usize * 4;
+    let traced = match c.remaining() {
+        r if r == sample_bytes => false,
+        r if r == sample_bytes + 9 => true,
+        _ => {
+            return Err(WireError::CountMismatch {
+                declared: count,
+                available: c.remaining(),
+            })
+        }
+    };
+    let words = c.take(sample_bytes, "sample word")?;
+    let trace_id = if traced {
+        match c.u8("samples trace tag")? {
+            SAMPLES_TRACE_TAG => {
+                let id = c.u64("samples trace_id")?;
+                if id == 0 {
+                    return Err(WireError::BadSpec(
+                        "samples trace_id must be non-zero when tagged".into(),
+                    ));
+                }
+                id
+            }
+            other => {
+                return Err(WireError::BadSpec(format!(
+                    "unknown samples trailer tag {other}"
+                )))
+            }
+        }
+    } else {
+        0
+    };
+    Ok((batch_index, words, trace_id))
+}
+
+/// Little-endian sample words as `i32`s.
+fn le_samples(words: &[u8]) -> impl Iterator<Item = i32> + '_ {
+    words
+        .chunks_exact(4)
+        .map(|w| i32::from_le_bytes(w.try_into().expect("4-byte chunk")))
+}
+
+/// Zero-copy Samples decode: verifies the payload checksum, parses the
+/// payload, then copies the sample words in bulk straight into `out`
+/// (appending) — no intermediate `Vec`, against [`decode_payload`]'s
+/// owned one. `out` is typically a session's reusable sample scratch
 /// buffer, so the bytes go from the connection read buffer to the DSP
-/// input with no intermediate `Vec`.
+/// input.
 ///
 /// Returns `(batch_index, trace_id)` (`trace_id` is 0 for untraced
-/// frames). On any error `out` is restored to its original length.
-/// Error equivalence with the owned path is pinned by
-/// `tests/zero_copy_equiv.rs`.
+/// frames). On any error `out` is left as it was; the errors and their
+/// order are [`decode_payload`]'s, as `tests/zero_copy_equiv.rs` pins.
 pub fn decode_samples_into(
     header: &FrameHeader,
     payload: &[u8],
@@ -1476,70 +1521,15 @@ pub fn decode_samples_into(
 ) -> Result<(u64, u64), WireError> {
     debug_assert_eq!(payload.len(), header.payload_len as usize);
     debug_assert_eq!(header.frame_type, 3);
-    // Either exactly the declared samples, or the declared samples
-    // plus the 9-byte trace trailer (tag + u64 — 9 is not a multiple
-    // of the sample stride, so the shapes cannot alias).
-    let declared = |len: usize| {
-        let count = u32::from_le_bytes(payload[8..12].try_into().unwrap());
-        count as usize * 4 == len
-    };
-    let (sample_end, traced) = if payload.len() >= 12 && declared(payload.len() - 12) {
-        (payload.len(), false)
-    } else if payload.len() >= 21 && declared(payload.len() - 21) {
-        (payload.len() - 9, true)
-    } else {
-        // Cold path: mirror decode_payload's error order exactly
-        // (checksum verdict first, structural objection second).
-        if checksum(payload) != header.payload_sum {
-            return Err(WireError::PayloadChecksum);
-        }
-        if payload.len() < 8 {
-            return Err(WireError::Truncated("samples batch_index"));
-        }
-        if payload.len() < 12 {
-            return Err(WireError::Truncated("samples count"));
-        }
-        return Err(WireError::CountMismatch {
-            declared: u32::from_le_bytes(payload[8..12].try_into().unwrap()),
-            available: payload.len() - 12,
-        });
-    };
-    let batch_index = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let count = (sample_end - 12) / 4;
-    let base = out.len();
-    out.reserve(count);
-    let mut acc = Fletcher32::new();
-    acc.update(&payload[..12]);
-    for chunk in payload[12..sample_end].chunks_exact(4) {
-        let v = u32::from_le_bytes(chunk.try_into().unwrap());
-        acc.push_u32_le(v);
-        out.push(v as i32);
-    }
-    let trace_id = if traced {
-        acc.update(&payload[sample_end..]);
-        let id = u64::from_le_bytes(payload[sample_end + 1..].try_into().unwrap());
-        // Tag and non-zero ID are structural; checked after the
-        // checksum verdict below to keep decode_payload's error order.
-        id
-    } else {
-        0
-    };
-    if acc.finish() != header.payload_sum {
-        out.truncate(base);
+    if fletcher32(payload) != header.payload_sum {
         return Err(WireError::PayloadChecksum);
     }
-    if traced && (payload[sample_end] != SAMPLES_TRACE_TAG || trace_id == 0) {
-        out.truncate(base);
-        if payload[sample_end] != SAMPLES_TRACE_TAG {
-            return Err(WireError::BadSpec(format!(
-                "unknown samples trailer tag {}",
-                payload[sample_end]
-            )));
-        }
-        return Err(WireError::BadSpec(
-            "samples trace_id must be non-zero when tagged".into(),
-        ));
-    }
+    let mut c = Cursor {
+        buf: payload,
+        pos: 0,
+    };
+    let (batch_index, words, trace_id) = samples_parts(&mut c)?;
+    out.extend(le_samples(words));
     Ok((batch_index, trace_id))
 }
 
@@ -1926,6 +1916,69 @@ mod tests {
         }
     }
 
+    /// [`Fletcher32`] through each lane kernel, fed whole, split in two
+    /// and in odd-sized pieces (a byte pending at each call boundary),
+    /// against the reference — across one and two fold spans, on the
+    /// inputs that drive the lane sums highest. Short inputs split at
+    /// every point, long ones at every point within 24 bytes of an end
+    /// or a fold-span boundary.
+    #[test]
+    fn fletcher_lane_kernels_match_reference_at_fold_edges() {
+        const SPAN: usize = 16 * FOLD_BLOCKS;
+        let kernels: [(&str, LaneSums); 2] = [("target", lane_sums), ("scalar", lane_sums_scalar)];
+        let mut lens: Vec<usize> = (0..=48).collect();
+        lens.extend([SPAN - 16, SPAN - 1, SPAN, SPAN + 1, SPAN + 16]);
+        lens.extend([2 * SPAN - 1, 2 * SPAN, 2 * SPAN + 17]);
+        type Pattern = fn(usize) -> u8;
+        let patterns: [(&str, Pattern); 4] = [
+            ("all 0xff", |_| 0xff),
+            ("all 0x00", |_| 0x00),
+            // Words 0x00ff, 0xff00, 0x00ff, … in little-endian bytes.
+            ("alternating words", |i| {
+                if i % 4 == 0 || i % 4 == 3 {
+                    0xff
+                } else {
+                    0x00
+                }
+            }),
+            // Words ≢ 0 (mod 65535) in every position, so a lane
+            // weight that is off on every lane at once shows too.
+            ("pseudo-random", |i| {
+                (i as u32).wrapping_mul(2_654_435_761).to_be_bytes()[0]
+            }),
+        ];
+        let feed = |lanes: LaneSums, parts: &[&[u8]]| {
+            let mut acc = Fletcher32::new();
+            for part in parts {
+                acc.absorb(part, lanes);
+            }
+            acc.finish()
+        };
+        for (pattern, byte) in patterns {
+            for &len in &lens {
+                let bytes: Vec<u8> = (0..len).map(byte).collect();
+                let want = checksum(&bytes);
+                for (kernel, lanes) in kernels {
+                    let at = format!("{kernel} kernel, {pattern}, {len} bytes");
+                    assert_eq!(feed(lanes, &[&bytes]), want, "{at}, whole");
+                    let cuts = (0..=len).filter(|&cut| {
+                        [0, SPAN, 2 * SPAN, len]
+                            .iter()
+                            .any(|&e| cut.abs_diff(e) <= 24)
+                    });
+                    for cut in cuts {
+                        let (head, tail) = bytes.split_at(cut);
+                        assert_eq!(feed(lanes, &[head, tail]), want, "{at}, split at {cut}");
+                    }
+                    for piece in [1, 3, 17, SPAN + 1] {
+                        let parts: Vec<&[u8]> = bytes.chunks(piece).collect();
+                        assert_eq!(feed(lanes, &parts), want, "{at}, {piece}-byte pieces");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn incremental_fletcher_u32_push_matches_bytes() {
         let values = [0u32, 1, 0xffff, 0x1_0000, u32::MAX, 0xDEAD_BEEF];
@@ -1933,7 +1986,7 @@ mod tests {
         let mut acc = Fletcher32::new();
         for &v in &values {
             bytes.extend_from_slice(&v.to_le_bytes());
-            acc.push_u32_le(v);
+            acc.update(&v.to_le_bytes());
         }
         assert_eq!(acc.finish(), checksum(&bytes));
     }

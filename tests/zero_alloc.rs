@@ -11,8 +11,9 @@
 //! calling thread, so its own count misses none of its allocations.
 //! After a warm-up pass has sized every internal scratch buffer, the
 //! measured `process_into` / `process_block` calls — and the raw
-//! histogram record and span-ring push/drain paths — must leave the
-//! calling thread's counter untouched.
+//! histogram record and span-ring push/drain paths, and the wire
+//! codec's Samples encode/decode and Iq encode — must leave the calling
+//! thread's counter untouched.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -257,4 +258,45 @@ fn channelizer_farm_block_path_is_allocation_free_in_steady_state() {
         farm.metrics().expect("telemetry on").blocks.get(),
         blocks_before + 8
     );
+}
+
+#[test]
+fn wire_codec_steady_state_does_not_allocate() {
+    use ddc_core::mixer::Iq;
+    use ddc_server::wire::{decode_header, decode_samples_into, FrameBuf, IqTiming};
+
+    // One DRM batch and its Iq ack, with the latency-QoS timing trailer.
+    let samples: Vec<i32> = (0..2688 * 8).map(|k| (k * 37) % 4096 - 2048).collect();
+    let pairs: Vec<Iq> = (0..8i64).map(|k| Iq { i: k * 977, q: -k }).collect();
+    let timing = Some(IqTiming {
+        queue_wait_ns: 12_345,
+        service_ns: 67_890,
+    });
+    let mut samples_buf = FrameBuf::new();
+    let mut iq_buf = FrameBuf::new();
+    let mut decoded: Vec<i32> = Vec::with_capacity(samples.len());
+    let mut round_trip = |seq: u32| {
+        samples_buf.encode_samples(seq, u64::from(seq), &samples);
+        let header = decode_header(&samples_buf.header).expect("valid header");
+        decoded.clear();
+        let (batch, _) = decode_samples_into(&header, &samples_buf.payload, &mut decoded)
+            .expect("valid payload");
+        assert_eq!(batch, u64::from(seq));
+        iq_buf.encode_iq(seq, u64::from(seq), 0, &pairs, timing, 0);
+    };
+
+    // Warm-up: sizes both payload buffers.
+    for seq in 0..4 {
+        round_trip(seq);
+    }
+    let allocs = allocations_during(|| {
+        for seq in 4..12 {
+            round_trip(seq);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state wire codec allocated {allocs} time(s)"
+    );
+    assert_eq!(decoded, samples, "the measured decode lost samples");
 }
