@@ -4,7 +4,7 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors a minimal property-testing harness with the same surface
 //! syntax: the [`proptest!`] macro over `arg in strategy` parameters,
-//! [`prop_assert!`]/[`prop_assert_eq!`], range and [`any`] strategies,
+//! [`prop_assert!`]/[`prop_assert_eq!`], range and [`any`](arbitrary::any) strategies,
 //! [`prop::collection::vec`], and [`test_runner::ProptestConfig`].
 //!
 //! Differences from the real crate: cases are drawn from a

@@ -518,7 +518,9 @@ impl ChannelizerMetrics {
 
     /// Like [`ChannelizerMetrics::snapshot_into`], with an extra
     /// `bank="..."` label on every series — the form the server uses so
-    /// concurrently live banks never collide in one scrape.
+    /// concurrently live banks never collide in one scrape. `bank` goes
+    /// into the label as given: pass a name [`crate::ChannelizerSpec::validate`]
+    /// accepted, whose alphabet needs no escaping.
     pub fn snapshot_labeled(&self, snap: &mut MetricsSnapshot, bank: Option<&str>) {
         let plain = |name: &str| match bank {
             Some(b) => format!("{name}{{bank=\"{b}\"}}"),

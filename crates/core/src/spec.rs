@@ -50,12 +50,7 @@ pub const MAX_STAGES: usize = 8;
 /// Most taps a single FIR stage may declare.
 pub const MAX_FIR_TAPS: usize = 4096;
 /// Version byte leading every binary-encoded spec.
-pub const SPEC_ENCODING_VERSION: u8 = 1;
-/// Version byte for specs carrying an optional latency budget as a
-/// trailing field. Specs without a budget keep emitting version 1
-/// byte-identically, so every pre-existing consumer and every pinned
-/// offset stays valid.
-pub const SPEC_ENCODING_VERSION_V2: u8 = 2;
+pub const SPEC_ENCODING_VERSION: u8 = 2;
 /// Longest allowed spec name on the wire.
 pub const MAX_NAME_LEN: usize = 64;
 /// Most channels a [`ChannelizerSpec`] may declare (the FFT plan cache
@@ -69,6 +64,17 @@ pub const CHANNELIZER_ENCODING_VERSION: u8 = 1;
 /// on — its exchange iteration is O(taps²), so big banks must use the
 /// closed-form Kaiser design instead.
 pub const MAX_REMEZ_PROTOTYPE_TAPS: u32 = 1024;
+
+/// Whether `name` may name a spec: at most [`MAX_NAME_LEN`] ASCII
+/// letters, digits, `_`, `-` and `.`. A bank's name becomes a
+/// Prometheus label value (`bank="…"`), so the alphabet leaves nothing
+/// to escape.
+fn valid_name(name: &str) -> bool {
+    name.len() <= MAX_NAME_LEN
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.'))
+}
 
 /// Compile-time product of stage decimations, so derived constants can
 /// never drift from the per-stage table.
@@ -171,7 +177,8 @@ pub enum SpecError {
         /// Product of the stage decimations.
         product: u32,
     },
-    /// The name is not valid UTF-8 or exceeds [`MAX_NAME_LEN`].
+    /// The name exceeds [`MAX_NAME_LEN`] bytes or holds a character
+    /// other than an ASCII letter, digit, `_`, `-` or `.`.
     BadName,
     /// An encoded spec ended before the named field.
     Truncated(&'static str),
@@ -253,7 +260,10 @@ impl fmt::Display for SpecError {
                 f,
                 "declared total decimation {declared} != stage product {product}"
             ),
-            SpecError::BadName => write!(f, "spec name invalid or longer than {MAX_NAME_LEN}"),
+            SpecError::BadName => write!(
+                f,
+                "spec name must be at most {MAX_NAME_LEN} ASCII letters, digits, '_', '-' or '.'"
+            ),
             SpecError::Truncated(what) => write!(f, "encoded spec truncated reading {what}"),
             SpecError::TrailingBytes(n) => write!(f, "{n} trailing bytes after encoded spec"),
             SpecError::BadStageTag(t) => write!(f, "unknown stage tag {t}"),
@@ -633,7 +643,7 @@ impl ChainSpec {
 
     /// Checks internal consistency.
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.name.len() > MAX_NAME_LEN {
+        if !valid_name(&self.name) {
             return Err(SpecError::BadName);
         }
         if !(self.input_rate.is_finite() && self.input_rate > 0.0) {
@@ -842,19 +852,14 @@ impl ChainSpec {
     /// per stage: u8 tag (1=CIC, 2=FIR)
     ///   CIC: u8 order, u8 diff_delay, u32 decim
     ///   FIR: u32 decim, u32 tap count, u64×taps (f64 bits)
-    /// version 2 only: u64 latency budget max_us (f64 bits)
+    /// u64  latency budget max_us (f64 bits; 0 = no budget)
     /// ```
     ///
-    /// A spec without a latency budget emits version 1, byte-identical
-    /// to every earlier build; declaring a budget bumps the version
-    /// byte to 2 and appends the budget as a trailing field.
+    /// Every spec has this one layout. A budget must be positive to
+    /// validate, so the all-zero word cannot name one.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64 + 12 * self.stages.len());
-        out.push(if self.budget.is_some() {
-            SPEC_ENCODING_VERSION_V2
-        } else {
-            SPEC_ENCODING_VERSION
-        });
+        out.push(SPEC_ENCODING_VERSION);
         let name = self.name.as_bytes();
         debug_assert!(name.len() <= MAX_NAME_LEN);
         out.push(name.len().min(MAX_NAME_LEN) as u8);
@@ -889,9 +894,8 @@ impl ChainSpec {
                 }
             }
         }
-        if let Some(b) = &self.budget {
-            out.extend_from_slice(&b.max_us.to_bits().to_le_bytes());
-        }
+        let budget_bits = self.budget.as_ref().map_or(0, |b| b.max_us.to_bits());
+        out.extend_from_slice(&budget_bits.to_le_bytes());
         out
     }
 
@@ -901,7 +905,7 @@ impl ChainSpec {
     pub fn decode(bytes: &[u8]) -> Result<ChainSpec, SpecError> {
         let mut c = SpecCursor { buf: bytes, pos: 0 };
         let version = c.u8("encoding version")?;
-        if version != SPEC_ENCODING_VERSION && version != SPEC_ENCODING_VERSION_V2 {
+        if version != SPEC_ENCODING_VERSION {
             return Err(SpecError::BadEncodingVersion(version));
         }
         let name_len = c.u8("name length")? as usize;
@@ -950,12 +954,11 @@ impl ChainSpec {
                 other => return Err(SpecError::BadStageTag(other)),
             }
         }
-        let budget = if version == SPEC_ENCODING_VERSION_V2 {
-            Some(LatencyBudget {
-                max_us: f64::from_bits(c.u64("latency budget")?),
-            })
-        } else {
-            None
+        let budget = match c.u64("latency budget")? {
+            0 => None,
+            bits => Some(LatencyBudget {
+                max_us: f64::from_bits(bits),
+            }),
         };
         if c.remaining() != 0 {
             return Err(SpecError::TrailingBytes(c.remaining()));
@@ -1166,7 +1169,7 @@ impl ChannelizerSpec {
     /// Checks internal consistency — the same contract as
     /// [`ChainSpec::validate`].
     pub fn validate(&self) -> Result<(), SpecError> {
-        if self.name.len() > MAX_NAME_LEN {
+        if !valid_name(&self.name) {
             return Err(SpecError::BadName);
         }
         if !(self.input_rate.is_finite() && self.input_rate > 0.0) {
@@ -1774,20 +1777,30 @@ mod tests {
     }
 
     #[test]
-    fn budget_encoding_is_versioned_and_roundtrips() {
-        // No budget → version 1: byte-identical with every older build.
-        assert_eq!(
-            ChainSpec::drm_reference().encode()[0],
-            SPEC_ENCODING_VERSION
-        );
-        // With a budget → version 2 plus an 8-byte trailing field.
+    fn budget_word_is_always_encoded_and_roundtrips() {
+        // One layout: the budget word closes every encoding, zero when
+        // the spec declares no budget.
         let ll = ChainSpec::drm_low_latency();
         let bytes = ll.encode();
-        assert_eq!(bytes[0], SPEC_ENCODING_VERSION_V2);
         let mut stripped = ll.clone();
         stripped.budget = None;
-        assert_eq!(bytes.len(), stripped.encode().len() + 8);
+        let plain = stripped.encode();
+        assert_eq!(
+            (bytes[0], plain[0]),
+            (SPEC_ENCODING_VERSION, SPEC_ENCODING_VERSION)
+        );
+        assert_eq!(bytes.len(), plain.len());
+        assert_eq!(bytes[..bytes.len() - 8], plain[..plain.len() - 8]);
+        assert_eq!(plain[plain.len() - 8..], [0u8; 8]);
         assert_eq!(ChainSpec::decode(&bytes).expect("decode"), ll);
+        assert_eq!(ChainSpec::decode(&plain).expect("decode"), stripped);
+        // The version-1 layout, which had no budget word, is refused.
+        let mut v1 = plain[..plain.len() - 8].to_vec();
+        v1[0] = 1;
+        assert_eq!(
+            ChainSpec::decode(&v1),
+            Err(SpecError::BadEncodingVersion(1))
+        );
         // Truncation anywhere must still error, never panic.
         for n in 0..bytes.len() {
             assert!(ChainSpec::decode(&bytes[..n]).is_err(), "prefix {n} passed");
@@ -1796,6 +1809,45 @@ mod tests {
         let mut b = bytes.clone();
         b.push(0);
         assert_eq!(ChainSpec::decode(&b), Err(SpecError::TrailingBytes(1)));
+    }
+
+    /// Names become Prometheus label values, so a name that could close
+    /// its label and start a line of its own is refused by both specs,
+    /// at validate and at decode.
+    #[test]
+    fn names_outside_the_label_alphabet_are_rejected() {
+        for good in [
+            "drm",
+            "pfb64",
+            "loadgen-custom-672",
+            "prop-42",
+            "pfb8ch3",
+            "a.b_c-D9",
+        ] {
+            let mut chain = ChainSpec::drm_reference();
+            chain.name = good.into();
+            chain.validate().unwrap_or_else(|e| panic!("{good:?}: {e}"));
+            let mut bank = ChannelizerSpec::uniform(8, 1.0e6);
+            bank.name = good.into();
+            bank.validate().unwrap_or_else(|e| panic!("{good:?}: {e}"));
+        }
+        let injected = "x\"} 7\nddc_server_free_slots 999\n#";
+        let long = "n".repeat(MAX_NAME_LEN + 1);
+        for bad in [injected, "a b", "a\"b", "a{b}", "a\nb", "é", long.as_str()] {
+            let mut chain = ChainSpec::drm_reference();
+            chain.name = bad.into();
+            assert_eq!(chain.validate(), Err(SpecError::BadName), "{bad:?}");
+            let mut bank = ChannelizerSpec::uniform(8, 1.0e6);
+            bank.name = bad.into();
+            assert_eq!(bank.validate(), Err(SpecError::BadName), "{bad:?}");
+            if bad.len() <= MAX_NAME_LEN {
+                assert_eq!(ChainSpec::decode(&chain.encode()), Err(SpecError::BadName));
+                assert_eq!(
+                    ChannelizerSpec::decode(&bank.encode()),
+                    Err(SpecError::BadName)
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Closed-form CIC filter mathematics.
 //!
-//! A CIC (cascaded integrator-comb, Hogenauer 1981 — reference [7] of
+//! A CIC (cascaded integrator-comb, Hogenauer 1981 — reference \[7\] of
 //! the paper) of order `N`, decimation `R` and differential delay `M`
 //! has transfer function `H(z) = [(1 - z^{-RM}) / (1 - z^{-1})]^N`,
 //! i.e. a cascade of `N` boxcar averagers of length `RM`. This module

@@ -10,9 +10,9 @@
 //!   fixed-bucket base-2 log histograms, recorded once per *block*
 //!   (never per sample) behind a [`MetricsHandle`] that is a no-op
 //!   when telemetry is off.
-//! - [`MetricsSnapshot`]: the export surface — JSON, Prometheus text,
-//!   and a validated binary codec used by the wire protocol's
-//!   `MetricsReport` frame.
+//! - [`MetricsSnapshot`]: the export surface — lookup by name for
+//!   in-process readers, and Prometheus text, the one serialised format
+//!   and the body of the wire protocol's `MetricsReport` frame.
 //! - [`TraceSink`] / [`TraceHandle`]: sampled per-batch span tracing
 //!   (begin/end/instant events with 64-bit trace/span IDs in bounded,
 //!   drop-counted [`SpanRing`]s that any number of threads may write),
@@ -32,7 +32,7 @@ mod trace;
 
 pub use hist::{bucket_index, bucket_upper_bound, HistSnapshot, LogHistogram, BUCKETS};
 pub use metrics::{ChainMetrics, Counter, MetricsHandle, StageMetrics};
-pub use snapshot::{MetricsSnapshot, SnapshotDecodeError, SNAPSHOT_VERSION};
+pub use snapshot::MetricsSnapshot;
 pub use trace::{
     render_chrome_events, span_kind, SpanEvent, SpanRing, TraceHandle, TraceSink, SERVER_TRACE_BIT,
 };

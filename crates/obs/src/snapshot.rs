@@ -1,22 +1,15 @@
-//! [`MetricsSnapshot`]: the exportable, mergeable point-in-time view.
+//! [`MetricsSnapshot`]: the exportable point-in-time view.
 //!
 //! A snapshot is a flat list of named counters and named histogram
 //! snapshots. Names may carry embedded Prometheus-style labels —
-//! `ddc_stage_blocks{channel="0",stage="cic2r16"}` — which the JSON
-//! serializer treats as opaque keys and the Prometheus serializer
-//! splits into metric family + label set. The binary codec is the
-//! wire-protocol payload for `MetricsReport` frames and mirrors the
-//! cursor/validate style of the ChainSpec codec: every length is
-//! checked against the remaining input *before* any allocation.
+//! `ddc_stage_blocks{channel="0",stage="cic2r16"}` — which
+//! [`MetricsSnapshot::to_prometheus`] splits into metric family and
+//! label set. That text is the one export format: the body of the
+//! wire protocol's `MetricsReport` frame. In-process readers look
+//! values up by exact name instead.
 
 use crate::hist::{bucket_upper_bound, HistSnapshot, BUCKETS};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Binary encoding version for [`MetricsSnapshot::encode`].
-/// Version 2 added per-bucket value sums (quantile interpolation
-/// anchors) to every histogram record.
-pub const SNAPSHOT_VERSION: u8 = 2;
 
 /// A point-in-time view of every exported counter and histogram.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -26,35 +19,6 @@ pub struct MetricsSnapshot {
     /// Named histogram snapshots.
     pub histograms: Vec<(String, HistSnapshot)>,
 }
-
-/// Why a binary snapshot failed to decode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SnapshotDecodeError {
-    /// Input ended before the declared structure did.
-    Truncated,
-    /// Unknown encoding version byte.
-    BadVersion(u8),
-    /// A name was not valid UTF-8.
-    BadName,
-    /// A histogram bucket index was out of range.
-    BadBucketIndex(u8),
-    /// Input continued past the declared structure.
-    TrailingBytes,
-}
-
-impl fmt::Display for SnapshotDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Truncated => write!(f, "snapshot truncated"),
-            Self::BadVersion(v) => write!(f, "unknown snapshot version {v}"),
-            Self::BadName => write!(f, "snapshot name is not UTF-8"),
-            Self::BadBucketIndex(i) => write!(f, "bucket index {i} out of range"),
-            Self::TrailingBytes => write!(f, "trailing bytes after snapshot"),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotDecodeError {}
 
 impl MetricsSnapshot {
     /// An empty snapshot.
@@ -86,55 +50,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    // ---------------------------------------------------------------
-    // JSON
-    // ---------------------------------------------------------------
-
-    /// Renders the snapshot as a self-contained JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + 64 * self.counters.len());
-        s.push_str("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, name);
-            s.push(':');
-            s.push_str(&v.to_string());
-        }
-        s.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            push_json_string(&mut s, name);
-            s.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\
-                 \"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                h.count,
-                h.sum,
-                h.max,
-                h.mean(),
-                h.p50(),
-                h.p95(),
-                h.p99()
-            ));
-            let mut first = true;
-            for (idx, &n) in h.buckets.iter().enumerate() {
-                if n != 0 {
-                    if !first {
-                        s.push(',');
-                    }
-                    first = false;
-                    s.push_str(&format!("[{idx},{n}]"));
-                }
-            }
-            s.push_str("]}");
-        }
-        s.push_str("}}");
-        s
     }
 
     // ---------------------------------------------------------------
@@ -199,147 +114,6 @@ impl MetricsSnapshot {
         }
         out
     }
-
-    // ---------------------------------------------------------------
-    // Binary codec (wire payload for MetricsReport)
-    // ---------------------------------------------------------------
-
-    /// Encodes the snapshot into a compact length-prefixed binary form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64 + 24 * self.counters.len());
-        buf.push(SNAPSHOT_VERSION);
-        buf.extend_from_slice(&(self.counters.len() as u32).to_le_bytes());
-        for (name, v) in &self.counters {
-            put_name(&mut buf, name);
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        buf.extend_from_slice(&(self.histograms.len() as u32).to_le_bytes());
-        for (name, h) in &self.histograms {
-            put_name(&mut buf, name);
-            buf.extend_from_slice(&h.count.to_le_bytes());
-            buf.extend_from_slice(&h.sum.to_le_bytes());
-            buf.extend_from_slice(&h.max.to_le_bytes());
-            let nonzero = h.buckets.iter().filter(|&&n| n != 0).count() as u8;
-            buf.push(nonzero);
-            for (idx, &n) in h.buckets.iter().enumerate() {
-                if n != 0 {
-                    buf.push(idx as u8);
-                    buf.extend_from_slice(&n.to_le_bytes());
-                    buf.extend_from_slice(&h.bucket_sums[idx].to_le_bytes());
-                }
-            }
-        }
-        buf
-    }
-
-    /// Decodes a snapshot previously produced by [`Self::encode`].
-    /// Every length is validated against the remaining input before
-    /// allocation, so malformed input fails cleanly.
-    pub fn decode(bytes: &[u8]) -> Result<Self, SnapshotDecodeError> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        let version = cur.u8()?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotDecodeError::BadVersion(version));
-        }
-
-        let n_counters = cur.u32()? as usize;
-        // Each counter record is at least 2 (name len) + 8 (value).
-        cur.ensure(n_counters.saturating_mul(10))?;
-        let mut counters = Vec::with_capacity(n_counters);
-        for _ in 0..n_counters {
-            let name = cur.name()?;
-            counters.push((name, cur.u64()?));
-        }
-
-        let n_hists = cur.u32()? as usize;
-        // At least 2 (name len) + 24 (count/sum/max) + 1 (bucket count).
-        cur.ensure(n_hists.saturating_mul(27))?;
-        let mut histograms = Vec::with_capacity(n_hists);
-        for _ in 0..n_hists {
-            let name = cur.name()?;
-            let count = cur.u64()?;
-            let sum = cur.u64()?;
-            let max = cur.u64()?;
-            let nonzero = cur.u8()? as usize;
-            // Each nonzero-bucket record is 1 (index) + 8 (count) + 8 (sum).
-            cur.ensure(nonzero.saturating_mul(17))?;
-            let mut buckets = [0u64; BUCKETS];
-            let mut bucket_sums = [0u64; BUCKETS];
-            for _ in 0..nonzero {
-                let idx = cur.u8()?;
-                if idx as usize >= BUCKETS {
-                    return Err(SnapshotDecodeError::BadBucketIndex(idx));
-                }
-                buckets[idx as usize] = cur.u64()?;
-                bucket_sums[idx as usize] = cur.u64()?;
-            }
-            histograms.push((
-                name,
-                HistSnapshot {
-                    buckets,
-                    bucket_sums,
-                    count,
-                    sum,
-                    max,
-                },
-            ));
-        }
-
-        if cur.pos != bytes.len() {
-            return Err(SnapshotDecodeError::TrailingBytes);
-        }
-        Ok(Self {
-            counters,
-            histograms,
-        })
-    }
-}
-
-fn put_name(buf: &mut Vec<u8>, name: &str) {
-    let bytes = name.as_bytes();
-    let len = bytes.len().min(u16::MAX as usize);
-    buf.extend_from_slice(&(len as u16).to_le_bytes());
-    buf.extend_from_slice(&bytes[..len]);
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn ensure(&self, n: usize) -> Result<(), SnapshotDecodeError> {
-        if self.bytes.len() - self.pos < n {
-            Err(SnapshotDecodeError::Truncated)
-        } else {
-            Ok(())
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], SnapshotDecodeError> {
-        self.ensure(n)?;
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotDecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotDecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotDecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn name(&mut self) -> Result<String, SnapshotDecodeError> {
-        let len = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotDecodeError::BadName)
-    }
 }
 
 /// Splits `base{labels}` into (`base`, `labels`); labels may be empty.
@@ -374,27 +148,10 @@ fn push_labels(out: &mut String, labels: &str, le: Option<&str>) {
     }
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hist::LogHistogram;
-    use proptest::prelude::*;
 
     fn sample_snapshot() -> MetricsSnapshot {
         let h = LogHistogram::new();
@@ -409,48 +166,6 @@ mod tests {
             h.snapshot(),
         );
         s
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let s = sample_snapshot();
-        let enc = s.encode();
-        let dec = MetricsSnapshot::decode(&enc).unwrap();
-        assert_eq!(s, dec);
-    }
-
-    #[test]
-    fn decode_rejects_malformed() {
-        let s = sample_snapshot();
-        let enc = s.encode();
-        // Every truncation fails cleanly.
-        for cut in 0..enc.len() {
-            assert!(
-                MetricsSnapshot::decode(&enc[..cut]).is_err(),
-                "truncation at {cut} must fail"
-            );
-        }
-        // Bad version byte.
-        let mut bad = enc.clone();
-        bad[0] = 0xFF;
-        assert_eq!(
-            MetricsSnapshot::decode(&bad),
-            Err(SnapshotDecodeError::BadVersion(0xFF))
-        );
-        // Trailing garbage.
-        let mut long = enc.clone();
-        long.push(0);
-        assert_eq!(
-            MetricsSnapshot::decode(&long),
-            Err(SnapshotDecodeError::TrailingBytes)
-        );
-        // Huge declared counter count on a short body must not OOM.
-        let mut huge = vec![SNAPSHOT_VERSION];
-        huge.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(
-            MetricsSnapshot::decode(&huge),
-            Err(SnapshotDecodeError::Truncated)
-        );
     }
 
     #[test]
@@ -473,14 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn json_output_is_escaped_and_lookup_works() {
+    fn lookup_finds_counters_and_histograms_by_exact_name() {
         let s = sample_snapshot();
-        let json = s.to_json();
-        // Label quotes must be escaped inside JSON keys.
-        assert!(json.contains("channel=\\\"0\\\""));
-        assert!(json.contains("\"counters\":{"));
-        assert!(json.contains("\"p50\":"));
         assert_eq!(s.counter("ddc_jobs_total"), Some(42));
+        assert_eq!(s.counter("ddc_jobs"), None);
         assert!(s
             .histogram("ddc_stage_latency_ns{channel=\"0\",stage=\"cic2r16\"}")
             .is_some());
@@ -492,25 +203,5 @@ mod tests {
         assert_eq!(sanitize_metric_name("9bad name"), "_bad_name");
         assert_eq!(split_labels("a{b=\"c\"}"), ("a", "b=\"c\""));
         assert_eq!(split_labels("plain"), ("plain", ""));
-    }
-
-    proptest! {
-        /// encode/decode roundtrips arbitrary snapshots.
-        #[test]
-        fn roundtrip_random(
-            counters in prop::collection::vec(any::<u64>(), 0..8),
-            values in prop::collection::vec(any::<u64>(), 0..32),
-        ) {
-            let mut s = MetricsSnapshot::new();
-            for (i, v) in counters.iter().enumerate() {
-                s.push_counter(format!("c{i}"), *v);
-            }
-            let h = LogHistogram::new();
-            for &v in &values {
-                h.record(v);
-            }
-            s.push_hist("h", h.snapshot());
-            prop_assert_eq!(MetricsSnapshot::decode(&s.encode()).unwrap(), s);
-        }
     }
 }

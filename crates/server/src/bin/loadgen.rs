@@ -23,9 +23,7 @@ use ddc_core::params::FixedFormat;
 use ddc_core::spec::{ChainSpec, StageSpec, DRM_INPUT_RATE};
 use ddc_obs::{HistSnapshot, LogHistogram, SpanEvent, TraceSink};
 use ddc_server::client::{Client, ClientError};
-use ddc_server::wire::{
-    error_code, metrics_format, Backpressure, ConfigPreset, Frame, QosProfile, StatsReport,
-};
+use ddc_server::wire::{error_code, Backpressure, ConfigPreset, Frame, QosProfile, StatsReport};
 use ddc_server::{serve, ServerConfig};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -379,14 +377,6 @@ fn run_session(
         return out;
     }
     let scrape_metrics = opts.metrics_interval_ms > 0 || opts.metrics_out.is_some();
-    if scrape_metrics && !client.server_has_metrics() {
-        out.failure = Some("server does not advertise the metrics feature".into());
-        return out;
-    }
-    if tracer.is_some() && !client.server_has_trace() {
-        out.failure = Some("server does not advertise the trace feature".into());
-        return out;
-    }
     let (mut tx, mut rx) = client.split();
 
     let batches = opts.batches;
@@ -540,12 +530,7 @@ fn run_session(
         out.samples_sent += (end - start) as u64;
         if scrape_metrics && opts.metrics_interval_ms > 0 && Instant::now() >= next_scrape {
             next_scrape = Instant::now() + metrics_interval;
-            if tx
-                .send(&Frame::MetricsRequest {
-                    format: metrics_format::PROMETHEUS,
-                })
-                .is_err()
-            {
+            if tx.send(&Frame::MetricsRequest).is_err() {
                 send_failed = true;
                 break;
             }
@@ -562,9 +547,7 @@ fn run_session(
         // One final scrape so --metrics-out captures the end-of-stream
         // state even without a periodic interval.
         if scrape_metrics {
-            let _ = tx.send(&Frame::MetricsRequest {
-                format: metrics_format::PROMETHEUS,
-            });
+            let _ = tx.send(&Frame::MetricsRequest);
         }
         let _ = tx.send(&Frame::Shutdown);
     }
@@ -656,7 +639,7 @@ fn blank_outcome(session: usize, tune_hz: f64) -> SessionOutcome {
 /// attaches per channel, and the ingest streams the shared stimulus in
 /// lock-step (each batch acknowledged with an empty Iq). Subscribers
 /// drain until the bank's teardown Shutdown. With `--verify`, every
-/// channel must be bit-exact against a local [`ChannelizerFarm`]
+/// channel must be bit-exact against a local [`ddc_core::ChannelizerFarm`]
 /// replica over the same batches — the bank is deterministic integer
 /// arithmetic, so transport must change nothing.
 ///
@@ -777,7 +760,7 @@ fn run_channelizer(addr: &str, opts: &Opts, stimulus: Arc<Vec<i32>>) -> Vec<Sess
         }
     }
     if opts.metrics_out.is_some() || opts.metrics_interval_ms > 0 {
-        match ingest.request_metrics(metrics_format::PROMETHEUS) {
+        match ingest.request_metrics() {
             Ok(m) => {
                 ingest_out.metrics_scrapes = 1;
                 ingest_out.last_metrics = Some(m.body);
@@ -845,9 +828,6 @@ fn scrape_server_trace(addr: &str) -> Result<(u64, Vec<u8>), String> {
     for _ in 0..200 {
         let mut c = connect_with_retry(addr, "loadgen-trace-scrape")
             .map_err(|e| format!("trace scrape connect: {e}"))?;
-        if !c.server_has_trace() {
-            return Err("server does not advertise the trace feature".into());
-        }
         match c.configure(ConfigPreset::Drm, 5.0e6, Backpressure::Block, 2) {
             Ok(_) => {
                 let report = c

@@ -3,9 +3,8 @@
 //! halves for concurrent streaming (the shape `loadgen` uses).
 
 use crate::wire::{
-    feature, read_frame_buffered, Backpressure, ChainPlan, ConfigPreset, Configure, ErrorFrame,
-    Frame, FrameBuf, FrameReadError, Hello, MetricsReport, QosProfile, StatsReport, TraceReport,
-    MAX_PAYLOAD, VERSION,
+    read_frame, Backpressure, ChainPlan, ConfigPreset, Configure, ErrorFrame, Frame, FrameBuf,
+    FrameReadError, Hello, MetricsReport, QosProfile, StatsReport, TraceReport,
 };
 use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -90,8 +89,7 @@ impl ClientSender {
     }
 
     /// [`ClientSender::send_samples`] with a span-trace stamp:
-    /// non-zero `trace_id` rides the 9-byte trailing extension (only
-    /// send one to a server that advertised [`feature::TRACE`]); zero
+    /// non-zero `trace_id` rides the 9-byte trailing extension; zero
     /// is byte-identical to the untraced path.
     pub fn send_samples_traced(
         &mut self,
@@ -119,7 +117,7 @@ pub struct ClientReceiver {
 impl ClientReceiver {
     /// Receives the next frame, enforcing sequence continuity.
     pub fn recv(&mut self) -> Result<Frame, ClientError> {
-        let (seq, frame, _decode_ns) = read_frame_buffered(&mut self.reader, &mut self.scratch)?;
+        let (seq, frame) = read_frame(&mut self.reader, &mut self.scratch)?;
         if seq != self.expected_seq {
             return Err(ClientError::SeqGap {
                 expected: self.expected_seq,
@@ -163,13 +161,7 @@ impl Client {
             expected_seq: 0,
         };
         sender.send(&Frame::Hello(Hello {
-            proto: VERSION as u16,
-            max_payload: MAX_PAYLOAD,
             info: info.to_string(),
-            // The client can parse trace trailers on Iq acks and
-            // TraceReport frames; advertising it lets the server echo
-            // trace IDs without risking a featureless peer.
-            features: feature::TRACE,
         }))?;
         let server_hello = match receiver.recv()? {
             Frame::Hello(h) => h,
@@ -207,9 +199,8 @@ impl Client {
     /// Sets the server-side trace head-sampling interval carried by
     /// subsequent Configure frames: every `n`th accepted batch that
     /// arrives without a client trace stamp gets a server-allocated
-    /// trace ID. 0 (the default) disables server-side sampling. Only
-    /// meaningful against a server that advertised
-    /// [`feature::TRACE`]; chains before `configure*`.
+    /// trace ID. 0 (the default) disables server-side sampling. Chains
+    /// before `configure*`.
     pub fn with_trace_interval(mut self, n: u32) -> Self {
         self.trace_interval = n;
         self
@@ -299,17 +290,6 @@ impl Client {
         }
     }
 
-    /// True when the server advertised the live metrics endpoint in
-    /// its Hello.
-    pub fn server_has_metrics(&self) -> bool {
-        self.server_hello.features & feature::METRICS != 0
-    }
-
-    /// True when the server advertised span tracing in its Hello.
-    pub fn server_has_trace(&self) -> bool {
-        self.server_hello.features & feature::TRACE != 0
-    }
-
     /// Drains the server's span-trace rings into a Chrome trace-event
     /// JSON fragment (see [`TraceReport`]).
     pub fn request_trace(&mut self) -> Result<TraceReport, ClientError> {
@@ -321,9 +301,9 @@ impl Client {
         }
     }
 
-    /// Requests a telemetry snapshot in the given [`crate::wire::metrics_format`].
-    pub fn request_metrics(&mut self, format: u8) -> Result<MetricsReport, ClientError> {
-        self.sender.send(&Frame::MetricsRequest { format })?;
+    /// Requests a telemetry snapshot in the Prometheus text format.
+    pub fn request_metrics(&mut self) -> Result<MetricsReport, ClientError> {
+        self.sender.send(&Frame::MetricsRequest)?;
         match self.receiver.recv()? {
             Frame::MetricsReport(m) => Ok(m),
             Frame::Error(e) => Err(ClientError::Remote(e)),

@@ -23,7 +23,7 @@
 //! The listener sits in shard 0's poller; shard 0 deals new sessions
 //! round-robin across the shards. Each loop iteration gives every
 //! session with queued work one DSP turn of at most one slice: the
-//! latency-QoS chunk for budgeted sessions, [`THROUGHPUT_SLICE`]
+//! latency-QoS chunk for budgeted sessions, `THROUGHPUT_SLICE`
 //! samples otherwise. A session sharing a shard therefore waits at most
 //! one slice per other busy session before its own batch runs. Thread
 //! count is a function of the host, not the session count, so hundreds
@@ -32,15 +32,14 @@
 
 use crate::queue::{BoundedQueue, Push};
 use crate::session::{
-    frame_name, server_hello, Bank, Batch, ChainObs, Conn, EndKind, FlushState, InFlight, Notice,
-    Reader, Role, Session, SessionObs, SessionState, ShardMailbox, OUT_HWM, READ_BUDGET,
-    READ_CHUNK,
+    frame_name, Bank, Batch, ChainObs, Conn, EndKind, FlushState, InFlight, Notice, Reader, Role,
+    Session, SessionObs, SessionState, ShardMailbox, OUT_HWM, READ_BUDGET, READ_CHUNK,
 };
 use crate::sys::{fd_of, Interest, Poller};
 use crate::wire::{
-    decode_header, decode_payload, decode_samples_into, error_code, metrics_format, Backpressure,
-    ChainPlan, Configure, ErrorFrame, Frame, FrameBuf, IqTiming, MetricsReport, StatsReport,
-    TraceReport, HEADER_LEN, VERSION,
+    decode_header, decode_payload, decode_samples_into, error_code, Backpressure, ChainPlan,
+    Configure, ErrorFrame, Frame, FrameBuf, Hello, IqTiming, MetricsReport, StatsReport,
+    TraceReport, HEADER_LEN,
 };
 use ddc_core::mixer::Iq;
 use ddc_core::{chain_metrics_for, ChannelizerFarm, FixedDdc};
@@ -1014,8 +1013,6 @@ fn stats(state: &ServerState, s: &Session) -> StatsReport {
         queue_hwm: q.map_or(0, BoundedQueue::high_water_mark) as u32,
         busy_ns: 0,
         farm_jobs_completed: state.jobs_completed.get(),
-        farm_steals: 0,
-        farm_orphans_reclaimed: 0,
     };
     match &s.role {
         Role::Chain(_) => {
@@ -1302,15 +1299,10 @@ fn parse_frames(state: &ServerState, s: &mut Session) -> ParseStep {
         s.conn.obs.decode_ns.record_duration(t0.elapsed());
         match s.reader.state {
             SessionState::ExpectHello => match decoded {
-                Ok(Frame::Hello(hello)) if h.seq == 0 => {
-                    if hello.proto != VERSION as u16 {
-                        return protocol_error(
-                            s,
-                            format!("unsupported protocol version {}", hello.proto),
-                        );
-                    }
-                    s.conn
-                        .enqueue(&Frame::Hello(server_hello(&state.cfg.banner)));
+                Ok(Frame::Hello(_)) if h.seq == 0 => {
+                    s.conn.enqueue(&Frame::Hello(Hello {
+                        info: state.cfg.banner.clone(),
+                    }));
                     s.reader.state = SessionState::ExpectConfigure;
                     s.reader.expected_seq = 1;
                 }
@@ -1372,32 +1364,11 @@ fn parse_frames(state: &ServerState, s: &mut Session) -> ParseStep {
                         s.conn.obs.stats_requests.inc();
                         s.conn.enqueue(&Frame::StatsReport(stats(state, s)));
                     }
-                    Frame::MetricsRequest { format }
-                        if matches!(
-                            format,
-                            metrics_format::JSON
-                                | metrics_format::PROMETHEUS
-                                | metrics_format::BINARY
-                        ) =>
-                    {
+                    Frame::MetricsRequest => {
                         s.conn.obs.metrics_requests.inc();
-                        let snap = state.metrics_snapshot();
-                        let body = match format {
-                            metrics_format::JSON => snap.to_json().into_bytes(),
-                            metrics_format::PROMETHEUS => snap.to_prometheus().into_bytes(),
-                            _ => snap.encode(),
-                        };
+                        let body = state.metrics_snapshot().to_prometheus().into_bytes();
                         s.conn
-                            .enqueue(&Frame::MetricsReport(MetricsReport { format, body }));
-                    }
-                    Frame::MetricsRequest { format } => {
-                        // Unknown format byte: refuse the request but
-                        // keep the stream alive — metrics are advisory,
-                        // not load-bearing.
-                        s.conn.enqueue(&Frame::Error(ErrorFrame {
-                            code: error_code::PROTOCOL,
-                            message: format!("cannot serve metrics format {format}"),
-                        }));
+                            .enqueue(&Frame::MetricsReport(MetricsReport { body }));
                     }
                     Frame::TraceRequest => {
                         // Drain every ring under the single-consumer

@@ -2,12 +2,12 @@
 //! write to, plus the shard-local state its shard's readiness loop
 //! drives.
 //!
-//! A [`Conn`] owns a non-blocking socket and an [`Outbound`] queue of
+//! A `Conn` owns a non-blocking socket and an `Outbound` queue of
 //! encoded [`FrameBuf`]s flushed with vectored writes and a
 //! partial-write cursor. It is shared (`Arc`) because a channelizer
 //! ingest's shard writes its subscribers' frames, whichever shard those
 //! subscribers live on. Everything else a session owns sits in its
-//! [`Session`], which only its shard touches: a [`Reader`] with
+//! `Session`, which only its shard touches: a `Reader` with
 //! partial-frame cursors (frames arrive torn at arbitrary byte
 //! boundaries), the bounded input queue, and the session's own DSP — a
 //! [`FixedDdc`] or a channelizer bank — which the shard runs to
@@ -23,10 +23,7 @@
 
 use crate::queue::BoundedQueue;
 use crate::sys::{Interest, Waker};
-use crate::wire::{
-    feature, Backpressure, Frame, FrameBuf, FrameHeader, Hello, IqTiming, HEADER_LEN, MAX_PAYLOAD,
-    VERSION,
-};
+use crate::wire::{Backpressure, Frame, FrameBuf, FrameHeader, IqTiming, HEADER_LEN};
 use ddc_core::mixer::Iq;
 use ddc_core::{ChannelizerFarm, ChannelizerMetrics, FixedDdc};
 use ddc_obs::{ChainMetrics, Counter, LogHistogram, MetricsSnapshot};
@@ -689,22 +686,10 @@ pub(crate) fn frame_name(f: &Frame) -> &'static str {
         Frame::StatsReport(_) => "StatsReport",
         Frame::Error(_) => "Error",
         Frame::Shutdown => "Shutdown",
-        Frame::MetricsRequest { .. } => "MetricsRequest",
+        Frame::MetricsRequest => "MetricsRequest",
         Frame::MetricsReport(_) => "MetricsReport",
         Frame::TraceRequest => "TraceRequest",
         Frame::TraceReport(_) => "TraceReport",
-    }
-}
-
-/// The server's half of the version handshake. Advertises the metrics
-/// and span-trace endpoints so clients know a MetricsRequest or
-/// TraceRequest will be answered.
-pub fn server_hello(banner: &str) -> Hello {
-    Hello {
-        proto: VERSION as u16,
-        max_payload: MAX_PAYLOAD,
-        info: banner.to_string(),
-        features: feature::METRICS | feature::TRACE,
     }
 }
 

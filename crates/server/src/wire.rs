@@ -10,56 +10,34 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic            0xDDC1
-//!      2     1  version          2
-//!      3     1  frame type       Hello=1 … Metrics=8
+//!      2     1  version          3
+//!      3     1  frame type       Hello=1 Configure=2 Samples=3 Iq=4 Stats=5
+//!                                Error=6 Shutdown=7 Metrics=8 Trace=9
 //!      4     4  sequence number  independent monotonic counter per direction
 //!      8     4  payload length   bytes, <= MAX_PAYLOAD
 //!     12     4  payload checksum Fletcher-32 over the payload bytes
 //!     16     4  header checksum  Fletcher-32 over bytes 0..16
 //! ```
 //!
+//! [`decode_header`] checks the version byte of every frame, so a peer
+//! speaking another version fails at its first frame.
+//!
 //! Encoding and decoding are pure functions over byte slices — no
-//! sockets — so the whole codec is unit-testable in-process; the
-//! blocking [`read_frame`]/[`write_frame`] helpers layer std I/O on
-//! top for the server and client runtimes.
+//! sockets — so the whole codec is unit-testable in-process;
+//! [`FrameBuf::write_to`] and the blocking [`read_frame`] layer std I/O
+//! on top for the client.
 
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
 
 /// First two bytes of every frame.
 pub const MAGIC: u16 = 0xDDC1;
-/// Protocol version this build speaks. Version 2 extended Configure to
-/// carry a full binary-encoded [`ddc_core::ChainSpec`] as an
-/// alternative to the closed preset byte.
-pub const VERSION: u8 = 2;
+/// Protocol version this build speaks, checked in every frame header.
+pub const VERSION: u8 = 3;
 /// Size of the fixed frame header, bytes.
 pub const HEADER_LEN: usize = 20;
 /// Upper bound on payload size (guards allocation on decode).
 pub const MAX_PAYLOAD: u32 = 1 << 22; // 4 MiB ≈ 1 M i32 samples
-
-/// Optional capabilities advertised in the [`Hello`] `features`
-/// bitset. The field itself is optional on the wire (older v2 peers
-/// omit it, which reads back as no features), so every bit here is
-/// strictly additive.
-pub mod feature {
-    /// The sender answers [`super::Frame::MetricsRequest`] with live
-    /// telemetry snapshots.
-    pub const METRICS: u32 = 1;
-    /// The sender understands per-batch span tracing: trace-ID
-    /// trailers on Samples/Iq frames, the `trace_interval` Configure
-    /// tag, and [`super::Frame::TraceRequest`] scrapes.
-    pub const TRACE: u32 = 2;
-}
-
-/// Serialisation formats a [`Frame::MetricsRequest`] can ask for.
-pub mod metrics_format {
-    /// `ddc_obs::MetricsSnapshot::to_json` text.
-    pub const JSON: u8 = 0;
-    /// Prometheus text exposition format.
-    pub const PROMETHEUS: u8 = 1;
-    /// `ddc_obs::MetricsSnapshot::encode` binary codec.
-    pub const BINARY: u8 = 2;
-}
 
 /// Error codes carried by [`Frame::Error`].
 pub mod error_code {
@@ -167,7 +145,7 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 /// needs no serial chain. It reads whole 16-byte blocks, eight words
 /// each, and keeps two `u32` sums per word position j, updated per
 /// block by adds alone: `r[j] += s[j]; s[j] += w`. After n blocks
-/// s[j] = Σₜ w(t, j) and r[j] = Σₜ (n−1−t)·w(t, j); word (t, j) has
+/// `s[j] = Σₜ w(t, j)` and `r[j] = Σₜ (n−1−t)·w(t, j)`; word (t, j) has
 /// index 8t + j, so
 ///
 /// ```text
@@ -177,7 +155,7 @@ pub fn checksum(bytes: &[u8]) -> u32 {
 /// and reduction mod 65535 is a ring homomorphism, so both residues
 /// come out unchanged. An all-0xFFFF position reaches
 /// r = 65535·n(n−1)/2, which stays below 2³² up to n = 362 blocks;
-/// the sums fold into (a, b) every [`FOLD_BLOCKS`] blocks, so no lane
+/// the sums fold into (a, b) every `FOLD_BLOCKS` blocks, so no lane
 /// wraps. Odd bytes and words past the last whole block run the
 /// recurrence directly.
 #[derive(Clone, Debug)]
@@ -420,18 +398,6 @@ impl ConfigPreset {
         }
     }
 
-    /// Builds the concrete chain configuration for this preset.
-    pub fn to_config(self, tune_freq: f64) -> ddc_core::DdcConfig {
-        match self {
-            ConfigPreset::Drm => ddc_core::DdcConfig::drm(tune_freq),
-            ConfigPreset::DrmMontium => ddc_core::DdcConfig::drm_montium(tune_freq),
-            ConfigPreset::Wideband => ddc_core::DdcConfig::wideband(tune_freq),
-            ConfigPreset::WidebandCompensated => {
-                ddc_core::DdcConfig::wideband_compensated(tune_freq)
-            }
-        }
-    }
-
     /// Expands the preset byte into its canonical [`ddc_core::ChainSpec`].
     pub fn to_spec(self, tune_freq: f64) -> ddc_core::ChainSpec {
         let spec = match self {
@@ -455,19 +421,13 @@ impl ConfigPreset {
     }
 }
 
-/// Greeting exchanged in both directions when a connection opens.
+/// Greeting exchanged in both directions when a connection opens. The
+/// version travels in every frame header, so the Hello carries only a
+/// banner.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Hello {
-    /// Highest protocol version the sender speaks.
-    pub proto: u16,
-    /// Largest payload the sender will accept.
-    pub max_payload: u32,
     /// Free-form implementation banner.
     pub info: String,
-    /// Capability bitset ([`feature`]). Encoded only when non-zero and
-    /// optional on decode, so a featureless Hello is byte-identical to
-    /// the original v2 frame.
-    pub features: u32,
 }
 
 /// How a Configure frame names the work to run: a one-byte preset
@@ -581,16 +541,13 @@ pub struct Configure {
     pub policy: Backpressure,
     /// Input-queue capacity in batches (0 → server default).
     pub queue_cap: u32,
-    /// QoS profile. Encoded only when not `Throughput` (trailing
-    /// bytes), so a throughput Configure is byte-identical to the
-    /// pre-QoS wire format.
+    /// QoS profile: trailing tag 1 + u32 budget for `Latency`, nothing
+    /// for `Throughput`.
     pub qos: QosProfile,
     /// Server-side trace head-sampling interval: every `N`th accepted
     /// batch that arrives *without* a client-stamped trace ID gets a
     /// server-allocated one. 0 disables server-side sampling and is
-    /// omitted on the wire (trailing tag 2 + u32 when non-zero), so a
-    /// trace-free Configure stays byte-identical to the legacy layout.
-    /// Requires [`feature::TRACE`].
+    /// omitted on the wire; non-zero travels as trailing tag 2 + u32.
     pub trace_interval: u32,
 }
 
@@ -607,8 +564,7 @@ pub struct Samples {
     /// Span-trace ID stamped by the sender on head-sampled batches
     /// (0 = unsampled). Non-zero IDs ride a 9-byte trailing extension
     /// ([`SAMPLES_TRACE_TAG`] + u64) after the sample words; zero is
-    /// omitted, so untraced frames are byte-identical to the legacy
-    /// encoding. Requires [`feature::TRACE`] on the receiving peer.
+    /// omitted.
     pub trace_id: u64,
 }
 
@@ -631,9 +587,8 @@ pub struct IqPayload {
     pub dropped_total: u64,
     /// Complex output words, (i, q) pairs.
     pub pairs: Vec<(i64, i64)>,
-    /// Server-side timing for this batch (sent on latency-QoS
-    /// sessions; trailing bytes, absent on throughput sessions so the
-    /// legacy encoding is unchanged).
+    /// Server-side timing for this batch (a trailer sent on latency-QoS
+    /// sessions, absent on throughput sessions).
     pub timing: Option<IqTiming>,
     /// Span-trace ID echo: the trace ID the corresponding Samples
     /// batch carried (or that the server assigned under the
@@ -652,7 +607,7 @@ pub const IQ_TIMING_TAG: u8 = 1;
 
 /// Tag byte opening the optional Iq trace-ID echo trailer (tag + u64 =
 /// 9 bytes). Trailer shapes after the declared pairs are mutually
-/// unambiguous: +0 (legacy), +17 (timing), +9 (trace), +26 (timing
+/// unambiguous: +0 (plain), +17 (timing), +9 (trace), +26 (timing
 /// then trace) — none a multiple of the 16-byte pair stride.
 pub const IQ_TRACE_TAG: u8 = 2;
 
@@ -692,20 +647,13 @@ pub struct StatsReport {
     pub busy_ns: u64,
     /// DSP jobs (slices) completed across all chain sessions.
     pub farm_jobs_completed: u64,
-    /// Always 0: the server runs no work-stealing pool (the field
-    /// keeps the frame layout).
-    pub farm_steals: u64,
-    /// Always 0, for the same reason.
-    pub farm_orphans_reclaimed: u64,
 }
 
-/// A serialised telemetry snapshot (server → client in answer to a
-/// metrics request).
+/// A telemetry snapshot (server → client in answer to a
+/// [`Frame::MetricsRequest`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsReport {
-    /// One of [`metrics_format`] — echoes the request.
-    pub format: u8,
-    /// The snapshot rendered in that format.
+    /// The snapshot in the Prometheus text exposition format (UTF-8).
     pub body: Vec<u8>,
 }
 
@@ -735,7 +683,7 @@ pub struct ErrorFrame {
 /// A decoded protocol frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Version/limits handshake.
+    /// Opening greeting, one each way.
     Hello(Hello),
     /// Session configuration request.
     Configure(Configure),
@@ -751,16 +699,12 @@ pub enum Frame {
     Error(ErrorFrame),
     /// Graceful end-of-stream (either direction).
     Shutdown,
-    /// Telemetry snapshot request (client → server) naming the wanted
-    /// [`metrics_format`]. Requires [`feature::METRICS`].
-    MetricsRequest {
-        /// One of [`metrics_format`].
-        format: u8,
-    },
+    /// Telemetry snapshot request (client → server, empty).
+    MetricsRequest,
     /// Telemetry snapshot (server → client).
     MetricsReport(MetricsReport),
     /// Span-trace export request (client → server, empty). Drains the
-    /// server's trace rings. Requires [`feature::TRACE`].
+    /// server's trace rings.
     TraceRequest,
     /// Span-trace export (server → client).
     TraceReport(TraceReport),
@@ -776,7 +720,7 @@ impl Frame {
             Frame::StatsRequest | Frame::StatsReport(_) => 5,
             Frame::Error(_) => 6,
             Frame::Shutdown => 7,
-            Frame::MetricsRequest { .. } | Frame::MetricsReport(_) => 8,
+            Frame::MetricsRequest | Frame::MetricsReport(_) => 8,
             Frame::TraceRequest | Frame::TraceReport(_) => 9,
         }
     }
@@ -797,16 +741,9 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     match frame {
         Frame::Hello(h) => {
-            put_u16(out, h.proto);
-            put_u32(out, h.max_payload);
             let info = h.info.as_bytes();
             put_u16(out, info.len().min(u16::MAX as usize) as u16);
             out.extend_from_slice(&info[..info.len().min(u16::MAX as usize)]);
-            // Optional trailing capability bitset: omitted when zero so
-            // the frame stays byte-identical to pre-feature v2 Hellos.
-            if h.features != 0 {
-                put_u32(out, h.features);
-            }
         }
         Frame::Configure(c) => {
             match &c.plan {
@@ -844,8 +781,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
                 }
             }
             // Trailing tagged extensions (any plan kind), in tag
-            // order. Omitted when at their defaults so a legacy
-            // Configure is byte-identical to the pre-extension layout.
+            // order, each omitted at its default.
             if let QosProfile::Latency { budget_us } = c.qos {
                 out.push(1);
                 put_u32(out, budget_us);
@@ -876,8 +812,6 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             put_u32(out, r.queue_hwm);
             put_u64(out, r.busy_ns);
             put_u64(out, r.farm_jobs_completed);
-            put_u64(out, r.farm_steals);
-            put_u64(out, r.farm_orphans_reclaimed);
         }
         Frame::Error(e) => {
             put_u16(out, e.code);
@@ -886,13 +820,9 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(&msg[..msg.len().min(u16::MAX as usize)]);
         }
         Frame::Shutdown => {}
-        Frame::MetricsRequest { format } => {
-            out.push(0);
-            out.push(*format);
-        }
+        Frame::MetricsRequest => out.push(0),
         Frame::MetricsReport(m) => {
             out.push(1);
-            out.push(m.format);
             put_u32(out, m.body.len() as u32);
             out.extend_from_slice(&m.body);
         }
@@ -920,7 +850,7 @@ fn put_samples(out: &mut Vec<u8>, batch_index: u64, samples: &[i32], trace_id: u
 }
 
 /// An Iq payload: the pairs, then the per-batch timing (latency-QoS
-/// sessions only; absent → legacy frame), then the trace-ID echo.
+/// sessions only), then the trace-ID echo.
 fn put_iq(
     out: &mut Vec<u8>,
     batch_index: u64,
@@ -950,30 +880,12 @@ fn put_iq(
     }
 }
 
-/// Serialises `frame` with sequence number `seq` into a fresh buffer.
+/// `frame` with sequence number `seq` as one contiguous byte vector:
+/// [`FrameBuf::encode`]'s header followed by its payload.
 pub fn encode_frame(frame: &Frame, seq: u32) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + 64);
-    encode_frame_into(frame, seq, &mut buf);
-    buf
-}
-
-/// Serialises `frame` into `buf` (cleared first). Reusing one buffer
-/// across calls keeps the steady-state send path allocation-free.
-pub fn encode_frame_into(frame: &Frame, seq: u32, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.resize(HEADER_LEN, 0);
-    encode_payload(frame, buf);
-    let payload_len = (buf.len() - HEADER_LEN) as u32;
-    debug_assert!(payload_len <= MAX_PAYLOAD, "oversized frame produced");
-    let payload_sum = fletcher32(&buf[HEADER_LEN..]);
-    buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[2] = VERSION;
-    buf[3] = frame.type_byte();
-    buf[4..8].copy_from_slice(&seq.to_le_bytes());
-    buf[8..12].copy_from_slice(&payload_len.to_le_bytes());
-    buf[12..16].copy_from_slice(&payload_sum.to_le_bytes());
-    let header_sum = fletcher32(&buf[0..16]);
-    buf[16..20].copy_from_slice(&header_sum.to_le_bytes());
+    let mut fb = FrameBuf::new();
+    fb.encode(frame, seq);
+    [&fb.header[..], &fb.payload].concat()
 }
 
 /// An encoded frame kept as separate header and payload segments — the
@@ -1010,7 +922,8 @@ impl FrameBuf {
         HEADER_LEN + self.payload.len()
     }
 
-    /// Checksums the current payload and fills in the header.
+    /// Checksums the current payload and fills in the header: the one
+    /// place a frame header is written.
     fn seal(&mut self, frame_type: u8, seq: u32) {
         debug_assert!(
             self.payload.len() <= MAX_PAYLOAD as usize,
@@ -1204,23 +1117,9 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
     };
     let frame = match header.frame_type {
         1 => {
-            let proto = c.u16("hello proto")?;
-            let max_payload = c.u32("hello max_payload")?;
             let n = c.u16("hello info length")? as usize;
             let info = String::from_utf8_lossy(c.take(n, "hello info")?).into_owned();
-            // Trailing capability bitset is optional: peers predating
-            // it simply end the payload here.
-            let features = if c.remaining() >= 4 {
-                c.u32("hello features")?
-            } else {
-                0
-            };
-            Frame::Hello(Hello {
-                proto,
-                max_payload,
-                info,
-                features,
-            })
+            Frame::Hello(Hello { info })
         }
         2 => {
             let (plan, policy, queue_cap) = match c.u8("configure plan kind")? {
@@ -1266,13 +1165,19 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                     )))
                 }
             };
-            // Trailing tagged extensions: absent (legacy peer) →
-            // defaults. Each tag may appear at most once.
+            // Trailing tagged extensions, absent at their defaults. Tags
+            // ascend, so each appears at most once.
             let mut qos = QosProfile::Throughput;
             let mut trace_interval = 0u32;
+            let mut last_tag = 0u8;
             while c.remaining() > 0 {
-                match c.u8("configure extension tag")? {
-                    0 => qos = QosProfile::Throughput,
+                let tag = c.u8("configure extension tag")?;
+                match tag {
+                    1 | 2 if tag <= last_tag => {
+                        return Err(WireError::BadSpec(format!(
+                            "configure extension tag {tag} repeated or out of order"
+                        )));
+                    }
                     1 => {
                         let budget_us = c.u32("configure qos budget")?;
                         if budget_us == 0 {
@@ -1294,6 +1199,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                         return Err(WireError::BadSpec(format!("unknown qos tag {other}")));
                     }
                 }
+                last_tag = tag;
             }
             Frame::Configure(Configure {
                 plan,
@@ -1387,27 +1293,17 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
         }
         5 => match c.u8("stats flag")? {
             0 => Frame::StatsRequest,
-            _ => {
-                let mut r = StatsReport {
-                    channel: c.u32("stats channel")?,
-                    batches_accepted: c.u64("stats batches_accepted")?,
-                    batches_dropped: c.u64("stats batches_dropped")?,
-                    samples_in: c.u64("stats samples_in")?,
-                    outputs: c.u64("stats outputs")?,
-                    queue_len: c.u32("stats queue_len")?,
-                    queue_hwm: c.u32("stats queue_hwm")?,
-                    busy_ns: c.u64("stats busy_ns")?,
-                    ..StatsReport::default()
-                };
-                // Farm-wide totals are a trailing extension: reports
-                // from peers predating them stop at busy_ns.
-                if c.remaining() >= 24 {
-                    r.farm_jobs_completed = c.u64("stats farm_jobs_completed")?;
-                    r.farm_steals = c.u64("stats farm_steals")?;
-                    r.farm_orphans_reclaimed = c.u64("stats farm_orphans_reclaimed")?;
-                }
-                Frame::StatsReport(r)
-            }
+            _ => Frame::StatsReport(StatsReport {
+                channel: c.u32("stats channel")?,
+                batches_accepted: c.u64("stats batches_accepted")?,
+                batches_dropped: c.u64("stats batches_dropped")?,
+                samples_in: c.u64("stats samples_in")?,
+                outputs: c.u64("stats outputs")?,
+                queue_len: c.u32("stats queue_len")?,
+                queue_hwm: c.u32("stats queue_hwm")?,
+                busy_ns: c.u64("stats busy_ns")?,
+                farm_jobs_completed: c.u64("stats farm_jobs_completed")?,
+            }),
         },
         6 => {
             let code = c.u16("error code")?;
@@ -1417,11 +1313,8 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
         }
         7 => Frame::Shutdown,
         8 => match c.u8("metrics flag")? {
-            0 => Frame::MetricsRequest {
-                format: c.u8("metrics format")?,
-            },
+            0 => Frame::MetricsRequest,
             _ => {
-                let format = c.u8("metrics format")?;
                 let n = c.u32("metrics body length")? as usize;
                 if n != c.remaining() {
                     return Err(WireError::CountMismatch {
@@ -1430,7 +1323,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                     });
                 }
                 let body = c.take(n, "metrics body")?.to_vec();
-                Frame::MetricsReport(MetricsReport { format, body })
+                Frame::MetricsReport(MetricsReport { body })
             }
         },
         9 => match c.u8("trace flag")? {
@@ -1570,27 +1463,15 @@ impl From<WireError> for FrameReadError {
     }
 }
 
-/// Reads exactly one frame from `r`, blocking. A clean EOF before the
-/// first header byte is [`FrameReadError::Eof`]; EOF mid-frame is an
-/// I/O error.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(u32, Frame), FrameReadError> {
-    read_frame_timed(r).map(|(seq, frame, _)| (seq, frame))
-}
-
-/// [`read_frame`] that also reports the CPU nanoseconds spent decoding
-/// (header validation + payload parse), excluding the blocking socket
-/// reads — the number a per-session decode-latency histogram wants.
-pub fn read_frame_timed<R: Read>(r: &mut R) -> Result<(u32, Frame, u64), FrameReadError> {
-    read_frame_buffered(r, &mut Vec::new())
-}
-
-/// [`read_frame_timed`] with a caller-owned payload scratch buffer, so
-/// a long-lived receiver reads every frame without a per-frame heap
-/// allocation. `scratch` is clobbered.
-pub fn read_frame_buffered<R: Read>(
+/// Reads exactly one frame from `r`, blocking, and returns its sequence
+/// number and the frame. The payload lands in the caller's `scratch`
+/// (clobbered), so a long-lived receiver reads every frame without a
+/// per-frame heap allocation. A clean EOF before the first header byte
+/// is [`FrameReadError::Eof`]; EOF mid-frame is an I/O error.
+pub fn read_frame<R: Read>(
     r: &mut R,
     scratch: &mut Vec<u8>,
-) -> Result<(u32, Frame, u64), FrameReadError> {
+) -> Result<(u32, Frame), FrameReadError> {
     let mut header = [0u8; HEADER_LEN];
     let mut got = 0;
     while got < HEADER_LEN {
@@ -1605,23 +1486,11 @@ pub fn read_frame_buffered<R: Read>(
             n => got += n,
         }
     }
-    let t0 = std::time::Instant::now();
     let h = decode_header(&header)?;
-    let decode_header_ns = t0.elapsed().as_nanos();
     scratch.clear();
     scratch.resize(h.payload_len as usize, 0);
     r.read_exact(scratch)?;
-    let t1 = std::time::Instant::now();
-    let frame = decode_payload(&h, scratch)?;
-    let decode_ns = (decode_header_ns + t1.elapsed().as_nanos()).min(u64::MAX as u128) as u64;
-    Ok((h.seq, frame, decode_ns))
-}
-
-/// Writes one frame to `w` and flushes it.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame, seq: u32) -> io::Result<()> {
-    let buf = encode_frame(frame, seq);
-    w.write_all(&buf)?;
-    w.flush()
+    Ok((h.seq, decode_payload(&h, scratch)?))
 }
 
 #[cfg(test)]
@@ -1642,16 +1511,10 @@ mod tests {
     #[test]
     fn every_frame_type_roundtrips() {
         roundtrip(Frame::Hello(Hello {
-            proto: VERSION as u16,
-            max_payload: MAX_PAYLOAD,
             info: "ddc-server test".into(),
-            features: 0,
         }));
         roundtrip(Frame::Hello(Hello {
-            proto: VERSION as u16,
-            max_payload: MAX_PAYLOAD,
-            info: "ddc-server test".into(),
-            features: feature::METRICS,
+            info: String::new(),
         }));
         roundtrip(Frame::Configure(Configure {
             plan: ChainPlan::Preset {
@@ -1754,25 +1617,17 @@ mod tests {
             queue_hwm: 4,
             busy_ns: 123_456_789,
             farm_jobs_completed: 40,
-            farm_steals: 3,
-            farm_orphans_reclaimed: 1,
         }));
         roundtrip(Frame::Error(ErrorFrame {
             code: error_code::QUEUE_OVERFLOW,
             message: "queue overflow at batch 17".into(),
         }));
         roundtrip(Frame::Shutdown);
-        roundtrip(Frame::MetricsRequest {
-            format: metrics_format::PROMETHEUS,
-        });
+        roundtrip(Frame::MetricsRequest);
         roundtrip(Frame::MetricsReport(MetricsReport {
-            format: metrics_format::JSON,
-            body: br#"{"counters":{}}"#.to_vec(),
+            body: b"# TYPE ddc_jobs_total counter\nddc_jobs_total 4\n".to_vec(),
         }));
-        roundtrip(Frame::MetricsReport(MetricsReport {
-            format: metrics_format::BINARY,
-            body: vec![],
-        }));
+        roundtrip(Frame::MetricsReport(MetricsReport { body: vec![] }));
         roundtrip(Frame::Configure(Configure {
             plan: ChainPlan::Preset {
                 preset: ConfigPreset::Drm,
@@ -1819,69 +1674,6 @@ mod tests {
             dropped: 17,
             body: br#"{"ph":"B","name":"ingest"}"#.to_vec(),
         }));
-    }
-
-    #[test]
-    fn featureless_hello_is_byte_identical_to_legacy_and_decodes_as_zero() {
-        // features == 0 must not change the encoding at all.
-        let h = Hello {
-            proto: 2,
-            max_payload: 1024,
-            info: "legacy".into(),
-            features: 0,
-        };
-        let bytes = encode_frame(&Frame::Hello(h.clone()), 0);
-        // Hand-build the pre-feature payload and compare byte-for-byte.
-        let mut legacy = Vec::new();
-        put_u16(&mut legacy, h.proto);
-        put_u32(&mut legacy, h.max_payload);
-        put_u16(&mut legacy, h.info.len() as u16);
-        legacy.extend_from_slice(h.info.as_bytes());
-        assert_eq!(&bytes[HEADER_LEN..], legacy.as_slice());
-        // And a legacy payload decodes with features == 0.
-        let header = FrameHeader {
-            frame_type: 1,
-            seq: 0,
-            payload_len: legacy.len() as u32,
-            payload_sum: checksum(&legacy),
-        };
-        assert_eq!(decode_payload(&header, &legacy), Ok(Frame::Hello(h)));
-    }
-
-    #[test]
-    fn legacy_stats_report_decodes_with_zero_farm_totals() {
-        let full = StatsReport {
-            channel: 1,
-            batches_accepted: 8,
-            batches_dropped: 0,
-            samples_in: 1000,
-            outputs: 12,
-            queue_len: 0,
-            queue_hwm: 2,
-            busy_ns: 555,
-            farm_jobs_completed: 9,
-            farm_steals: 2,
-            farm_orphans_reclaimed: 0,
-        };
-        let bytes = encode_frame(&Frame::StatsReport(full), 0);
-        // Strip the three trailing farm totals, as an older peer would
-        // have sent, and recompute the checksums.
-        let legacy = bytes[HEADER_LEN..bytes.len() - 24].to_vec();
-        let header = FrameHeader {
-            frame_type: 5,
-            seq: 0,
-            payload_len: legacy.len() as u32,
-            payload_sum: checksum(&legacy),
-        };
-        match decode_payload(&header, &legacy) {
-            Ok(Frame::StatsReport(r)) => {
-                assert_eq!(r.busy_ns, 555);
-                assert_eq!(r.farm_jobs_completed, 0);
-                assert_eq!(r.farm_steals, 0);
-                assert_eq!(r.farm_orphans_reclaimed, 0);
-            }
-            other => panic!("unexpected decode: {other:?}"),
-        }
     }
 
     #[test]
@@ -2352,22 +2144,6 @@ mod tests {
     }
 
     #[test]
-    fn frame_buf_generic_encode_and_write_to_match_write_frame() {
-        let frame = Frame::Error(ErrorFrame {
-            code: error_code::PROTOCOL,
-            message: "odd length payload …".into(),
-        });
-        let mut want = Vec::new();
-        write_frame(&mut want, &frame, 11).unwrap();
-        let mut fb = FrameBuf::new();
-        fb.encode(&frame, 11);
-        assert_eq!(fb.total_len(), want.len());
-        let mut got = Vec::new();
-        fb.write_to(&mut got).unwrap();
-        assert_eq!(got, want);
-    }
-
-    #[test]
     fn zero_copy_samples_decode_matches_owned_and_restores_on_error() {
         let samples: Vec<i32> = (0..500).map(|k| k * 123456 - 999).collect();
         let bytes = encode_frame(
@@ -2446,6 +2222,15 @@ mod tests {
             *b = (k as u8).wrapping_mul(37).wrapping_add(11);
         }
         assert!(decode_header(&junk).is_err());
+        // a well-sealed header from a version-2 peer
+        let mut old = encode_frame(&Frame::Shutdown, 0);
+        old[2] = 2;
+        let sum = checksum(&old[0..16]);
+        old[16..20].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            decode_header(old[..HEADER_LEN].try_into().unwrap()),
+            Err(WireError::BadVersion(2))
+        );
     }
 
     #[test]
@@ -2498,35 +2283,73 @@ mod tests {
         h2.payload_len = 3;
         h2.payload_sum = checksum(&junk);
         assert_eq!(decode_payload(&h2, &junk), Err(WireError::TrailingBytes(3)));
+        // a Hello followed by a 4-byte word (the version-2 feature bits)
+        let hello = Frame::Hello(Hello { info: "old".into() });
+        let mut payload = encode_frame(&hello, 0)[HEADER_LEN..].to_vec();
+        payload.extend_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            decode_payload(&reseal(1, &payload), &payload),
+            Err(WireError::TrailingBytes(4))
+        );
+        // a StatsReport in the version-2 shape: the 24-byte tail of three
+        // farm totals leaves 16 bytes over, and a report stopped before
+        // that tail lacks farm_jobs_completed
+        let report = Frame::StatsReport(StatsReport {
+            busy_ns: 555,
+            farm_jobs_completed: 9,
+            ..StatsReport::default()
+        });
+        let payload = encode_frame(&report, 0)[HEADER_LEN..].to_vec();
+        let mut long = payload.clone();
+        long.extend_from_slice(&[0u8; 16]);
+        assert_eq!(
+            decode_payload(&reseal(5, &long), &long),
+            Err(WireError::TrailingBytes(16))
+        );
+        let short = &payload[..payload.len() - 8];
+        assert_eq!(
+            decode_payload(&reseal(5, short), short),
+            Err(WireError::Truncated("stats farm_jobs_completed"))
+        );
     }
 
     #[test]
-    fn read_write_frame_roundtrip_over_a_byte_pipe() {
+    fn frames_written_by_frame_buf_read_back_over_a_byte_pipe() {
         let frames = [
             Frame::Hello(Hello {
-                proto: 1,
-                max_payload: 1024,
                 info: "pipe".into(),
-                features: feature::METRICS,
             }),
             Frame::Samples(Samples {
                 batch_index: 0,
                 samples: (0..1000).collect(),
                 trace_id: 0,
             }),
+            Frame::Error(ErrorFrame {
+                code: error_code::PROTOCOL,
+                message: "odd length payload …".into(),
+            }),
             Frame::Shutdown,
         ];
         let mut pipe = Vec::new();
+        let mut fb = FrameBuf::new();
         for (k, f) in frames.iter().enumerate() {
-            write_frame(&mut pipe, f, k as u32).unwrap();
+            fb.encode(f, k as u32);
+            let at = pipe.len();
+            fb.write_to(&mut pipe).unwrap();
+            assert_eq!(pipe.len() - at, fb.total_len());
+            assert_eq!(pipe[at..], encode_frame(f, k as u32));
         }
         let mut r = pipe.as_slice();
+        let mut scratch = Vec::new();
         for (k, f) in frames.iter().enumerate() {
-            let (seq, got) = read_frame(&mut r).unwrap();
+            let (seq, got) = read_frame(&mut r, &mut scratch).unwrap();
             assert_eq!(seq, k as u32);
             assert_eq!(&got, f);
         }
-        assert!(matches!(read_frame(&mut r), Err(FrameReadError::Eof)));
+        assert!(matches!(
+            read_frame(&mut r, &mut scratch),
+            Err(FrameReadError::Eof)
+        ));
     }
 
     #[test]
@@ -2548,9 +2371,6 @@ mod tests {
             assert_eq!(Backpressure::from_u8(b.to_u8()), Ok(b));
         }
         assert_eq!(Backpressure::from_u8(9), Err(WireError::BadPolicy(9)));
-        let cfg = ConfigPreset::Drm.to_config(10e6);
-        assert_eq!(cfg.tune_freq, 10e6);
-        cfg.validate().unwrap();
     }
 
     #[test]
@@ -2647,7 +2467,8 @@ mod tests {
             *b = spec.encode();
             let n = b.len();
             // tap count is the last u32 before the single 8-byte tap
-            b[n - 12..n - 8].copy_from_slice(&(1u32 << 30).to_le_bytes());
+            // and the 8-byte budget word
+            b[n - 20..n - 16].copy_from_slice(&(1u32 << 30).to_le_bytes());
         });
         assert!(
             matches!(&r, Err(WireError::BadSpec(m)) if m.contains("taps, limit")),
@@ -2671,6 +2492,36 @@ mod tests {
         let r = decode_payload(&header, &payload);
         assert!(
             matches!(&r, Err(WireError::BadSpec(m)) if m.contains("plan kind")),
+            "{r:?}"
+        );
+
+        // extension tags: 0 is no tag, and no tag may come twice
+        let plain = Frame::Configure(Configure {
+            plan: ChainPlan::Preset {
+                preset: ConfigPreset::Drm,
+                tune_freq: 1.0e6,
+            },
+            policy: Backpressure::Block,
+            queue_cap: 8,
+            qos: QosProfile::Throughput,
+            trace_interval: 0,
+        });
+        let base = encode_frame(&plain, 0)[HEADER_LEN..].to_vec();
+        let mut tag0 = base.clone();
+        tag0.push(0);
+        let r = decode_payload(&reseal(2, &tag0), &tag0);
+        assert!(
+            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("qos tag 0")),
+            "{r:?}"
+        );
+        let mut twice = base;
+        for budget_us in [500u32, 600] {
+            twice.push(1);
+            twice.extend_from_slice(&budget_us.to_le_bytes());
+        }
+        let r = decode_payload(&reseal(2, &twice), &twice);
+        assert!(
+            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("tag 1 repeated")),
             "{r:?}"
         );
     }

@@ -9,7 +9,7 @@
 
 use ddc_core::chain::FixedDdc;
 use ddc_server::client::Client;
-use ddc_server::wire::{metrics_format, Backpressure, ConfigPreset, Frame, IqPayload};
+use ddc_server::wire::{Backpressure, ConfigPreset, Frame, IqPayload};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -132,9 +132,7 @@ fn serve_one_batch(addr: &str) -> u64 {
         .collect();
     assert!(!expect.is_empty());
     assert_eq!(got, expect, "served batch differs from FixedDdc");
-    let report = client
-        .request_metrics(metrics_format::PROMETHEUS)
-        .expect("metrics");
+    let report = client.request_metrics().expect("metrics");
     let text = String::from_utf8(report.body).unwrap();
     let line = text
         .lines()

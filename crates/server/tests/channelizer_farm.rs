@@ -126,7 +126,6 @@ fn n8_farm_fans_out_bit_exact_per_channel() {
 
 #[test]
 fn bank_labelled_metrics_ride_the_scrape() {
-    use ddc_server::wire::metrics_format;
     let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
     let mut spec = ChannelizerSpec::uniform(8, 64_512_000.0);
@@ -144,9 +143,7 @@ fn bank_labelled_metrics_ride_the_scrape() {
             other => panic!("expected Iq ack, got {other:?}"),
         }
     }
-    let prom = ingest
-        .request_metrics(metrics_format::PROMETHEUS)
-        .expect("prometheus scrape");
+    let prom = ingest.request_metrics().expect("prometheus scrape");
     let text = String::from_utf8(prom.body).expect("utf-8");
     assert!(
         text.contains("ddc_channelizer_channels_active{bank=\"scrapeme\"} 8"),

@@ -4,7 +4,7 @@
 //! [`HANDSHAKE_TIMEOUT`] plus a second, and the server counts both.
 
 use ddc_server::server::HANDSHAKE_TIMEOUT;
-use ddc_server::wire::{encode_frame, error_code, read_frame, FrameReadError, Hello, VERSION};
+use ddc_server::wire::{encode_frame, error_code, read_frame, FrameReadError, Hello};
 use ddc_server::{serve, Frame, ServerConfig};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -18,7 +18,7 @@ fn frames_until_eof(stream: &mut TcpStream, opened: Instant, who: &str) -> Vec<F
         let left = limit.saturating_sub(opened.elapsed());
         assert!(!left.is_zero(), "{who}: no EOF within {limit:?}");
         stream.set_read_timeout(Some(left)).unwrap();
-        match read_frame(stream) {
+        match read_frame(stream, &mut Vec::new()) {
             Ok((_, frame)) => frames.push(frame),
             Err(FrameReadError::Eof) => break,
             Err(e) => panic!("{who}: {e} after {:?}", opened.elapsed()),
@@ -51,10 +51,7 @@ fn unfinished_handshakes_get_an_error_frame_then_eof() {
     let mut silent = TcpStream::connect(server.local_addr()).expect("connect");
     let mut hello_only = TcpStream::connect(server.local_addr()).expect("connect");
     let hello = Frame::Hello(Hello {
-        proto: u16::from(VERSION),
-        max_payload: 0,
         info: "hello-only".into(),
-        features: 0,
     });
     std::io::Write::write_all(&mut hello_only, &encode_frame(&hello, 0)).expect("send Hello");
 

@@ -415,14 +415,9 @@ fn graceful_server_shutdown_drains_in_flight_batches() {
 }
 
 #[test]
-fn metrics_request_returns_live_per_stage_telemetry_in_all_formats() {
-    use ddc_server::wire::metrics_format;
+fn live_per_stage_telemetry_reads_in_process_and_scrapes_as_prometheus() {
     let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr(), "metrics").expect("connect");
-    assert!(
-        client.server_has_metrics(),
-        "server must advertise the metrics feature in its Hello"
-    );
     client
         .configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
         .expect("configure");
@@ -435,12 +430,8 @@ fn metrics_request_returns_live_per_stage_telemetry_in_all_formats() {
         }
     }
 
-    // Binary format: decode and inspect the structured snapshot.
-    let report = client
-        .request_metrics(metrics_format::BINARY)
-        .expect("binary metrics");
-    assert_eq!(report.format, metrics_format::BINARY);
-    let snap = ddc_obs::MetricsSnapshot::decode(&report.body).expect("valid binary snapshot");
+    // The structured snapshot, read in-process.
+    let snap = server.metrics_snapshot();
     assert!(snap.counter("ddc_farm_jobs_completed_total").unwrap() >= 4);
     assert!(snap.counter("ddc_server_sessions_active").unwrap() >= 1);
     // Per-stage counters of the session's channel: every stage of the
@@ -474,31 +465,16 @@ fn metrics_request_returns_live_per_stage_telemetry_in_all_formats() {
         .expect("session decode histogram");
     assert!(decode.count >= 4);
 
-    // JSON format parses as the same top-level shape.
-    let json = client
-        .request_metrics(metrics_format::JSON)
-        .expect("json metrics");
-    let text = String::from_utf8(json.body).expect("utf-8 json");
-    assert!(text.starts_with("{\"counters\":{"));
-    assert!(text.contains("ddc_farm_jobs_completed_total"));
-    assert!(text.contains("ddc_stage_latency_ns"));
-
-    // Prometheus text carries the histogram family with +Inf buckets.
-    let prom = client
-        .request_metrics(metrics_format::PROMETHEUS)
-        .expect("prometheus metrics");
+    // Prometheus text over the wire carries the histogram family with
+    // +Inf buckets.
+    let prom = client.request_metrics().expect("prometheus metrics");
     let text = String::from_utf8(prom.body).expect("utf-8 prom");
     assert!(text.contains("# TYPE ddc_farm_jobs_completed_total counter"));
     assert!(text.contains("le=\"+Inf\""));
     assert!(text.contains("ddc_stage_latency_ns_bucket"));
 
-    // An unknown format byte is refused without killing the session.
-    match client.request_metrics(99) {
-        Err(ClientError::Remote(e)) => assert_eq!(e.code, error_code::PROTOCOL),
-        other => panic!("expected remote error for unknown format, got {other:?}"),
-    }
     client.send(&Frame::StatsRequest).expect("still alive");
-    match client.recv().expect("stats after refused metrics") {
+    match client.recv().expect("stats after the scrape") {
         Frame::StatsReport(r) => {
             assert_eq!(r.batches_accepted, 4);
             assert!(r.farm_jobs_completed >= 4, "farm totals ride on stats");
@@ -506,6 +482,135 @@ fn metrics_request_returns_live_per_stage_telemetry_in_all_formats() {
         other => panic!("expected StatsReport, got {other:?}"),
     }
     let _ = client.send(&Frame::Shutdown);
+    assert!(server.shutdown(Duration::from_secs(5)));
+}
+
+/// Reads frames from a raw socket until the server closes it.
+fn frames_until_eof(raw: &mut std::net::TcpStream) -> Vec<Frame> {
+    use ddc_server::wire::{read_frame, FrameReadError};
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut scratch = Vec::new();
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(raw, &mut scratch) {
+            Ok((_, frame)) => frames.push(frame),
+            Err(FrameReadError::Eof) => return frames,
+            Err(e) => panic!("{e} after {frames:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_bank_name_that_would_write_scrape_lines_is_refused() {
+    use ddc_server::wire::{encode_frame, ChainPlan, Configure, Hello, QosProfile};
+    use std::io::Write;
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let input = stimulus(2688 * 8, 43);
+    let mut neighbour = Client::connect(addr, "neighbour").expect("connect");
+    neighbour
+        .configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
+        .expect("configure");
+    let mut got = Vec::new();
+    let mut exchange = |client: &mut Client, b: usize| {
+        let chunk = &input[b * 2688 * 2..(b + 1) * 2688 * 2];
+        client.send_samples(b as u64, chunk).expect("send");
+        match client.recv().expect("iq frame") {
+            Frame::Iq(iq) => got.extend(iq.pairs),
+            other => panic!("expected Iq, got {other:?}"),
+        }
+    };
+    exchange(&mut neighbour, 0);
+    exchange(&mut neighbour, 1);
+
+    // A bank name that closes its label and starts lines of its own.
+    let mut spec = ddc_core::ChannelizerSpec::uniform(8, 64_512_000.0);
+    spec.name = "x\"} 7\nddc_server_free_slots 999\n#".into();
+    let configure = Frame::Configure(Configure {
+        plan: ChainPlan::Channelizer(spec),
+        policy: Backpressure::Block,
+        queue_cap: 8,
+        qos: QosProfile::Throughput,
+        trace_interval: 0,
+    });
+    let hello = Frame::Hello(Hello {
+        info: "injector".into(),
+    });
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.write_all(&encode_frame(&hello, 0)).expect("send Hello");
+    raw.write_all(&encode_frame(&configure, 1))
+        .expect("send Configure");
+    let frames = frames_until_eof(&mut raw);
+    assert_eq!(frames.len(), 2, "{frames:?}");
+    assert!(matches!(frames[0], Frame::Hello(_)), "{frames:?}");
+    match &frames[1] {
+        Frame::Error(e) => {
+            assert_eq!(e.code, error_code::PROTOCOL, "{e:?}");
+            assert!(e.message.contains("spec name"), "{e:?}");
+        }
+        other => panic!("expected an Error frame, got {other:?}"),
+    }
+
+    exchange(&mut neighbour, 2);
+    exchange(&mut neighbour, 3);
+    let prom = neighbour.request_metrics().expect("scrape");
+    let text = String::from_utf8(prom.body).expect("utf-8 prom");
+    let free_slots: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("ddc_server_free_slots"))
+        .collect();
+    assert_eq!(free_slots.len(), 1, "{text}");
+    assert_ne!(free_slots[0], "ddc_server_free_slots 999", "{text}");
+    assert!(
+        !text.contains("ddc_channelizer"),
+        "no bank went live:\n{text}"
+    );
+    let _ = neighbour.send(&Frame::Shutdown);
+
+    let expect: Vec<(i64, i64)> = FixedDdc::new(ddc_core::DdcConfig::drm(10e6))
+        .process_block(&input)
+        .into_iter()
+        .map(|z| (z.i, z.q))
+        .collect();
+    assert!(!expect.is_empty());
+    assert_eq!(got, expect, "the neighbour's stream changed");
+    assert!(server.shutdown(Duration::from_secs(5)));
+}
+
+#[test]
+fn a_version_2_peer_gets_a_protocol_error_naming_its_version_then_eof() {
+    use ddc_server::wire::{checksum, MAGIC};
+    use std::io::Write;
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    // A version-2 Hello as such a peer sends it: highest version, max
+    // payload, banner and feature bits, under a version-2 header.
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&2u16.to_le_bytes());
+    payload.extend_from_slice(&(1u32 << 22).to_le_bytes());
+    payload.extend_from_slice(&8u16.to_le_bytes());
+    payload.extend_from_slice(b"old-peer");
+    payload.extend_from_slice(&3u32.to_le_bytes());
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&MAGIC.to_le_bytes());
+    frame.extend_from_slice(&[2, 1]); // version 2, Hello
+    frame.extend_from_slice(&0u32.to_le_bytes()); // sequence number
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+    let header_sum = checksum(&frame);
+    frame.extend_from_slice(&header_sum.to_le_bytes());
+    frame.extend_from_slice(&payload);
+
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    raw.write_all(&frame).expect("send the version-2 Hello");
+    let frames = frames_until_eof(&mut raw);
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    match &frames[0] {
+        Frame::Error(e) => {
+            assert_eq!(e.code, error_code::PROTOCOL, "{e:?}");
+            assert!(e.message.contains("version 2"), "{e:?}");
+        }
+        other => panic!("expected a PROTOCOL Error frame, got {other:?}"),
+    }
     assert!(server.shutdown(Duration::from_secs(5)));
 }
 
@@ -638,10 +743,6 @@ fn latency_qos_on_non_chain_plans_is_rejected() {
 fn traced_batches_echo_their_ids_and_scrape_as_connected_spans() {
     let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
     let mut client = Client::connect(server.local_addr(), "traced").expect("connect");
-    assert!(
-        client.server_has_trace(),
-        "server must advertise span tracing in its Hello"
-    );
     client
         .configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
         .expect("configure");

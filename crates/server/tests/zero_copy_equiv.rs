@@ -5,15 +5,15 @@
 //! read boundaries and decodes them with
 //! [`ddc_server::wire::decode_samples_into`] straight into a reused
 //! scratch buffer; the owned path ([`ddc_server::wire::decode_payload`]
-//! behind [`ddc_server::wire::read_frame_buffered`]) allocates a fresh
+//! behind [`ddc_server::wire::read_frame`]) allocates a fresh
 //! `Vec` per frame. These tests draw random frames, deliver them torn
 //! at random byte boundaries, and require the two paths to agree on
 //! every accepted value and on every rejection verdict — including
 //! frames whose payload was corrupted in flight.
 
 use ddc_server::wire::{
-    decode_header, decode_payload, decode_samples_into, read_frame_buffered, Frame, FrameBuf,
-    WireError, HEADER_LEN,
+    decode_header, decode_payload, decode_samples_into, read_frame, Frame, FrameBuf, WireError,
+    HEADER_LEN,
 };
 use proptest::prelude::*;
 use std::io::Read;
@@ -73,7 +73,7 @@ proptest! {
 
         // Owned reference path, reading through torn boundaries.
         let mut torn = TornReader { bytes: &bytes, pieces: &pieces, pos: 0, turn: 0 };
-        let (got_seq, frame, _) = match read_frame_buffered(&mut torn, &mut Vec::new()) {
+        let (got_seq, frame) = match read_frame(&mut torn, &mut Vec::new()) {
             Ok(t) => t,
             Err(e) => return Err(proptest::test_runner::TestCaseError::fail(
                 format!("valid frame rejected by owned path: {e}"),
@@ -150,7 +150,7 @@ proptest! {
         // The streaming reader agrees: the torn stream surfaces the
         // same rejection instead of a decoded frame.
         let mut torn = TornReader { bytes: &bytes, pieces: &pieces, pos: 0, turn: 0 };
-        match read_frame_buffered(&mut torn, &mut Vec::new()) {
+        match read_frame(&mut torn, &mut Vec::new()) {
             Err(ddc_server::wire::FrameReadError::Wire(WireError::PayloadChecksum)) => {}
             other => prop_assert!(
                 false,

@@ -58,8 +58,8 @@ fn random_spec(mut seed: u64) -> ChainSpec {
         budget: None,
     };
     // A quarter of the shapes declare a (satisfiable) latency budget,
-    // so the versioned trailing-field encoding rides the same
-    // round-trip and bit-exactness properties as the v1 layout.
+    // so a non-zero budget word rides the same round-trip and
+    // bit-exactness properties as the zero one.
     if xorshift(r).is_multiple_of(4) {
         spec.budget = Some(ddc_suite::core::spec::LatencyBudget {
             max_us: spec.latency_budget().total_us() * 2.0 + 1.0,
@@ -116,9 +116,9 @@ proptest! {
 
 // ---- malformed-bytes rejection ------------------------------------
 //
-// Offsets follow the v1 layout: version(1) name_len(1) name(k)
+// Offsets follow the spec layout: version(1) name_len(1) name(k)
 // input_rate(8) tune_freq(8) format(4) declared_total(4)
-// stage_count(1) stages...
+// stage_count(1) stages... budget(8)
 
 /// Byte offset of the stage-count field for a spec named `name`.
 fn count_offset(name: &str) -> usize {
