@@ -49,13 +49,21 @@
 //! word:
 //!
 //! * the FFT applies the same operations in the same order to every
-//!   element, and the sums enter it straight in bit-reversed order;
+//!   element, and the sums enter it straight in bit-reversed order; its
+//!   first two stages run on reals, which gives the same bits for every
+//!   finite input, and the branch sums are finite integers;
 //! * the phase correction reads the same roots `e^{−2πi·k·n_m/N}`,
 //!   indexed by output phase instead of by `k·n_m mod N`;
 //! * scaling by `2^−coeff_frac` multiplies instead of dividing by
 //!   `2^coeff_frac`: both round the same real number;
 //! * [`round_to_i64`] equals `f64::round` then `as i64` on every input,
-//!   without the out-of-line call.
+//!   without the out-of-line call;
+//! * on a CPU with AVX2, the `simd` kernel rotates and rounds four
+//!   channels per step with the same operations, clamping to the data
+//!   width before it truncates (the same integer, since the bounds are
+//!   integers; `data_bits ≤ 32` keeps them in the packed `i32` lanes),
+//!   and the `f64` MACs run the same source compiled for AVX2. The
+//!   scalar step stays as the fallback.
 //!
 //! With ~1e-9 relative FFT error against >2^-12 fixed-point
 //! quantization steps, the channelizer is deterministic and bit-stable
@@ -101,6 +109,51 @@ enum Transform {
     Naive(Vec<C64>),
 }
 
+impl Transform {
+    /// The unnormalised inverse DFT of one output's N branch sums,
+    /// into split real and imaginary parts.
+    fn run(&self, sums: &[f64], re: &mut [f64], im: &mut [f64]) {
+        match self {
+            Transform::Radix2(fft) => fft.inverse_unnormalized_real(sums, re, im),
+            Transform::Naive(roots) => {
+                let n = sums.len();
+                for k in 0..n {
+                    let mut acc = C64::ZERO;
+                    for (q, &v) in sums.iter().enumerate() {
+                        // e^{+2πikq/N} = conj(roots[kq mod N]).
+                        acc += v * roots[k * q % n].conj();
+                    }
+                    (re[k], im[k]) = (acc.re, acc.im);
+                }
+            }
+        }
+    }
+}
+
+/// The code that runs the `f64` branch MACs and the rotate-and-round
+/// step, picked once at construction from what the CPU has. Every
+/// kernel gives the same output words.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    /// Scalar rotate-and-round; MACs as the compiler builds them for
+    /// the baseline target.
+    Scalar,
+    /// [`simd`]: four channels per rotate-and-round step, and the same
+    /// MAC source compiled for AVX2.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Kernel {
+    fn select() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2_detected() {
+            return Kernel::Avx2;
+        }
+        Kernel::Scalar
+    }
+}
+
 /// The commutator and N branch FIRs, run tap-major in accumulator `T`.
 #[derive(Clone, Debug)]
 struct Branches<T> {
@@ -134,7 +187,9 @@ impl<T: Copy + Default + From<i32> + Add<Output = T> + Mul<Output = T>> Branches
     /// whose windows end (exclusive) at work index `first_end + m·d`,
     /// appends its N branch sums to `sums` in branch order, converted
     /// by `to_f64`; then keeps the newest `L·N − 1` samples as the next
-    /// block's history.
+    /// block's history. Always inlined, so the AVX2 wrapper in [`simd`]
+    /// compiles this same source for AVX2.
+    #[inline(always)]
     fn run(
         &mut self,
         input: &[i32],
@@ -221,6 +276,68 @@ impl OutputWord {
     }
 }
 
+/// The scalar rotate-and-round step: appends one output to each
+/// enabled channel `ks[s]`'s vector `out[s]`, the transform bin
+/// `re[k] + j·im[k]` times its phase root `w_re[s] + j·w_im[s]`,
+/// quantized by `word`.
+fn rotate_round(
+    out: &mut [Vec<Iq>],
+    ks: &[usize],
+    (re, im): (&[f64], &[f64]),
+    (w_re, w_im): (&[f64], &[f64]),
+    word: OutputWord,
+) {
+    for (((o, &k), &wr), &wi) in out.iter_mut().zip(ks).zip(w_re).zip(w_im) {
+        let z = C64::new(re[k], im[k]) * C64::new(wr, wi);
+        o.push(Iq {
+            i: word.of(z.re),
+            q: word.of(z.im),
+        });
+    }
+}
+
+/// Stage 2's state: the transform, its output and the phase tables.
+#[derive(Clone, Debug)]
+struct Synthesis {
+    transform: Transform,
+    /// Phase correction per output phase and enabled channel, split
+    /// into real and imaginary parts: `rot[p·K + s] =
+    /// e^{−2πi·k_s·n_p/N}`, where `n_p` is the newest sample index mod
+    /// N of outputs in phase `p` (`N/decim` phases) and `k_s` the
+    /// `s`-th of K enabled channels.
+    rot_re: Vec<f64>,
+    rot_im: Vec<f64>,
+    /// Output phase of the next output.
+    rot_phase: usize,
+    /// Transform output, split into real and imaginary parts.
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Synthesis {
+    /// Transforms each N-vector of `sums` in turn and hands the result
+    /// and its output phase's K roots to `emit`.
+    fn run(
+        &mut self,
+        sums: &[f64],
+        k_en: usize,
+        mut emit: impl FnMut((&[f64], &[f64]), (&[f64], &[f64])),
+    ) {
+        for v in sums.chunks_exact(self.re.len()) {
+            self.transform.run(v, &mut self.re, &mut self.im);
+            let row = self.rot_phase * k_en..(self.rot_phase + 1) * k_en;
+            emit(
+                (&self.re, &self.im),
+                (&self.rot_re[row.clone()], &self.rot_im[row]),
+            );
+            self.rot_phase += 1;
+            if self.rot_phase * k_en == self.rot_re.len() {
+                self.rot_phase = 0;
+            }
+        }
+    }
+}
+
 /// The polyphase front end: commutator, N branch FIRs and the N-point
 /// synthesis transform.
 #[derive(Clone, Debug)]
@@ -233,20 +350,11 @@ pub struct Channelizer {
     mac: Mac,
     /// Input samples consumed toward the next output (0..decim).
     phase: usize,
-    transform: Transform,
-    /// Phase correction per output phase and enabled channel:
-    /// `rot[p·K + s] = e^{−2πi·k_s·n_p/N}`, where `n_p` is the newest
-    /// sample index mod N of outputs in phase `p` (`N/decim` phases)
-    /// and `k_s` the `s`-th of K enabled channels.
-    rot: Vec<C64>,
-    /// Output phase of the next output.
-    rot_phase: usize,
+    synth: Synthesis,
+    kernel: Kernel,
     /// Exact branch sums for every output of the current block
     /// (outputs × N), as `f64`.
     sums: Vec<f64>,
-    /// Transform output, split into real and imaginary parts.
-    re: Vec<f64>,
-    im: Vec<f64>,
     /// Enabled channel indices, ascending.
     enabled: Vec<usize>,
     /// Exact DC gain of the quantized prototype (≈1).
@@ -273,7 +381,7 @@ impl Channelizer {
             .map(|j| C64::cis(-2.0 * PI * j as f64 / n as f64))
             .collect();
         let enabled = spec.enabled_channels();
-        let rot = (0..n / decim)
+        let rot: Vec<C64> = (0..n / decim)
             .flat_map(|p| {
                 let newest = (decim - 1 + p * decim) % n;
                 enabled.iter().map(move |&k| k * newest % n)
@@ -285,17 +393,23 @@ impl Channelizer {
         } else {
             Transform::Naive(roots)
         };
+        // The AVX2 rounding truncates in packed i32 lanes.
+        assert!(f.data_bits <= 32, "validate bounds data_bits by 32");
         Ok(Channelizer {
             n,
             decim,
             mac,
             phase: 0,
-            transform,
-            rot,
-            rot_phase: 0,
+            synth: Synthesis {
+                transform,
+                rot_re: rot.iter().map(|w| w.re).collect(),
+                rot_im: rot.iter().map(|w| w.im).collect(),
+                rot_phase: 0,
+                re: vec![0.0; n],
+                im: vec![0.0; n],
+            },
+            kernel: Kernel::select(),
             sums: Vec::new(),
-            re: vec![0.0; n],
-            im: vec![0.0; n],
             enabled,
             nominal_gain,
             word: OutputWord {
@@ -336,9 +450,13 @@ impl Channelizer {
         let first_end = (self.n * self.spec.taps_per_branch as usize - 1) + (d - self.phase);
         self.sums.clear();
         self.sums.reserve(n_out * self.n);
-        match &mut self.mac {
-            Mac::F64(b) => b.run(input, first_end, d, n_out, &mut self.sums, |v| v),
-            Mac::I64(b) => b.run(input, first_end, d, n_out, &mut self.sums, |v| v as f64),
+        match (&mut self.mac, self.kernel) {
+            #[cfg(target_arch = "x86_64")]
+            (Mac::F64(b), Kernel::Avx2) => {
+                simd::branches(b, input, first_end, d, n_out, &mut self.sums)
+            }
+            (Mac::F64(b), _) => b.run(input, first_end, d, n_out, &mut self.sums, |v| v),
+            (Mac::I64(b), _) => b.run(input, first_end, d, n_out, &mut self.sums, |v| v as f64),
         }
         self.phase = (self.phase + input.len()) % d;
         n_out
@@ -355,37 +473,22 @@ impl Channelizer {
             self.enabled.len(),
             "one vector per enabled channel"
         );
-        let (n, k_en, word) = (self.n, self.enabled.len(), self.word);
-        for v in out.iter_mut() {
-            v.reserve(n_out);
-        }
-        for sums in self.sums[..n_out * n].chunks_exact(n) {
-            match &self.transform {
-                Transform::Radix2(fft) => {
-                    fft.inverse_unnormalized_real(sums, &mut self.re, &mut self.im)
-                }
-                Transform::Naive(roots) => {
-                    for k in 0..n {
-                        let mut acc = C64::ZERO;
-                        for (q, &v) in sums.iter().enumerate() {
-                            // e^{+2πikq/N} = conj(roots[kq mod N]).
-                            acc += v * roots[k * q % n].conj();
-                        }
-                        (self.re[k], self.im[k]) = (acc.re, acc.im);
-                    }
-                }
+        let (ks, word) = (&self.enabled, self.word);
+        let sums = &self.sums[..n_out * self.n];
+        match self.kernel {
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx2 => {
+                let mut rows = simd::Rows::new(out, ks, self.n, n_out, word);
+                self.synth
+                    .run(sums, ks.len(), |bins, roots| rows.push(bins, roots));
             }
-            let rot = &self.rot[self.rot_phase * k_en..(self.rot_phase + 1) * k_en];
-            for ((o, &k), &w) in out.iter_mut().zip(&self.enabled).zip(rot) {
-                let z = C64::new(self.re[k], self.im[k]) * w;
-                o.push(Iq {
-                    i: word.of(z.re),
-                    q: word.of(z.im),
+            Kernel::Scalar => {
+                for v in out.iter_mut() {
+                    v.reserve(n_out);
+                }
+                self.synth.run(sums, ks.len(), |bins, roots| {
+                    rotate_round(out, ks, bins, roots, word)
                 });
-            }
-            self.rot_phase += 1;
-            if self.rot_phase * k_en == self.rot.len() {
-                self.rot_phase = 0;
             }
         }
     }
@@ -406,6 +509,266 @@ impl Channelizer {
         out.iter()
             .map(|iq| C64::new(iq.i as f64 * scale, iq.q as f64 * scale))
             .collect()
+    }
+}
+
+/// The AVX2 kernels: rotate-and-round four channels per step, and the
+/// `f64` branch MACs compiled for AVX2. [`Kernel::select`] picks them
+/// only when `crate::avx2_detected()` holds.
+///
+/// Each rotate-and-round lane performs the scalar step's operations in
+/// its order: `C64`'s multiply without FMA, `× scale`, then `+
+/// BELOW_HALF.copysign(v)`. It then clamps to `[lo, hi]` in `f64` and
+/// truncates, where the scalar step truncates and then clamps. Both give
+/// the same integer because `lo` and `hi` are integers and truncation
+/// is monotone: a value at or above `hi` truncates to at least `hi`,
+/// one at or below `lo` to at most `lo`, and one between them to an
+/// integer between them. `_mm256_cvttpd_epi32` truncates exactly on
+/// `[lo, hi]` because `data_bits ≤ 32`, which [`Rows::new`] asserts.
+/// The bins are finite: sums of finite branch sums (a NaN would clamp
+/// to `lo` here where the scalar step gives 0).
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod simd {
+    use super::{Branches, OutputWord};
+    use crate::mixer::Iq;
+    use ddc_dsp::fixed::BELOW_HALF;
+    use ddc_dsp::C64;
+    use std::arch::x86_64::*;
+
+    /// The `f64` branch MACs: the source of [`Branches::run`], inlined
+    /// into an AVX2 function so its vector loop runs four lanes wide.
+    /// The operations are the same and use no FMA; the sums are exact
+    /// integers either way.
+    pub fn branches(
+        b: &mut Branches<f64>,
+        input: &[i32],
+        first_end: usize,
+        d: usize,
+        n_out: usize,
+        sums: &mut Vec<f64>,
+    ) {
+        assert!(crate::avx2_detected(), "AVX2 kernel on a CPU without AVX2");
+        // SAFETY: the CPU has AVX2 (asserted above), and
+        // `branches_avx2` runs only safe code.
+        unsafe { branches_avx2(b, input, first_end, d, n_out, sums) }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must have AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn branches_avx2(
+        b: &mut Branches<f64>,
+        input: &[i32],
+        first_end: usize,
+        d: usize,
+        n_out: usize,
+        sums: &mut Vec<f64>,
+    ) {
+        b.run(input, first_end, d, n_out, sums, |v| v);
+    }
+
+    /// The enabled channels' vectors, written through their spare
+    /// capacity one output at a time. Dropping it sets every vector's
+    /// length past the outputs pushed.
+    pub struct Rows<'a> {
+        out: &'a mut [Vec<Iq>],
+        /// Enabled channel indices, each below `n`.
+        ks: &'a [usize],
+        /// Transform size.
+        n: usize,
+        /// `ks` is `0..n`: lanes load bins contiguously, not gathered.
+        full: bool,
+        word: OutputWord,
+        /// Outputs reserved in every vector.
+        room: usize,
+        /// Outputs written to every vector.
+        pushed: usize,
+    }
+
+    impl<'a> Rows<'a> {
+        /// Reserves `room` outputs in each of `out`, one vector per
+        /// channel of `ks`, for bins of an `n`-point transform.
+        pub fn new(
+            out: &'a mut [Vec<Iq>],
+            ks: &'a [usize],
+            n: usize,
+            room: usize,
+            word: OutputWord,
+        ) -> Self {
+            assert!(crate::avx2_detected(), "AVX2 kernel on a CPU without AVX2");
+            assert_eq!(out.len(), ks.len(), "one vector per enabled channel");
+            assert!(ks.iter().all(|&k| k < n), "channel index out of range");
+            assert!(
+                word.lo >= i64::from(i32::MIN) && word.hi <= i64::from(i32::MAX),
+                "packed truncation needs data_bits <= 32"
+            );
+            for v in out.iter_mut() {
+                v.reserve(room);
+            }
+            let full = ks.len() == n && ks.iter().enumerate().all(|(s, &k)| s == k);
+            Rows {
+                out,
+                ks,
+                n,
+                full,
+                word,
+                room,
+                pushed: 0,
+            }
+        }
+
+        /// Appends one output to every channel: bin `ks[s]` of
+        /// `re + j·im` times root `w_re[s] + j·w_im[s]`, quantized.
+        pub fn push(&mut self, (re, im): (&[f64], &[f64]), (w_re, w_im): (&[f64], &[f64])) {
+            let k_en = self.ks.len();
+            assert!(self.pushed < self.room, "more outputs than reserved");
+            assert!(
+                re.len() == self.n && im.len() == self.n,
+                "bins of another size"
+            );
+            assert!(
+                w_re.len() == k_en && w_im.len() == k_en,
+                "one root per channel"
+            );
+            // SAFETY: the CPU has AVX2 (asserted in `new`). Every bin
+            // read is below `n`: contiguous lanes read `s < k_en = n`,
+            // gathered ones `ks[s] < n` (asserted in `new`). Roots and
+            // vectors are read below `k_en`, their checked lengths. Slot
+            // `len + pushed` of every vector lies within the capacity
+            // `new` reserved, since `pushed < room`.
+            unsafe {
+                rotate_round_avx2(
+                    self.out,
+                    self.ks,
+                    self.full,
+                    (re, im),
+                    (w_re, w_im),
+                    self.word,
+                    self.pushed,
+                );
+            }
+            self.pushed += 1;
+        }
+    }
+
+    impl Drop for Rows<'_> {
+        fn drop(&mut self) {
+            for v in self.out.iter_mut() {
+                // SAFETY: every `push` initialised slot `len + m` of
+                // every vector, for each `m < pushed`, within the
+                // capacity `new` reserved.
+                unsafe { v.set_len(v.len() + self.pushed) }
+            }
+        }
+    }
+
+    /// The lane constants of one output word.
+    struct Quant {
+        scale: __m256d,
+        half: __m256d,
+        sign: __m256d,
+        lo: __m256d,
+        hi: __m256d,
+    }
+
+    /// `round_to_i64(v · scale).clamp(lo, hi)` in four `i64` lanes.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn quantize(v: __m256d, c: &Quant) -> __m256i {
+        let x = _mm256_mul_pd(v, c.scale);
+        let r = _mm256_add_pd(x, _mm256_or_pd(c.half, _mm256_and_pd(x, c.sign)));
+        let r = _mm256_min_pd(_mm256_max_pd(r, c.lo), c.hi);
+        _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(r))
+    }
+
+    /// Slot `len + m` of `out[s]`.
+    ///
+    /// # Safety
+    ///
+    /// Slot `len + m` must lie within the vector's capacity.
+    #[inline(always)]
+    unsafe fn slot(out: &mut [Vec<Iq>], s: usize, m: usize) -> *mut Iq {
+        let v = &mut out[s];
+        let len = v.len();
+        v.as_mut_ptr().add(len + m)
+    }
+
+    /// Writes output `m` of every channel. Four channels per step; the
+    /// `K mod 4` left over take the scalar step's arithmetic.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2. `out`, `w_re` and `w_im` have one entry
+    /// per entry of `ks`; every `ks[s]` indexes `re` and `im`, and
+    /// `full` implies `ks.len() == re.len()`; slot `len + m` of every
+    /// vector lies within its capacity.
+    #[target_feature(enable = "avx2")]
+    unsafe fn rotate_round_avx2(
+        out: &mut [Vec<Iq>],
+        ks: &[usize],
+        full: bool,
+        (re, im): (&[f64], &[f64]),
+        (w_re, w_im): (&[f64], &[f64]),
+        word: OutputWord,
+        m: usize,
+    ) {
+        let c = Quant {
+            scale: _mm256_set1_pd(word.scale),
+            half: _mm256_set1_pd(BELOW_HALF),
+            sign: _mm256_set1_pd(-0.0),
+            lo: _mm256_set1_pd(word.lo as f64),
+            hi: _mm256_set1_pd(word.hi as f64),
+        };
+        let k_en = ks.len();
+        let mut s = 0;
+        while s + 4 <= k_en {
+            let (ar, ai) = if full {
+                (
+                    _mm256_loadu_pd(re.as_ptr().add(s)),
+                    _mm256_loadu_pd(im.as_ptr().add(s)),
+                )
+            } else {
+                let idx = _mm256_loadu_si256(ks.as_ptr().add(s) as *const __m256i);
+                (
+                    _mm256_i64gather_pd::<8>(re.as_ptr(), idx),
+                    _mm256_i64gather_pd::<8>(im.as_ptr(), idx),
+                )
+            };
+            let wr = _mm256_loadu_pd(w_re.as_ptr().add(s));
+            let wi = _mm256_loadu_pd(w_im.as_ptr().add(s));
+            // C64's multiply: (re·wr − im·wi, re·wi + im·wr).
+            let zr = _mm256_sub_pd(_mm256_mul_pd(ar, wr), _mm256_mul_pd(ai, wi));
+            let zi = _mm256_add_pd(_mm256_mul_pd(ar, wi), _mm256_mul_pd(ai, wr));
+            let (i, q) = (quantize(zr, &c), quantize(zi, &c));
+            // (i0, q0 | i2, q2) and (i1, q1 | i3, q3): `Iq` is
+            // `repr(C)`, `i` then `q`.
+            let even = _mm256_unpacklo_epi64(i, q);
+            let odd = _mm256_unpackhi_epi64(i, q);
+            let pairs = [
+                _mm256_castsi256_si128(even),
+                _mm256_castsi256_si128(odd),
+                _mm256_extracti128_si256::<1>(even),
+                _mm256_extracti128_si256::<1>(odd),
+            ];
+            for (j, pair) in pairs.into_iter().enumerate() {
+                _mm_storeu_si128(slot(out, s + j, m) as *mut __m128i, pair);
+            }
+            s += 4;
+        }
+        for s in s..k_en {
+            let k = ks[s];
+            let z = C64::new(re[k], im[k]) * C64::new(w_re[s], w_im[s]);
+            slot(out, s, m).write(Iq {
+                i: word.of(z.re),
+                q: word.of(z.im),
+            });
+        }
     }
 }
 
@@ -989,6 +1352,232 @@ mod tests {
         let prom = snap.to_prometheus();
         assert!(prom.contains("ddc_channelizer_stage_ns_bucket{stage=\"fft\""));
         assert!(prom.contains("ddc_channelizer_channels_active 7"));
+    }
+
+    /// One rotate-and-round kernel: appends one output to every
+    /// channel of `ks`.
+    type Step = fn(&mut [Vec<Iq>], &[usize], (&[f64], &[f64]), (&[f64], &[f64]), OutputWord);
+
+    /// The kernels this CPU can run, the dispatched one last.
+    fn rotate_round_kernels() -> Vec<(&'static str, Step)> {
+        let mut kernels: Vec<(&'static str, Step)> = vec![("scalar", rotate_round)];
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2_detected() {
+            kernels.push(("avx2", |out, ks, bins, roots, word| {
+                simd::Rows::new(out, ks, bins.0.len(), 1, word).push(bins, roots)
+            }));
+        }
+        kernels
+    }
+
+    /// The word a bin `z` becomes: `f64::round`, `as i64`, saturate.
+    fn plain_word(z: f64, frac: u32, data_bits: u32) -> i64 {
+        saturate((z / 2f64.powi(frac as i32)).round() as i64, data_bits)
+    }
+
+    /// A bin value for a word with `frac` fraction bits: an exact `.5`
+    /// tie at one of several scales, `±(0.5 − ulp)`, a signed zero, a
+    /// value past `±2^31` up to beyond `2^63` once scaled, or a random
+    /// integer like a branch-sum transform.
+    fn edge_bin(s: &mut u64, frac: u32) -> f64 {
+        let unit = 2f64.powi(frac as i32);
+        let sign = if xorshift(s).is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
+        let below_half = f64::from_bits(0.5f64.to_bits() - 1);
+        match xorshift(s) % 6 {
+            0 => {
+                let t = (xorshift(s) >> (12 + xorshift(s) % 52)) as f64;
+                sign * (t + 0.5) * unit
+            }
+            1 => sign * below_half * unit,
+            2 => sign * 0.0,
+            3 => sign * 2f64.powi(31 + (xorshift(s) % 34) as i32) * unit * 1.5,
+            4 => sign * 2f64.powi(31) * unit,
+            _ => sign * (xorshift(s) >> (1 + xorshift(s) % 63)) as f64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Every rotate-and-round kernel gives the plain formula's word
+        /// for every channel: `.5` ties, `±(0.5 − ulp)`, signed zeros
+        /// and saturating values; every data width; K channels out of
+        /// N, `K mod 4` tails and sparse masks included; roots from
+        /// either phase table of an oversampled bank over those
+        /// channels, or drawn from the N = 64 roots and exact quarter
+        /// turns, which pass a bin through to either rail.
+        #[test]
+        fn rotate_round_kernels_equal_the_plain_formula(
+            n in 1usize..=70,
+            k_en in 1usize..=70,
+            data_bits in 2u32..=32,
+            coeff_bits in 2u32..=32,
+            phase in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut s = seed | 1;
+            let k_en = k_en.min(n);
+            let mut ks: Vec<usize> = (0..n).collect();
+            for i in 0..n {
+                ks.swap(i, i + (xorshift(&mut s) % (n - i) as u64) as usize);
+            }
+            ks.truncate(k_en);
+            ks.sort_unstable();
+            let frac = coeff_bits - 1;
+            let word = OutputWord {
+                scale: 2f64.powi(-(frac as i32)),
+                lo: min_signed(data_bits),
+                hi: max_signed(data_bits),
+            };
+            let re: Vec<f64> = (0..n).map(|_| edge_bin(&mut s, frac)).collect();
+            let im: Vec<f64> = (0..n).map(|_| edge_bin(&mut s, frac)).collect();
+            let (w_re, w_im): (Vec<f64>, Vec<f64>) = if phase < 2 && n.is_multiple_of(2) {
+                let mut spec = ChannelizerSpec::uniform(n as u32, 1.0e6);
+                spec.oversample = 2;
+                spec.enabled = (0..n).map(|k| ks.contains(&k)).collect();
+                let synth = Channelizer::from_spec(spec).unwrap().synth;
+                let row = phase * k_en..(phase + 1) * k_en;
+                (synth.rot_re[row.clone()].to_vec(), synth.rot_im[row].to_vec())
+            } else {
+                let quarter = [(1.0, -0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)];
+                (0..k_en)
+                    .map(|_| match xorshift(&mut s) % 3 {
+                        0 => C64::cis(-2.0 * PI * (xorshift(&mut s) % 64) as f64 / 64.0),
+                        _ => {
+                            let (a, b) = quarter[(xorshift(&mut s) % 4) as usize];
+                            C64::new(a, b)
+                        }
+                    })
+                    .map(|w| (w.re, w.im))
+                    .unzip()
+            };
+            let roots: Vec<C64> = w_re.iter().zip(&w_im).map(|(&a, &b)| C64::new(a, b)).collect();
+            let want: Vec<Iq> = ks
+                .iter()
+                .zip(&roots)
+                .map(|(&k, &w)| {
+                    let z = C64::new(re[k], im[k]) * w;
+                    Iq { i: plain_word(z.re, frac, data_bits), q: plain_word(z.im, frac, data_bits) }
+                })
+                .collect();
+            for (name, step) in rotate_round_kernels() {
+                let mut out: Vec<Vec<Iq>> = vec![vec![Iq { i: 7, q: -7 }]; k_en];
+                step(&mut out, &ks, (&re, &im), (&w_re, &w_im), word);
+                for (s, (row, w)) in out.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(row.len(), 2, "{}: channel {}", name, ks[s]);
+                    proptest::prop_assert_eq!(row[1], *w, "{}: channel {} bin ({:e}, {:e})",
+                        name, ks[s], re[ks[s]], im[ks[s]]);
+                }
+            }
+        }
+    }
+
+    /// Both kernels of one bank agree word for word over a stream:
+    /// both output phases of an oversampled bank, sparse masks with
+    /// `K mod 4 != 0`, the naive-DFT transform, and all three
+    /// accumulator formats.
+    #[test]
+    fn bank_kernels_agree_on_every_shape() {
+        let wide = FixedFormat {
+            data_bits: 32,
+            coeff_bits: 32,
+            ..FixedFormat::MONTIUM16
+        };
+        for (i, &n) in [4u32, 8, 12, 64].iter().enumerate() {
+            for oversample in 1..=2 {
+                for format in [FixedFormat::FPGA12, FixedFormat::MONTIUM16, wide] {
+                    let mut spec = ChannelizerSpec::uniform(n, 1.0e6);
+                    spec.oversample = oversample;
+                    spec.format = format;
+                    let mut s = 0x5EED + i as u64;
+                    if n > 4 {
+                        for e in spec.enabled.iter_mut() {
+                            *e = !xorshift(&mut s).is_multiple_of(3);
+                        }
+                        spec.enabled[1] = true;
+                    }
+                    let input: Vec<i32> = (0..n as usize * 40)
+                        .map(|_| xorshift(&mut s) as i32)
+                        .collect();
+                    let mut bank = Channelizer::from_spec(spec.clone()).unwrap();
+                    let mut scalar = bank.clone();
+                    scalar.kernel = Kernel::Scalar;
+                    let k_en = bank.enabled_channels().len();
+                    let (mut got, mut want) = (vec![Vec::new(); k_en], vec![Vec::new(); k_en]);
+                    for piece in input.chunks(n as usize * 3 - 1) {
+                        bank.process_into(piece, &mut got);
+                        scalar.process_into(piece, &mut want);
+                    }
+                    assert!(want[0].len() > 10);
+                    let what = format!("N={n} oversample={oversample} K={k_en} {format:?}");
+                    assert_eq!(got, want, "{what}");
+                }
+            }
+        }
+    }
+
+    /// The AVX2 `f64` MACs equal the scalar ones, and the exact `i64`
+    /// sums, on the width audit's edge taps, whose branch bound is
+    /// exactly 2^53, driven by full-scale inputs.
+    #[test]
+    fn avx2_branch_macs_equal_the_scalar_ones() {
+        let edge = [1 << 21, 7, -(1 << 21), -7];
+        let mut s = 0xED6E_u64;
+        let mut input = vec![i32::MIN, i32::MIN, i32::MIN, i32::MIN, i32::MAX, i32::MIN];
+        input.extend((0..250).map(|_| match xorshift(&mut s) % 4 {
+            0 => i32::MIN,
+            1 => i32::MAX,
+            _ => xorshift(&mut s) as i32,
+        }));
+        // Windows of L·N = 4 samples, 3 of history, advancing by 2.
+        let (first_end, n_out) = (3 + 2, input.len() / 2);
+        let run = |b: &mut Branches<f64>| {
+            let mut sums = Vec::new();
+            b.run(&input, first_end, 2, n_out, &mut sums, |v| v);
+            sums
+        };
+        let scalar = run(&mut Branches::new(&edge, 2));
+        let mut exact = Vec::new();
+        Branches::<i64>::new(&edge, 2).run(&input, first_end, 2, n_out, &mut exact, |v| v as f64);
+        assert_eq!(scalar, exact);
+        // Branch 0 is 2^21·x[t] − 2^21·x[t−2]: at most 2^53 − 2^21 in
+        // magnitude for i32 inputs, reached at x[t] = MIN, x[t−2] = MAX.
+        let extreme = 2f64.powi(21) - 2f64.powi(53);
+        assert!(
+            scalar.contains(&extreme),
+            "the audit's edge was not reached"
+        );
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2_detected() {
+            let mut sums = Vec::new();
+            simd::branches(
+                &mut Branches::new(&edge, 2),
+                &input,
+                first_end,
+                2,
+                n_out,
+                &mut sums,
+            );
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sums), bits(&scalar));
+        }
+    }
+
+    /// On an AVX2 host every bank runs the AVX2 kernels.
+    #[test]
+    fn dispatch_picks_the_avx2_kernels_when_the_cpu_has_them() {
+        let bank = Channelizer::from_spec(ChannelizerSpec::uniform(64, 64.512e6)).unwrap();
+        assert!(matches!(bank.mac, Mac::F64(_)));
+        #[cfg(target_arch = "x86_64")]
+        if crate::avx2_detected() {
+            assert_eq!(bank.kernel, Kernel::Avx2);
+            return;
+        }
+        assert_eq!(bank.kernel, Kernel::Scalar);
     }
 
     #[test]

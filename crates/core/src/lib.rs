@@ -41,9 +41,9 @@
 //! * [`pruned`] — a Hogenauer register-pruned CIC (area/noise study).
 //! * [`duc`] — the transmit-side dual (up-converter) for loopback tests.
 
-// The crate's only unsafe code is in the two x86_64 `std::arch`
-// kernel modules, `fir::simd` and `frontend::simd`, each behind its
-// own scoped allow.
+// The crate's only unsafe code is in the three x86_64 `std::arch`
+// kernel modules, `fir::simd`, `frontend::simd` and
+// `channelizer::simd`, each behind its own scoped allow.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -69,9 +69,9 @@ pub use frontend::FusedFrontEnd;
 pub use params::{DdcConfig, FixedFormat};
 pub use spec::{ChainSpec, ChannelizerSpec, SpecError, SpecNote, SpecNoteKind, StageSpec};
 
-/// Whether this CPU runs the AVX2 kernels in `fir::simd` and
-/// `frontend::simd`. Always `false` off x86_64, where only the scalar
-/// kernels are compiled.
+/// Whether this CPU runs the AVX2 kernels in `fir::simd`,
+/// `frontend::simd` and `channelizer::simd`. Always `false` off x86_64,
+/// where only the scalar kernels are compiled.
 pub(crate) fn avx2_detected() -> bool {
     #[cfg(target_arch = "x86_64")]
     {

@@ -14,8 +14,11 @@
 use crate::nco::CosSin;
 use ddc_dsp::fixed::{round_shift, saturate};
 
-/// One complex mixer output in data-bus fixed point.
+/// One complex mixer output in data-bus fixed point. `i` then `q`, in
+/// that order: the channelizer's AVX2 kernel stores a pair as one
+/// 16-byte write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(C)]
 pub struct Iq {
     /// In-phase component.
     pub i: i64,

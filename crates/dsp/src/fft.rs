@@ -14,8 +14,14 @@
 //! the `f64` operations of `t = b·w; (a + t, a − t)` on [`C64`], in that
 //! order; stage tables are copied from one root table and conjugated by
 //! a sign flip; fusing the first two stages only reorders independent
-//! butterflies. `tests/fft_reference.rs` compares every transform bit
-//! for bit against the textbook in-place formulation.
+//! butterflies. The real-input synthesis
+//! ([`Fft::inverse_unnormalized_real`]) runs its first two stages on
+//! reals: their `k = 0` twiddle is `(1, +0)` exactly, so on a finite
+//! input every imaginary part they would compute is `+0` and every real
+//! part is one add or subtract, and stage 2's `k = 1` butterfly keeps
+//! the textbook operations with the known `+0` imaginary parts written
+//! in. `tests/fft_reference.rs` compares every transform bit for bit
+//! against the textbook in-place formulation, signed zeros included.
 
 use crate::complex::C64;
 use std::f64::consts::PI;
@@ -122,21 +128,49 @@ impl Fft {
     }
 
     /// [`Fft::inverse_unnormalized`] of the real sequence `x`, with the
-    /// result in split form: `re[k] + j·im[k]`. Each `x[i] + 0j` is
-    /// stored straight into its bit-reversed slot, so no permutation
-    /// pass runs and nothing is allocated; the result is bit-identical
-    /// to [`Fft::inverse_unnormalized`] of `x[i] + 0j`.
+    /// result in split form: `re[k] + j·im[k]`. Bit-identical to
+    /// [`Fft::inverse_unnormalized`] of `x[i] + 0j`, signed zeros
+    /// included, for every **finite** `x`; an infinite input may differ,
+    /// since the complex path multiplies it by a zero imaginary part
+    /// (`∞·0 = NaN`) where this one skips the product. Nothing is
+    /// allocated.
+    ///
+    /// The first two stages run on reals. Output slot `4g + t` of the
+    /// bit-reversed order holds `x[j + {0, N/2, N/4, 3N/4}[t]]` with
+    /// `g = rev(j)` over `log₂N − 2` bits, so `x` is read in natural
+    /// order as four quarter streams and each group of four is written
+    /// straight into its slots after both stages.
     pub fn inverse_unnormalized_real(&self, x: &[f64], re: &mut [f64], im: &mut [f64]) {
-        assert_eq!(x.len(), self.n, "input length must equal plan size");
+        let n = self.n;
+        assert_eq!(x.len(), n, "input length must equal plan size");
         assert!(
-            re.len() == self.n && im.len() == self.n,
+            re.len() == n && im.len() == n,
             "buffer length must equal plan size"
         );
-        for (&v, &j) in x.iter().zip(&self.rev) {
-            re[j as usize] = v;
-            im[j as usize] = 0.0;
+        debug_assert!(
+            x.iter().all(|v| v.is_finite()),
+            "real-input synthesis needs finite inputs"
+        );
+        // Stage 1 and stage 2's k = 0 butterflies multiply by (1, +0):
+        // with b = (v, +0), t = (v·1 − (+0)·(+0), v·(+0) + (+0)·1) =
+        // (v, +0) for finite v, so a ± t = (a.re ± v, +0 ± +0) = (…, +0).
+        if n == 2 {
+            (re[0], re[1]) = (x[0] + x[1], x[0] - x[1]);
+            (im[0], im[1]) = (0.0, 0.0);
+            return;
         }
-        self.butterflies(re, im, &self.tw_im_conj);
+        let q = n / 4;
+        let w = (self.tw_re[2], self.tw_im_conj[2]);
+        for (j, &slot) in self.rev[..q].iter().enumerate() {
+            // rev(j) over log₂N bits is 4·rev(j) over log₂N − 2 bits.
+            let g = slot as usize;
+            let (s0, s1, s2, s3) = (x[j], x[j + 2 * q], x[j + q], x[j + 3 * q]);
+            let (a0, a1, a2, a3) = (s0 + s1, s0 - s1, s2 + s3, s2 - s3);
+            let (b1, b3) = butterfly((a1, 0.0), (a3, 0.0), w);
+            re[g..g + 4].copy_from_slice(&[a0 + a2, b1.0, a0 - a2, b3.0]);
+            im[g..g + 4].copy_from_slice(&[0.0, b1.1, 0.0, b3.1]);
+        }
+        self.stages(re, im, &self.tw_im_conj, 4);
     }
 
     /// Forward transform of a real signal, zero-padding or panicking on
@@ -171,24 +205,29 @@ impl Fft {
     /// same order; the first two stages run fused over groups of four,
     /// which changes only the order of independent butterflies.
     fn butterflies(&self, re: &mut [f64], im: &mut [f64], tw_im: &[f64]) {
-        let (n, tw_re) = (self.n, &self.tw_re);
-        let mut half = 1;
-        if n >= 4 {
-            let (w0, w1, w2) = (
-                (tw_re[0], tw_im[0]),
-                (tw_re[1], tw_im[1]),
-                (tw_re[2], tw_im[2]),
-            );
-            for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
-                let (a0, a1) = butterfly((r[0], i[0]), (r[1], i[1]), w0);
-                let (a2, a3) = butterfly((r[2], i[2]), (r[3], i[3]), w0);
-                let (b0, b2) = butterfly(a0, a2, w1);
-                let (b1, b3) = butterfly(a1, a3, w2);
-                (r[0], i[0], r[1], i[1]) = (b0.0, b0.1, b1.0, b1.1);
-                (r[2], i[2], r[3], i[3]) = (b2.0, b2.1, b3.0, b3.1);
-            }
-            half = 4;
+        let tw_re = &self.tw_re;
+        if self.n < 4 {
+            return self.stages(re, im, tw_im, 1);
         }
+        let (w0, w1, w2) = (
+            (tw_re[0], tw_im[0]),
+            (tw_re[1], tw_im[1]),
+            (tw_re[2], tw_im[2]),
+        );
+        for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
+            let (a0, a1) = butterfly((r[0], i[0]), (r[1], i[1]), w0);
+            let (a2, a3) = butterfly((r[2], i[2]), (r[3], i[3]), w0);
+            let (b0, b2) = butterfly(a0, a2, w1);
+            let (b1, b3) = butterfly(a1, a3, w2);
+            (r[0], i[0], r[1], i[1]) = (b0.0, b0.1, b1.0, b1.1);
+            (r[2], i[2], r[3], i[3]) = (b2.0, b2.1, b3.0, b3.1);
+        }
+        self.stages(re, im, tw_im, 4);
+    }
+
+    /// The stages whose butterflies span `2·half` points and more.
+    fn stages(&self, re: &mut [f64], im: &mut [f64], tw_im: &[f64], mut half: usize) {
+        let (n, tw_re) = (self.n, &self.tw_re);
         while half < n {
             let (wr, wi) = (
                 &tw_re[half - 1..2 * half - 1],

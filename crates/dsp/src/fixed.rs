@@ -114,6 +114,10 @@ pub fn quantize(x: f64, bits: u32, frac_bits: u32, mode: Rounding) -> i64 {
     v.clamp(lo, hi) as i64
 }
 
+/// The largest `f64` below one half: [`round_to_i64`]'s addend, and
+/// that of any vector kernel that rounds the same way.
+pub const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
+
 /// Rounds half away from zero to an integer: exactly `x.round() as i64`
 /// for every `f64`, including NaN (→ 0) and the saturating
 /// out-of-range cases, without calling `f64::round`, which on x86-64
@@ -128,7 +132,6 @@ pub fn round_to_i64(x: f64) -> i64 {
     // broken toward the even 1.0); below 0.5 it sits at least one ulp
     // of x plus 2^-54 below, more than half an ulp of the sum. From
     // 2^52 on, x is an integer and the addend rounds away.
-    const BELOW_HALF: f64 = 0.499_999_999_999_999_94;
     (x + BELOW_HALF.copysign(x)) as i64
 }
 

@@ -25,10 +25,17 @@
 //! session with queued work one DSP turn of at most one slice: the
 //! latency-QoS chunk for budgeted sessions, `THROUGHPUT_SLICE`
 //! samples otherwise. A session sharing a shard therefore waits at most
-//! one slice per other busy session before its own batch runs. Thread
-//! count is a function of the host, not the session count, so hundreds
-//! of concurrent sessions cost hundreds of sockets — not hundreds of
-//! threads.
+//! one slice per other busy session before its own batch runs, and a
+//! slice's time depends on that session's kind. A chain slice takes
+//! about 0.1 ms. A power-of-two bank ingest's 2^15-sample slice takes
+//! under 1 ms up to N = 1024 (0.3–0.8 ms measured at N = 64 and 1024).
+//! A non-power-of-two bank runs the naive O(N²) DFT: about 0.1 s per
+//! slice at N = 1023, and about 0.17 s at N = 1022 with
+//! `oversample = 2`. A peer may configure any of these, so a
+//! latency-QoS session's budget holds only while its neighbours' slices
+//! fit in it. Thread count is a function of the host, not the session
+//! count, so hundreds of concurrent sessions cost hundreds of sockets —
+//! not hundreds of threads.
 
 use crate::queue::{BoundedQueue, Push};
 use crate::session::{
@@ -86,8 +93,11 @@ impl Default for ServerConfig {
 }
 
 /// Samples one DSP turn of a throughput session covers. It bounds how
-/// long any other session on the shard waits behind a large batch:
-/// about 130 µs of the DRM chain at 4 ns per sample.
+/// long any other session on the shard waits behind a large batch, by
+/// a time that depends on the session's kind: about 130 µs of the DRM
+/// chain at 4 ns per sample, under 1 ms of a power-of-two bank ingest
+/// up to N = 1024, but about 0.1 s of a naive-DFT bank at N = 1023 and
+/// 0.17 s at N = 1022 with `oversample = 2` (see the module docs).
 const THROUGHPUT_SLICE: usize = 1 << 15;
 
 /// Poller token of the listening socket. Session ids count up from 0,

@@ -9,11 +9,15 @@
 //! absolute per bin, which is the bound asserted throughout.
 //!
 //! The plan's layout (per-stage twiddle tables, split real/imaginary
-//! data, fused first stages) must not change a single bit: the last
-//! property compares every transform against the textbook in-place
-//! radix-2 kept in [`textbook`]. The other `Fft` callers (`spectrum`'s
-//! periodograms, `firdes::minimum_phase`) only call
-//! `forward`/`inverse`, so their results are pinned with it.
+//! data, fused first stages, real-input first stages) must not change a
+//! single bit: the last properties compare every transform against the
+//! textbook in-place radix-2 kept in [`textbook`]. The other `Fft`
+//! callers (`spectrum`'s periodograms, `firdes::minimum_phase`) only
+//! call `forward`/`inverse`, so their results are pinned with it. The
+//! real-input synthesis is pinned on every finite input class the
+//! channelizer can feed it: `f64` branch sums up to ±2^53, `i64` sums
+//! converted with `as f64` up to ±2^62, and signed zeros, alone and in
+//! runs.
 
 use ddc_suite::dsp::fft::{dft, Fft};
 use ddc_suite::dsp::C64;
@@ -229,5 +233,97 @@ proptest! {
             assert_same_bits(&a, &b, &format!("inverse_unnormalized_real n={n}"));
             n *= 2;
         }
+    }
+}
+
+/// The channelizer's real-input synthesis against the textbook plan on
+/// `x + 0j`, compared bit for bit.
+fn check_real_input(fft: &Fft, plain: &textbook::Fft, sums: &[f64], what: &str) {
+    let n = sums.len();
+    let (mut re, mut im) = (vec![0.0; n], vec![0.0; n]);
+    fft.inverse_unnormalized_real(sums, &mut re, &mut im);
+    let a: Vec<C64> = re.iter().zip(&im).map(|(&r, &i)| C64::new(r, i)).collect();
+    let mut b: Vec<C64> = sums.iter().map(|&x| C64::new(x, 0.0)).collect();
+    plain.inverse_unnormalized(&mut b);
+    assert_same_bits(&a, &b, &format!("inverse_unnormalized_real {what} n={n}"));
+}
+
+/// Integer-valued inputs at the edges of both branch accumulators: the
+/// `f64` MACs' exact ±2^53, the `i64` MACs' sums up to ±2^62 after
+/// `as f64`, and signed zeros.
+const EDGES: [f64; 8] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    9_007_199_254_740_992.0,
+    -9_007_199_254_740_992.0,
+    4_611_686_018_427_387_904.0,
+    -4_611_686_018_427_387_904.0,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Real-input synthesis stays bit-identical to the textbook plan on
+    /// integer-valued inputs of every magnitude up to ±2^62, exact
+    /// ±2^53, and runs of signed zeros, at every power-of-two size up
+    /// to 2^14.
+    #[test]
+    fn real_input_synthesis_is_bit_identical_on_wide_inputs(seed in any::<u64>()) {
+        let mut n = 2usize;
+        while n <= 1 << 14 {
+            let (fft, plain) = (Fft::new(n), textbook::Fft::new(n));
+            let mut s = seed ^ (n as u64).rotate_left(7) | 1;
+            let wide: Vec<f64> = (0..n)
+                .map(|_| {
+                    let bits = 1 + xorshift(&mut s) % 62;
+                    let v = (xorshift(&mut s) >> (64 - bits)) as f64;
+                    match xorshift(&mut s) % 8 {
+                        0 => EDGES[(xorshift(&mut s) % 8) as usize],
+                        1 | 2 => -v,
+                        _ => v,
+                    }
+                })
+                .collect();
+            check_real_input(&fft, &plain, &wide, "wide");
+            // Runs of one signed zero between nonzero values.
+            let mut zeros = vec![0.0; n];
+            let mut i = 0;
+            while i < n {
+                let run = 1 + (xorshift(&mut s) % 9) as usize;
+                let z = if xorshift(&mut s).is_multiple_of(2) { 0.0 } else { -0.0 };
+                for v in zeros.iter_mut().skip(i).take(run) {
+                    *v = z;
+                }
+                i += run;
+                if i < n {
+                    zeros[i] = EDGES[(xorshift(&mut s) % 8) as usize];
+                    i += 1;
+                }
+            }
+            check_real_input(&fft, &plain, &zeros, "zero runs");
+            n *= 2;
+        }
+    }
+}
+
+/// At N = 2 and N = 4 the real first stages are the whole transform:
+/// every input drawn from [`EDGES`], exhaustively.
+#[test]
+fn real_input_synthesis_is_bit_identical_on_every_small_edge_input() {
+    for n in [2usize, 4] {
+        let (fft, plain) = (Fft::new(n), textbook::Fft::new(n));
+        for code in 0..EDGES.len().pow(n as u32) {
+            let sums: Vec<f64> = (0..n)
+                .map(|t| EDGES[code / EDGES.len().pow(t as u32) % EDGES.len()])
+                .collect();
+            check_real_input(&fft, &plain, &sums, &format!("{sums:?}"));
+        }
+    }
+    let fft = Fft::new(8);
+    let plain = textbook::Fft::new(8);
+    for z in [0.0, -0.0] {
+        check_real_input(&fft, &plain, &[z; 8], "all zeros");
     }
 }

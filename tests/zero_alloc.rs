@@ -261,6 +261,38 @@ fn channelizer_farm_block_path_is_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn oversampled_sparse_bank_is_allocation_free_in_steady_state() {
+    use ddc_core::channelizer::ChannelizerFarm;
+    use ddc_core::ChannelizerSpec;
+
+    // Both output phases, 21 of 64 channels (a K mod 4 tail and
+    // gathered bins on the AVX2 kernel).
+    let mut spec = ChannelizerSpec::uniform(64, 64_512_000.0);
+    spec.oversample = 2;
+    for (k, e) in spec.enabled.iter_mut().enumerate() {
+        *e = k % 3 == 1;
+    }
+    let mut farm = ChannelizerFarm::from_spec(spec).unwrap().with_telemetry();
+    assert_eq!(farm.enabled_channels().len(), 21);
+    let adc: Vec<i32> = (0..4096).map(|k| (k * 71) % 4095 - 2047).collect();
+
+    for _ in 0..4 {
+        farm.process_block(&adc);
+    }
+    let mut produced = 0;
+    let allocs = allocations_during(|| {
+        for len in [4096, 31, 1, 2047, 32, 4095, 999, 4096] {
+            produced += farm.process_block(&adc[..len])[20].len();
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state oversampled sparse process_block allocated {allocs} time(s)"
+    );
+    assert!(produced > 0, "the measured blocks produced no output");
+}
+
+#[test]
 fn wire_codec_steady_state_does_not_allocate() {
     use ddc_core::mixer::Iq;
     use ddc_server::wire::{decode_header, decode_samples_into, FrameBuf, IqTiming};
