@@ -28,6 +28,21 @@
 //! (`D = N/2`) it alternates between two values — both read from a
 //! table built once per output phase.
 //!
+//! # Demand
+//!
+//! A served bank often has fewer readers than channels: one subscriber
+//! reads one of 64. [`Channelizer::set_demand`] (and
+//! [`ChannelizerFarm::set_demand`]) names the channels worth
+//! synthesizing; the default is every enabled one. The branch MACs
+//! still run whole, since every bin sums all N branches. The transform
+//! runs only the butterflies the demanded bins depend on
+//! ([`ddc_dsp::fft::Fft::plan_bins`]), or, on the naive DFT, only the
+//! demanded bins: O(N·K) per output for K demanded channels instead of
+//! O(N²). Only the demanded rows are rotated and rounded. An undemanded
+//! row gets nothing, and every demanded word is the word the full bank
+//! gives. The demand may change between any two calls; the branch
+//! history and the output phase move on regardless.
+//!
 //! # Arithmetic and the bounds-match contract
 //!
 //! The branch sums `u_q` are **exact**: `i32` input samples against the
@@ -51,7 +66,10 @@
 //! * the FFT applies the same operations in the same order to every
 //!   element, and the sums enter it straight in bit-reversed order; its
 //!   first two stages run on reals, which gives the same bits for every
-//!   finite input, and the branch sums are finite integers;
+//!   finite input, and the branch sums are finite integers; a plan
+//!   pruned to the demanded bins runs a subset of the same butterflies,
+//!   each on the same operands, and every butterfly it skips feeds no
+//!   demanded bin;
 //! * the phase correction reads the same roots `e^{−2πi·k·n_m/N}`,
 //!   indexed by output phase instead of by `k·n_m mod N`;
 //! * scaling by `2^−coeff_frac` multiplies instead of dividing by
@@ -83,13 +101,14 @@
 use crate::fir::SequentialFir;
 use crate::mixer::Iq;
 use crate::spec::{ChannelizerSpec, SpecError};
-use ddc_dsp::fft::Fft;
+use ddc_dsp::fft::{BinPlan, Fft};
 use ddc_dsp::firdes::quantize_taps;
 use ddc_dsp::fixed::{max_signed, min_signed, round_to_i64, saturate};
 use ddc_dsp::C64;
 use ddc_obs::{Counter, LogHistogram, MetricsSnapshot};
 use std::f64::consts::PI;
 use std::ops::{Add, Mul};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -100,24 +119,26 @@ pub const BOUNDS_TOLERANCE: f64 = 0.01;
 /// How the per-output N-point synthesis transform runs.
 #[derive(Clone, Debug)]
 enum Transform {
-    /// Radix-2 FFT plan (power-of-two N): per-stage twiddles, the
-    /// branch sums loaded straight into bit-reversed order.
-    Radix2(Fft),
-    /// Naive O(N²) DFT fallback for non-power-of-two N (the
+    /// Radix-2 FFT (power-of-two N): per-stage twiddles, the branch
+    /// sums loaded straight into bit-reversed order, and the plan of
+    /// the butterflies the demanded bins depend on.
+    Radix2(Fft, BinPlan),
+    /// Naive DFT fallback for non-power-of-two N (the
     /// [`crate::spec::SpecNoteKind::NonPowerOfTwoChannels`] advisory),
-    /// over `roots[j] = e^{−2πij/N}`.
+    /// over `roots[j] = e^{−2πij/N}`: O(N) per demanded bin.
     Naive(Vec<C64>),
 }
 
 impl Transform {
-    /// The unnormalised inverse DFT of one output's N branch sums,
-    /// into split real and imaginary parts.
-    fn run(&self, sums: &[f64], re: &mut [f64], im: &mut [f64]) {
+    /// The unnormalised inverse DFT of one output's N branch sums at
+    /// `bins`, into split real and imaginary parts. Other bins hold
+    /// whatever is left there.
+    fn run(&self, bins: &[usize], sums: &[f64], re: &mut [f64], im: &mut [f64]) {
         match self {
-            Transform::Radix2(fft) => fft.inverse_unnormalized_real(sums, re, im),
+            Transform::Radix2(fft, plan) => fft.inverse_unnormalized_real_bins(plan, sums, re, im),
             Transform::Naive(roots) => {
                 let n = sums.len();
-                for k in 0..n {
+                for &k in bins {
                     let mut acc = C64::ZERO;
                     for (q, &v) in sums.iter().enumerate() {
                         // e^{+2πikq/N} = conj(roots[kq mod N]).
@@ -277,19 +298,19 @@ impl OutputWord {
 }
 
 /// The scalar rotate-and-round step: appends one output to each
-/// enabled channel `ks[s]`'s vector `out[s]`, the transform bin
+/// demanded channel `ks[s]`'s vector `out[rows[s]]`, the transform bin
 /// `re[k] + j·im[k]` times its phase root `w_re[s] + j·w_im[s]`,
 /// quantized by `word`.
 fn rotate_round(
     out: &mut [Vec<Iq>],
-    ks: &[usize],
+    (rows, ks): (&[usize], &[usize]),
     (re, im): (&[f64], &[f64]),
     (w_re, w_im): (&[f64], &[f64]),
     word: OutputWord,
 ) {
-    for (((o, &k), &wr), &wi) in out.iter_mut().zip(ks).zip(w_re).zip(w_im) {
+    for (((&r, &k), &wr), &wi) in rows.iter().zip(ks).zip(w_re).zip(w_im) {
         let z = C64::new(re[k], im[k]) * C64::new(wr, wi);
-        o.push(Iq {
+        out[r].push(Iq {
             i: word.of(z.re),
             q: word.of(z.im),
         });
@@ -300,11 +321,16 @@ fn rotate_round(
 #[derive(Clone, Debug)]
 struct Synthesis {
     transform: Transform,
-    /// Phase correction per output phase and enabled channel, split
-    /// into real and imaginary parts: `rot[p·K + s] =
-    /// e^{−2πi·k_s·n_p/N}`, where `n_p` is the newest sample index mod
-    /// N of outputs in phase `p` (`N/decim` phases) and `k_s` the
-    /// `s`-th of K enabled channels.
+    /// Phase correction per output phase and enabled channel:
+    /// `roots[p·K + r] = e^{−2πi·k_r·n_p/N}`, where `n_p` is the newest
+    /// sample index mod N of outputs in phase `p` and `k_r` the `r`-th
+    /// of K enabled channels.
+    roots: Vec<C64>,
+    /// Output phases, `N/decim`.
+    phases: usize,
+    /// The demanded channels' roots, split into real and imaginary
+    /// parts: `rot[p·D + s]` is the root of phase `p` and the `s`-th of
+    /// D demanded channels.
     rot_re: Vec<f64>,
     rot_im: Vec<f64>,
     /// Output phase of the next output.
@@ -315,23 +341,46 @@ struct Synthesis {
 }
 
 impl Synthesis {
-    /// Transforms each N-vector of `sums` in turn and hands the result
-    /// and its output phase's K roots to `emit`.
+    /// Keeps the roots of the demanded `rows` (of `k_en` enabled ones)
+    /// and plans the transform for their channels, `bins`.
+    fn plan(&mut self, rows: &[usize], bins: &[usize], k_en: usize) {
+        self.rot_re.clear();
+        self.rot_im.clear();
+        for phase in 0..self.phases {
+            for &r in rows {
+                let w = self.roots[phase * k_en + r];
+                self.rot_re.push(w.re);
+                self.rot_im.push(w.im);
+            }
+        }
+        if let Transform::Radix2(fft, plan) = &mut self.transform {
+            *plan = fft.plan_bins(bins);
+        }
+    }
+
+    /// Transforms each N-vector of `sums` at `bins` in turn and hands
+    /// the result and its output phase's roots of those bins to `emit`.
+    /// With no bin demanded it only moves the output phase on.
     fn run(
         &mut self,
+        bins: &[usize],
         sums: &[f64],
-        k_en: usize,
         mut emit: impl FnMut((&[f64], &[f64]), (&[f64], &[f64])),
     ) {
-        for v in sums.chunks_exact(self.re.len()) {
-            self.transform.run(v, &mut self.re, &mut self.im);
-            let row = self.rot_phase * k_en..(self.rot_phase + 1) * k_en;
+        let (n, k) = (self.re.len(), bins.len());
+        if k == 0 {
+            self.rot_phase = (self.rot_phase + sums.len() / n) % self.phases;
+            return;
+        }
+        for v in sums.chunks_exact(n) {
+            self.transform.run(bins, v, &mut self.re, &mut self.im);
+            let row = self.rot_phase * k..(self.rot_phase + 1) * k;
             emit(
                 (&self.re, &self.im),
                 (&self.rot_re[row.clone()], &self.rot_im[row]),
             );
             self.rot_phase += 1;
-            if self.rot_phase * k_en == self.rot_re.len() {
+            if self.rot_phase == self.phases {
                 self.rot_phase = 0;
             }
         }
@@ -357,6 +406,11 @@ pub struct Channelizer {
     sums: Vec<f64>,
     /// Enabled channel indices, ascending.
     enabled: Vec<usize>,
+    /// Demanded rows, ascending: positions in `enabled`, so indices of
+    /// the per-channel output vectors.
+    rows: Vec<usize>,
+    /// The demanded rows' channels: the transform bins they read.
+    bins: Vec<usize>,
     /// Exact DC gain of the quantized prototype (≈1).
     nominal_gain: f64,
     word: OutputWord,
@@ -381,7 +435,7 @@ impl Channelizer {
             .map(|j| C64::cis(-2.0 * PI * j as f64 / n as f64))
             .collect();
         let enabled = spec.enabled_channels();
-        let rot: Vec<C64> = (0..n / decim)
+        let phase_roots: Vec<C64> = (0..n / decim)
             .flat_map(|p| {
                 let newest = (decim - 1 + p * decim) % n;
                 enabled.iter().map(move |&k| k * newest % n)
@@ -389,21 +443,25 @@ impl Channelizer {
             .map(|j| roots[j])
             .collect();
         let transform = if n.is_power_of_two() {
-            Transform::Radix2(Fft::new(n))
+            let fft = Fft::new(n);
+            let plan = fft.full_plan().clone();
+            Transform::Radix2(fft, plan)
         } else {
             Transform::Naive(roots)
         };
         // The AVX2 rounding truncates in packed i32 lanes.
         assert!(f.data_bits <= 32, "validate bounds data_bits by 32");
-        Ok(Channelizer {
+        let mut bank = Channelizer {
             n,
             decim,
             mac,
             phase: 0,
             synth: Synthesis {
                 transform,
-                rot_re: rot.iter().map(|w| w.re).collect(),
-                rot_im: rot.iter().map(|w| w.im).collect(),
+                roots: phase_roots,
+                phases: n / decim,
+                rot_re: Vec::new(),
+                rot_im: Vec::new(),
                 rot_phase: 0,
                 re: vec![0.0; n],
                 im: vec![0.0; n],
@@ -411,6 +469,8 @@ impl Channelizer {
             kernel: Kernel::select(),
             sums: Vec::new(),
             enabled,
+            rows: Vec::new(),
+            bins: Vec::new(),
             nominal_gain,
             word: OutputWord {
                 scale: 2f64.powi(-(f.coeff_frac() as i32)),
@@ -418,7 +478,9 @@ impl Channelizer {
                 hi: max_signed(f.data_bits),
             },
             spec,
-        })
+        };
+        bank.set_demand(|_| true);
+        Ok(bank)
     }
 
     /// The spec this bank was built from.
@@ -436,6 +498,29 @@ impl Channelizer {
     /// [`crate::chain::FixedDdc::nominal_gain`].
     pub fn nominal_gain(&self) -> f64 {
         self.nominal_gain
+    }
+
+    /// Sets the channels [`Channelizer::transform_outputs`] synthesizes:
+    /// the enabled channels `k` for which `demanded(k)` holds. The
+    /// others' vectors get nothing. Every word still equals the full
+    /// bank's (see the module docs). The default is every enabled
+    /// channel. It may change between any two calls.
+    pub fn set_demand(&mut self, demanded: impl Fn(usize) -> bool) {
+        self.rows.clear();
+        self.bins.clear();
+        for (r, &k) in self.enabled.iter().enumerate() {
+            if demanded(k) {
+                self.rows.push(r);
+                self.bins.push(k);
+            }
+        }
+        self.synth.plan(&self.rows, &self.bins, self.enabled.len());
+    }
+
+    /// The demanded channel indices, ascending: those of
+    /// [`Channelizer::enabled_channels`] the process calls synthesize.
+    pub fn demanded_channels(&self) -> &[usize] {
+        &self.bins
     }
 
     /// Stage 1 — commutator + polyphase branches: consumes the block,
@@ -465,29 +550,30 @@ impl Channelizer {
     /// Stage 2 — N-point synthesis transform + phase correction +
     /// output quantization for the `n_out` outputs staged by
     /// [`Channelizer::compute_branches`]. Appends one `Iq` per output
-    /// to each enabled channel's vector (`out` is indexed in
-    /// [`Channelizer::enabled_channels`] order).
+    /// to each demanded channel's vector (`out` is indexed in
+    /// [`Channelizer::enabled_channels`] order); the other vectors are
+    /// left as they are.
     pub fn transform_outputs(&mut self, n_out: usize, out: &mut [Vec<Iq>]) {
         assert_eq!(
             out.len(),
             self.enabled.len(),
             "one vector per enabled channel"
         );
-        let (ks, word) = (&self.enabled, self.word);
+        let (demand, word) = ((&self.rows[..], &self.bins[..]), self.word);
         let sums = &self.sums[..n_out * self.n];
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => {
-                let mut rows = simd::Rows::new(out, ks, self.n, n_out, word);
+                let mut rows = simd::Rows::new(out, demand, self.n, n_out, word);
                 self.synth
-                    .run(sums, ks.len(), |bins, roots| rows.push(bins, roots));
+                    .run(demand.1, sums, |bins, roots| rows.push(bins, roots));
             }
             Kernel::Scalar => {
-                for v in out.iter_mut() {
-                    v.reserve(n_out);
+                for &r in demand.0 {
+                    out[r].reserve(n_out);
                 }
-                self.synth.run(sums, ks.len(), |bins, roots| {
-                    rotate_round(out, ks, bins, roots, word)
+                self.synth.run(demand.1, sums, |bins, roots| {
+                    rotate_round(out, demand, bins, roots, word)
                 });
             }
         }
@@ -569,12 +655,15 @@ mod simd {
         b.run(input, first_end, d, n_out, sums, |v| v);
     }
 
-    /// The enabled channels' vectors, written through their spare
-    /// capacity one output at a time. Dropping it sets every vector's
-    /// length past the outputs pushed.
+    /// The demanded channels' vectors, written through their spare
+    /// capacity one output at a time. Dropping it sets each of their
+    /// lengths past the outputs pushed.
     pub struct Rows<'a> {
         out: &'a mut [Vec<Iq>],
-        /// Enabled channel indices, each below `n`.
+        /// The vector of each demanded channel, strictly ascending, each
+        /// below `out.len()`.
+        rows: &'a [usize],
+        /// Demanded channel indices, each below `n`.
         ks: &'a [usize],
         /// Transform size.
         n: usize,
@@ -588,28 +677,33 @@ mod simd {
     }
 
     impl<'a> Rows<'a> {
-        /// Reserves `room` outputs in each of `out`, one vector per
-        /// channel of `ks`, for bins of an `n`-point transform.
+        /// Reserves `room` outputs in vector `out[rows[s]]` of each
+        /// channel `ks[s]`, for bins of an `n`-point transform.
         pub fn new(
             out: &'a mut [Vec<Iq>],
-            ks: &'a [usize],
+            (rows, ks): (&'a [usize], &'a [usize]),
             n: usize,
             room: usize,
             word: OutputWord,
         ) -> Self {
             assert!(crate::avx2_detected(), "AVX2 kernel on a CPU without AVX2");
-            assert_eq!(out.len(), ks.len(), "one vector per enabled channel");
+            assert_eq!(rows.len(), ks.len(), "one vector per demanded channel");
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < out.len()),
+                "vector indices must ascend within range"
+            );
             assert!(ks.iter().all(|&k| k < n), "channel index out of range");
             assert!(
                 word.lo >= i64::from(i32::MIN) && word.hi <= i64::from(i32::MAX),
                 "packed truncation needs data_bits <= 32"
             );
-            for v in out.iter_mut() {
-                v.reserve(room);
+            for &r in rows {
+                out[r].reserve(room);
             }
             let full = ks.len() == n && ks.iter().enumerate().all(|(s, &k)| s == k);
             Rows {
                 out,
+                rows,
                 ks,
                 n,
                 full,
@@ -635,13 +729,14 @@ mod simd {
             // SAFETY: the CPU has AVX2 (asserted in `new`). Every bin
             // read is below `n`: contiguous lanes read `s < k_en = n`,
             // gathered ones `ks[s] < n` (asserted in `new`). Roots and
-            // vectors are read below `k_en`, their checked lengths. Slot
-            // `len + pushed` of every vector lies within the capacity
-            // `new` reserved, since `pushed < room`.
+            // `rows` are read below `k_en`, their checked lengths, and
+            // every `rows[s]` indexes `out` (asserted in `new`). Slot
+            // `len + pushed` of every demanded vector lies within the
+            // capacity `new` reserved, since `pushed < room`.
             unsafe {
                 rotate_round_avx2(
                     self.out,
-                    self.ks,
+                    (self.rows, self.ks),
                     self.full,
                     (re, im),
                     (w_re, w_im),
@@ -655,10 +750,12 @@ mod simd {
 
     impl Drop for Rows<'_> {
         fn drop(&mut self) {
-            for v in self.out.iter_mut() {
+            for &r in self.rows {
+                let v = &mut self.out[r];
                 // SAFETY: every `push` initialised slot `len + m` of
-                // every vector, for each `m < pushed`, within the
-                // capacity `new` reserved.
+                // every demanded vector, for each `m < pushed`, within
+                // the capacity `new` reserved; `rows` names each vector
+                // once, since it strictly ascends.
                 unsafe { v.set_len(v.len() + self.pushed) }
             }
         }
@@ -687,31 +784,33 @@ mod simd {
         _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(r))
     }
 
-    /// Slot `len + m` of `out[s]`.
+    /// Slot `len + m` of `out[r]`.
     ///
     /// # Safety
     ///
     /// Slot `len + m` must lie within the vector's capacity.
     #[inline(always)]
-    unsafe fn slot(out: &mut [Vec<Iq>], s: usize, m: usize) -> *mut Iq {
-        let v = &mut out[s];
+    unsafe fn slot(out: &mut [Vec<Iq>], r: usize, m: usize) -> *mut Iq {
+        let v = &mut out[r];
         let len = v.len();
         v.as_mut_ptr().add(len + m)
     }
 
-    /// Writes output `m` of every channel. Four channels per step; the
-    /// `K mod 4` left over take the scalar step's arithmetic.
+    /// Writes output `m` of every demanded channel `ks[s]` into vector
+    /// `out[rows[s]]`. Four channels per step; the `K mod 4` left over
+    /// take the scalar step's arithmetic.
     ///
     /// # Safety
     ///
-    /// The CPU must have AVX2. `out`, `w_re` and `w_im` have one entry
-    /// per entry of `ks`; every `ks[s]` indexes `re` and `im`, and
-    /// `full` implies `ks.len() == re.len()`; slot `len + m` of every
-    /// vector lies within its capacity.
+    /// The CPU must have AVX2. `rows`, `w_re` and `w_im` have one entry
+    /// per entry of `ks`; `rows` ascends strictly and every `rows[s]`
+    /// indexes `out`; every `ks[s]` indexes `re` and `im`, and `full`
+    /// implies `ks.len() == re.len()`; slot `len + m` of every vector
+    /// `out[rows[s]]` lies within its capacity.
     #[target_feature(enable = "avx2")]
     unsafe fn rotate_round_avx2(
         out: &mut [Vec<Iq>],
-        ks: &[usize],
+        (rows, ks): (&[usize], &[usize]),
         full: bool,
         (re, im): (&[f64], &[f64]),
         (w_re, w_im): (&[f64], &[f64]),
@@ -726,6 +825,10 @@ mod simd {
             hi: _mm256_set1_pd(word.hi as f64),
         };
         let k_en = ks.len();
+        // `rows` ascends strictly within `out`, so as many rows as
+        // vectors means row `s` is vector `s`.
+        let every = k_en == out.len();
+        let row = |s: usize| if every { s } else { rows[s] };
         let mut s = 0;
         while s + 4 <= k_en {
             let (ar, ai) = if full {
@@ -757,14 +860,14 @@ mod simd {
                 _mm256_extracti128_si256::<1>(odd),
             ];
             for (j, pair) in pairs.into_iter().enumerate() {
-                _mm_storeu_si128(slot(out, s + j, m) as *mut __m128i, pair);
+                _mm_storeu_si128(slot(out, row(s + j), m) as *mut __m128i, pair);
             }
             s += 4;
         }
         for s in s..k_en {
             let k = ks[s];
             let z = C64::new(re[k], im[k]) * C64::new(w_re[s], w_im[s]);
-            slot(out, s, m).write(Iq {
+            slot(out, row(s), m).write(Iq {
                 i: word.of(z.re),
                 q: word.of(z.im),
             });
@@ -851,8 +954,8 @@ impl ChannelBackend {
 
 /// Telemetry for a channelizer farm: per-stage block latency
 /// histograms (polyphase commutator+branches, FFT synthesis, per-channel
-/// back ends) plus flow counters and the active-channel gauge — exported
-/// under the `ddc_channelizer_*` Prometheus families.
+/// back ends) plus flow counters and the active- and demanded-channel
+/// gauges — exported under the `ddc_channelizer_*` Prometheus families.
 #[derive(Debug, Default)]
 pub struct ChannelizerMetrics {
     /// Block latency of the commutator + branch-dot stage, ns.
@@ -865,10 +968,13 @@ pub struct ChannelizerMetrics {
     pub blocks: Counter,
     /// Wideband input samples consumed.
     pub samples_in: Counter,
-    /// Channel output samples produced (summed over enabled channels).
+    /// Channel output samples produced, summed over the demanded
+    /// channels: only synthesized words count.
     pub samples_out: Counter,
     /// Enabled-channel count (a gauge, set at construction).
     channels_active: Counter,
+    /// Demanded-channel count (a gauge, set with the demand).
+    channels_demanded: AtomicU64,
 }
 
 impl ChannelizerMetrics {
@@ -896,6 +1002,10 @@ impl ChannelizerMetrics {
         snap.push_counter(
             plain("ddc_channelizer_channels_active"),
             self.channels_active.get(),
+        );
+        snap.push_counter(
+            plain("ddc_channelizer_channels_demanded"),
+            self.channels_demanded.load(Ordering::Relaxed),
         );
         snap.push_counter(plain("ddc_channelizer_blocks_total"), self.blocks.get());
         snap.push_counter(
@@ -960,6 +1070,7 @@ impl ChannelizerFarm {
         m.channels_active
             .add(self.front.enabled_channels().len() as u64);
         self.metrics = Some(Arc::new(m));
+        self.publish_demand();
         self
     }
 
@@ -994,26 +1105,48 @@ impl ChannelizerFarm {
     }
 
     /// Replaces the back end of `channel` (a channel index, not a row
-    /// index). Returns false when the channel is not enabled.
+    /// index). Returns false when the channel is not enabled. A back
+    /// end that is not the identity adds its channel to the demand.
     pub fn set_backend(&mut self, channel: usize, backend: ChannelBackend) -> bool {
-        match self
-            .front
-            .enabled_channels()
-            .iter()
-            .position(|&k| k == channel)
-        {
-            Some(row) => {
-                self.backends[row] = backend;
-                true
-            }
-            None => false,
+        let Ok(row) = self.front.enabled_channels().binary_search(&channel) else {
+            return false;
+        };
+        self.backends[row] = backend;
+        let demanded = self.front.demanded_channels().to_vec();
+        self.set_demand(|k| demanded.contains(&k));
+        true
+    }
+
+    /// Sets the channels the front end synthesizes: the enabled
+    /// channels `k` for which `demanded(k)` holds, and every channel
+    /// whose back end is not the identity, since such a back end carries
+    /// state from block to block. The other rows of
+    /// [`ChannelizerFarm::process_block`] come back empty. The default is
+    /// every enabled channel; see [`Channelizer::set_demand`].
+    pub fn set_demand(&mut self, demanded: impl Fn(usize) -> bool) {
+        let stateful: Vec<usize> = (self.front.enabled_channels().iter())
+            .zip(&self.backends)
+            .filter(|(_, b)| !b.is_identity())
+            .map(|(&k, _)| k)
+            .collect();
+        self.front
+            .set_demand(|k| demanded(k) || stateful.contains(&k));
+        self.publish_demand();
+    }
+
+    /// Sets the demanded-channel gauge, when telemetry is on.
+    fn publish_demand(&self) {
+        if let Some(m) = &self.metrics {
+            let k = self.front.demanded_channels().len() as u64;
+            m.channels_demanded.store(k, Ordering::Relaxed);
         }
     }
 
     /// Processes one wideband block through front end and back ends,
     /// returning per-enabled-channel output slices (row order =
-    /// [`ChannelizerFarm::enabled_channels`]). The buffers are reused
-    /// across calls; steady state performs no heap allocation.
+    /// [`ChannelizerFarm::enabled_channels`]); an undemanded channel's
+    /// slice is empty. The buffers are reused across calls; steady state
+    /// performs no heap allocation.
     pub fn process_block(&mut self, input: &[i32]) -> &[Vec<Iq>] {
         for v in &mut self.out {
             v.clear();
@@ -1333,6 +1466,7 @@ mod tests {
         farm.process_block(&input);
         let snap = farm.metrics_snapshot().expect("telemetry on");
         assert_eq!(snap.counter("ddc_channelizer_channels_active"), Some(7));
+        assert_eq!(snap.counter("ddc_channelizer_channels_demanded"), Some(7));
         assert_eq!(snap.counter("ddc_channelizer_blocks_total"), Some(2));
         assert_eq!(
             snap.counter("ddc_channelizer_samples_in_total"),
@@ -1352,19 +1486,124 @@ mod tests {
         let prom = snap.to_prometheus();
         assert!(prom.contains("ddc_channelizer_stage_ns_bucket{stage=\"fft\""));
         assert!(prom.contains("ddc_channelizer_channels_active 7"));
+        // Channels 0..3 demanded: only their words count as output.
+        farm.set_demand(|k| k < 3);
+        farm.process_block(&input);
+        let snap = farm.metrics_snapshot().expect("telemetry on");
+        assert_eq!(snap.counter("ddc_channelizer_channels_demanded"), Some(3));
+        assert_eq!(
+            snap.counter("ddc_channelizer_samples_out_total"),
+            Some(2 * 64 * 7 + 64 * 3)
+        );
     }
 
-    /// One rotate-and-round kernel: appends one output to every
-    /// channel of `ks`.
-    type Step = fn(&mut [Vec<Iq>], &[usize], (&[f64], &[f64]), (&[f64], &[f64]), OutputWord);
+    /// Each demanded row equals the full bank's, word for word, while
+    /// the demand changes between ragged blocks: none, one, a random
+    /// subset or every channel. Undemanded rows stay empty. N = 12 runs
+    /// the naive DFT; both kernels run every shape.
+    #[test]
+    fn demanded_rows_equal_the_full_bank_while_the_demand_changes() {
+        for n in [8u32, 12, 64, 1024] {
+            for oversample in 1..=2 {
+                for sparse in [false, true] {
+                    let mut spec = ChannelizerSpec::uniform(n, 1.0e6);
+                    spec.oversample = oversample;
+                    let mut s = 0xDE3A_u64 + u64::from(n) * 4 + u64::from(oversample);
+                    if sparse {
+                        for e in spec.enabled.iter_mut() {
+                            *e = xorshift(&mut s).is_multiple_of(3);
+                        }
+                        spec.enabled[1] = true;
+                    }
+                    let full = Channelizer::from_spec(spec.clone()).unwrap();
+                    let enabled = full.enabled_channels().to_vec();
+                    let input = random_input(s, n as usize * 24);
+                    let mut scalar = full.clone();
+                    scalar.kernel = Kernel::Scalar;
+                    for mut bank in [full.clone(), scalar] {
+                        let what = format!(
+                            "N={n} oversample={oversample} K={} {:?}",
+                            enabled.len(),
+                            bank.kernel
+                        );
+                        let mut full = full.clone();
+                        let mut want = vec![Vec::new(); enabled.len()];
+                        let mut got = want.clone();
+                        let mut rest = &input[..];
+                        let mut outputs = 0;
+                        while !rest.is_empty() {
+                            let demanded: Vec<bool> = match xorshift(&mut s) % 4 {
+                                0 => vec![false; n as usize],
+                                1 => {
+                                    let pick = enabled[xorshift(&mut s) as usize % enabled.len()];
+                                    (0..n as usize).map(|k| k == pick).collect()
+                                }
+                                2 => (0..n).map(|_| xorshift(&mut s).is_multiple_of(2)).collect(),
+                                _ => vec![true; n as usize],
+                            };
+                            bank.set_demand(|k| demanded[k]);
+                            let expect: Vec<usize> =
+                                enabled.iter().copied().filter(|&k| demanded[k]).collect();
+                            assert_eq!(bank.demanded_channels(), expect, "{what}");
+                            let take =
+                                (1 + xorshift(&mut s) as usize % (3 * n as usize)).min(rest.len());
+                            let (piece, tail) = rest.split_at(take);
+                            rest = tail;
+                            want.iter_mut().chain(got.iter_mut()).for_each(Vec::clear);
+                            full.process_into(piece, &mut want);
+                            bank.process_into(piece, &mut got);
+                            for (row, &k) in enabled.iter().enumerate() {
+                                if demanded[k] {
+                                    assert_eq!(got[row], want[row], "{what}: channel {k}");
+                                    outputs += got[row].len();
+                                } else {
+                                    assert!(got[row].is_empty(), "{what}: channel {k}");
+                                }
+                            }
+                        }
+                        assert!(outputs > 0, "{what}: no demanded output");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A back end that is not the identity keeps its channel demanded,
+    /// and only demanded channels produce output.
+    #[test]
+    fn stateful_back_ends_stay_demanded() {
+        let spec = ChannelizerSpec::uniform(8, 1.0e6);
+        let mut farm = ChannelizerFarm::from_spec(spec.clone())
+            .unwrap()
+            .with_telemetry();
+        farm.set_demand(|k| k == 1);
+        assert_eq!(farm.front().demanded_channels(), [1]);
+        let rotator = ChannelBackend::identity(spec.format.data_bits)
+            .with_residual(1.0e3, spec.output_rate());
+        assert!(farm.set_backend(5, rotator));
+        assert_eq!(farm.front().demanded_channels(), [1, 5]);
+        farm.set_demand(|_| false);
+        assert_eq!(farm.front().demanded_channels(), [5]);
+        let snap = farm.metrics_snapshot().expect("telemetry on");
+        assert_eq!(snap.counter("ddc_channelizer_channels_demanded"), Some(1));
+        let rows = farm.process_block(&random_input(43, 8 * 40));
+        for (k, row) in rows.iter().enumerate() {
+            assert_eq!(row.is_empty(), k != 5, "channel {k}");
+        }
+    }
+
+    /// One rotate-and-round kernel: appends one output to vector
+    /// `rows[s]` for every channel `ks[s]`.
+    type Step =
+        fn(&mut [Vec<Iq>], (&[usize], &[usize]), (&[f64], &[f64]), (&[f64], &[f64]), OutputWord);
 
     /// The kernels this CPU can run, the dispatched one last.
     fn rotate_round_kernels() -> Vec<(&'static str, Step)> {
         let mut kernels: Vec<(&'static str, Step)> = vec![("scalar", rotate_round)];
         #[cfg(target_arch = "x86_64")]
         if crate::avx2_detected() {
-            kernels.push(("avx2", |out, ks, bins, roots, word| {
-                simd::Rows::new(out, ks, bins.0.len(), 1, word).push(bins, roots)
+            kernels.push(("avx2", |out, demand, bins, roots, word| {
+                simd::Rows::new(out, demand, bins.0.len(), 1, word).push(bins, roots)
             }));
         }
         kernels
@@ -1406,7 +1645,8 @@ mod tests {
         /// Every rotate-and-round kernel gives the plain formula's word
         /// for every channel: `.5` ties, `±(0.5 − ulp)`, signed zeros
         /// and saturating values; every data width; K channels out of
-        /// N, `K mod 4` tails and sparse masks included; roots from
+        /// N, `K mod 4` tails and sparse masks included, each written
+        /// to its own row of N and no other row touched; roots from
         /// either phase table of an oversampled bank over those
         /// channels, or drawn from the N = 64 roots and exact quarter
         /// turns, which pass a bin through to either rail.
@@ -1465,13 +1705,15 @@ mod tests {
                 })
                 .collect();
             for (name, step) in rotate_round_kernels() {
-                let mut out: Vec<Vec<Iq>> = vec![vec![Iq { i: 7, q: -7 }]; k_en];
-                step(&mut out, &ks, (&re, &im), (&w_re, &w_im), word);
-                for (s, (row, w)) in out.iter().zip(&want).enumerate() {
-                    proptest::prop_assert_eq!(row.len(), 2, "{}: channel {}", name, ks[s]);
-                    proptest::prop_assert_eq!(row[1], *w, "{}: channel {} bin ({:e}, {:e})",
-                        name, ks[s], re[ks[s]], im[ks[s]]);
+                let mut out: Vec<Vec<Iq>> = vec![vec![Iq { i: 7, q: -7 }]; n];
+                step(&mut out, (&ks, &ks), (&re, &im), (&w_re, &w_im), word);
+                for (s, (&k, w)) in ks.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(out[k].len(), 2, "{}: channel {}", name, ks[s]);
+                    proptest::prop_assert_eq!(out[k][1], *w, "{}: channel {} bin ({:e}, {:e})",
+                        name, k, re[k], im[k]);
                 }
+                let untouched = (0..n).filter(|k| !ks.contains(k)).all(|k| out[k].len() == 1);
+                proptest::prop_assert!(untouched, "{}: a row out of the demand was written", name);
             }
         }
     }

@@ -10,6 +10,16 @@
 //! real/imaginary form, already bit-reversed, and every stage reads a
 //! contiguous twiddle table for the chosen direction.
 //!
+//! The stages from the third on run from a [`BinPlan`]. The full plan
+//! runs every block of every stage whole, and every transform runs it.
+//! A plan for a set of output bins ([`Fft::plan_bins`]) holds only the
+//! butterflies those bins depend on, found backwards from the last
+//! stage, as runs: the same consecutive butterflies of a range of
+//! blocks. One bin of 64 needs 15 of the 128 butterflies of stages 3
+//! to 6, one run per stage. The channelizer synthesizes only the
+//! channels someone reads with it
+//! ([`Fft::inverse_unnormalized_real_bins`]).
+//!
 //! None of this changes a result bit. Each butterfly performs exactly
 //! the `f64` operations of `t = b·w; (a + t, a − t)` on [`C64`], in that
 //! order; stage tables are copied from one root table and conjugated by
@@ -20,8 +30,14 @@
 //! input every imaginary part they would compute is `+0` and every real
 //! part is one add or subtract, and stage 2's `k = 1` butterfly keeps
 //! the textbook operations with the known `+0` imaginary parts written
-//! in. `tests/fft_reference.rs` compares every transform bit for bit
-//! against the textbook in-place formulation, signed zeros included.
+//! in. A pruned plan keeps a butterfly only if a planned bin depends on
+//! it, and then it performs the full transform's operations on the same
+//! operands: every point it reads was written by a kept butterfly of
+//! the stage before (or by the real stages, which always run whole). A
+//! skipped butterfly feeds no planned bin, so every planned bin gets
+//! the full transform's bits. `tests/fft_reference.rs` compares every
+//! transform bit for bit against the textbook in-place formulation,
+//! signed zeros included, and every planned bin against the full one.
 
 use crate::complex::C64;
 use std::f64::consts::PI;
@@ -55,6 +71,55 @@ pub struct Fft {
     tw_im_conj: Vec<f64>,
     /// Bit-reversal permutation indices.
     rev: Vec<u32>,
+    /// Every butterfly of stages 3 and up.
+    full: BinPlan,
+}
+
+/// The butterflies of an [`Fft`]'s stages 3 and up that a set of output
+/// bins depends on, made by [`Fft::plan_bins`]. Stage 1 and 2 always
+/// run whole. The full plan ([`Fft::full_plan`]) holds every butterfly.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BinPlan {
+    /// Transform size.
+    n: usize,
+    /// Every bin is planned: the runs cover every block of every stage.
+    full: bool,
+    /// Runs of butterflies, stage 3 first.
+    runs: Vec<Run>,
+}
+
+/// The butterflies `k0..k0 + len` of `blocks` consecutive blocks of
+/// `2·half` points from point `lo` on, in one stage: butterfly `k` of
+/// the block at `b` joins points `b + k` and `b + half + k` with the
+/// stage's twiddle `k`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    half: usize,
+    lo: usize,
+    blocks: usize,
+    k0: usize,
+    len: usize,
+}
+
+/// What one block of a run costs beyond its butterflies, counted in
+/// butterflies of a whole block: the slicing and loop set-up. Measured
+/// on x86-64, a block of one butterfly took about five times as long as
+/// one butterfly of the full plan, whose blocks run vectorized.
+const BLOCK_COST: usize = 4;
+
+impl BinPlan {
+    /// The butterflies this plan runs after the first two stages.
+    pub fn butterflies(&self) -> usize {
+        self.runs.iter().map(|r| r.blocks * r.len).sum()
+    }
+
+    /// The plan's cost in butterflies of a whole block.
+    fn cost(&self) -> usize {
+        self.runs
+            .iter()
+            .map(|r| r.blocks * (BLOCK_COST + r.len))
+            .sum()
+    }
 }
 
 impl Fft {
@@ -82,13 +147,93 @@ impl Fft {
         let rev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        Fft {
+        let mut fft = Fft {
             n,
             tw_re: staged.iter().map(|w| w.re).collect(),
             tw_im: staged.iter().map(|w| w.im).collect(),
             tw_im_conj: staged.iter().map(|w| w.conj().im).collect(),
             rev,
+            full: BinPlan {
+                n,
+                full: true,
+                runs: Vec::new(),
+            },
+        };
+        fft.full = fft.plan_bins(&(0..n).collect::<Vec<_>>());
+        fft
+    }
+
+    /// Plans the butterflies of stages 3 and up that the output `bins`
+    /// depend on, walking back from the last stage: a butterfly runs
+    /// when one of its two outputs is a bin or feeds a butterfly that
+    /// runs. Consecutive butterflies of one block form a run, and a run
+    /// spans every following block that needs the same butterflies.
+    /// Every bin gives the full plan, and so do bins scattered so widely
+    /// that their runs would cost more than it (every other bin, say).
+    /// Panics on a bin `≥ n`.
+    pub fn plan_bins(&self, bins: &[usize]) -> BinPlan {
+        let n = self.n;
+        let mut need = vec![false; n];
+        for &k in bins {
+            assert!(k < n, "bin {k} out of range for size {n}");
+            need[k] = true;
         }
+        let full = need.iter().all(|&b| b);
+        let mut stages = Vec::new();
+        let mut half = n / 2;
+        while half >= 4 {
+            let mut runs: Vec<Run> = Vec::new();
+            let mut feed = vec![false; n];
+            // The runs of the block before, the last `prev` of `runs`.
+            let mut prev = 0;
+            for base in (0..n).step_by(2 * half) {
+                let mut own: Vec<Run> = Vec::new();
+                for k in 0..half {
+                    let (a, b) = (base + k, base + half + k);
+                    if !(need[a] || need[b]) {
+                        continue;
+                    }
+                    (feed[a], feed[b]) = (true, true);
+                    match own.last_mut() {
+                        Some(r) if r.k0 + r.len == k => r.len += 1,
+                        _ => own.push(Run {
+                            half,
+                            lo: base,
+                            blocks: 1,
+                            k0: k,
+                            len: 1,
+                        }),
+                    }
+                }
+                let tail = runs.len() - prev;
+                let same = |(r, o): (&Run, &Run)| (r.k0, r.len) == (o.k0, o.len);
+                if prev == own.len() && runs[tail..].iter().zip(&own).all(same) {
+                    runs[tail..].iter_mut().for_each(|r| r.blocks += 1);
+                } else {
+                    prev = own.len();
+                    runs.extend(own);
+                }
+            }
+            stages.push(runs);
+            need = feed;
+            half /= 2;
+        }
+        let plan = BinPlan {
+            n,
+            full,
+            runs: stages.into_iter().rev().flatten().collect(),
+        };
+        if full || plan.cost() < self.full.cost() {
+            plan
+        } else {
+            self.full.clone()
+        }
+    }
+
+    /// The plan of every butterfly, which every transform but
+    /// [`Fft::inverse_unnormalized_real_bins`] runs.
+    pub fn full_plan(&self) -> &BinPlan {
+        &self.full
     }
 
     /// The transform size.
@@ -133,14 +278,30 @@ impl Fft {
     /// included, for every **finite** `x`; an infinite input may differ,
     /// since the complex path multiplies it by a zero imaginary part
     /// (`∞·0 = NaN`) where this one skips the product. Nothing is
-    /// allocated.
-    ///
-    /// The first two stages run on reals. Output slot `4g + t` of the
-    /// bit-reversed order holds `x[j + {0, N/2, N/4, 3N/4}[t]]` with
-    /// `g = rev(j)` over `log₂N − 2` bits, so `x` is read in natural
-    /// order as four quarter streams and each group of four is written
-    /// straight into its slots after both stages.
+    /// allocated. It is [`Fft::inverse_unnormalized_real_bins`] with the
+    /// full plan.
     pub fn inverse_unnormalized_real(&self, x: &[f64], re: &mut [f64], im: &mut [f64]) {
+        self.inverse_unnormalized_real_bins(&self.full, x, re, im);
+    }
+
+    /// [`Fft::inverse_unnormalized_real`] for the bins `plan` was made
+    /// for: each of them gets exactly the bits of the full transform.
+    /// The other bins of `re` and `im` hold whatever the skipped
+    /// butterflies left there. Panics if `plan` is for another size.
+    ///
+    /// The first two stages run on reals, whole. Output slot `4g + t`
+    /// of the bit-reversed order holds `x[j + {0, N/2, N/4, 3N/4}[t]]`
+    /// with `g = rev(j)` over `log₂N − 2` bits, so `x` is read in
+    /// natural order as four quarter streams and each group of four is
+    /// written straight into its slots after both stages. The plan's
+    /// butterflies follow.
+    pub fn inverse_unnormalized_real_bins(
+        &self,
+        plan: &BinPlan,
+        x: &[f64],
+        re: &mut [f64],
+        im: &mut [f64],
+    ) {
         let n = self.n;
         assert_eq!(x.len(), n, "input length must equal plan size");
         assert!(
@@ -170,7 +331,7 @@ impl Fft {
             re[g..g + 4].copy_from_slice(&[a0 + a2, b1.0, a0 - a2, b3.0]);
             im[g..g + 4].copy_from_slice(&[0.0, b1.1, 0.0, b3.1]);
         }
-        self.stages(re, im, &self.tw_im_conj, 4);
+        self.stages(plan, re, im, &self.tw_im_conj);
     }
 
     /// Forward transform of a real signal, zero-padding or panicking on
@@ -206,14 +367,13 @@ impl Fft {
     /// which changes only the order of independent butterflies.
     fn butterflies(&self, re: &mut [f64], im: &mut [f64], tw_im: &[f64]) {
         let tw_re = &self.tw_re;
-        if self.n < 4 {
-            return self.stages(re, im, tw_im, 1);
+        let w0 = (tw_re[0], tw_im[0]);
+        if self.n == 2 {
+            let (a, b) = butterfly((re[0], im[0]), (re[1], im[1]), w0);
+            (re[0], im[0], re[1], im[1]) = (a.0, a.1, b.0, b.1);
+            return;
         }
-        let (w0, w1, w2) = (
-            (tw_re[0], tw_im[0]),
-            (tw_re[1], tw_im[1]),
-            (tw_re[2], tw_im[2]),
-        );
+        let (w1, w2) = ((tw_re[1], tw_im[1]), (tw_re[2], tw_im[2]));
         for (r, i) in re.chunks_exact_mut(4).zip(im.chunks_exact_mut(4)) {
             let (a0, a1) = butterfly((r[0], i[0]), (r[1], i[1]), w0);
             let (a2, a3) = butterfly((r[2], i[2]), (r[3], i[3]), w0);
@@ -222,30 +382,77 @@ impl Fft {
             (r[0], i[0], r[1], i[1]) = (b0.0, b0.1, b1.0, b1.1);
             (r[2], i[2], r[3], i[3]) = (b2.0, b2.1, b3.0, b3.1);
         }
-        self.stages(re, im, tw_im, 4);
+        self.stages(&self.full, re, im, tw_im);
     }
 
-    /// The stages whose butterflies span `2·half` points and more.
-    fn stages(&self, re: &mut [f64], im: &mut [f64], tw_im: &[f64], mut half: usize) {
-        let (n, tw_re) = (self.n, &self.tw_re);
-        while half < n {
-            let (wr, wi) = (
-                &tw_re[half - 1..2 * half - 1],
-                &tw_im[half - 1..2 * half - 1],
-            );
-            for (r, i) in re
-                .chunks_exact_mut(2 * half)
-                .zip(im.chunks_exact_mut(2 * half))
-            {
-                let (ar, br) = r.split_at_mut(half);
-                let (ai, bi) = i.split_at_mut(half);
-                for k in 0..half {
-                    let (a, b) = butterfly((ar[k], ai[k]), (br[k], bi[k]), (wr[k], wi[k]));
-                    (ar[k], ai[k], br[k], bi[k]) = (a.0, a.1, b.0, b.1);
+    /// Stages 3 and up: the butterflies of `plan`. A full plan runs
+    /// every block of every stage whole, stage by stage; any other plan
+    /// runs its runs, block by block. Both hand each block's
+    /// butterflies to `butterfly_run`.
+    fn stages(&self, plan: &BinPlan, re: &mut [f64], im: &mut [f64], tw_im: &[f64]) {
+        assert_eq!(plan.n, self.n, "plan of another size");
+        if plan.full {
+            let mut half = 4;
+            while half < self.n {
+                let tw = half - 1..2 * half - 1;
+                let (wr, wi) = (&self.tw_re[tw.clone()], &tw_im[tw]);
+                for (r, i) in re
+                    .chunks_exact_mut(2 * half)
+                    .zip(im.chunks_exact_mut(2 * half))
+                {
+                    let (ar, br) = r.split_at_mut(half);
+                    let (ai, bi) = i.split_at_mut(half);
+                    butterfly_run(ar, ai, br, bi, wr, wi);
                 }
+                half *= 2;
             }
-            half *= 2;
+            return;
         }
+        for &Run {
+            half,
+            lo,
+            blocks,
+            k0,
+            len,
+        } in &plan.runs
+        {
+            let tw = half - 1 + k0..half - 1 + k0 + len;
+            let (wr, wi) = (&self.tw_re[tw.clone()], &tw_im[tw]);
+            let mut a = lo + k0;
+            for _ in 0..blocks {
+                let (ar, br) = re[a..a + half + len].split_at_mut(half);
+                let (ai, bi) = im[a..a + half + len].split_at_mut(half);
+                butterfly_run(ar, ai, br, bi, wr, wi);
+                a += 2 * half;
+            }
+        }
+    }
+}
+
+/// The butterflies `k` in `0..wr.len()` on points `ar[k] + j·ai[k]` and
+/// `br[k] + j·bi[k]` with twiddle `wr[k] + j·wi[k]`. As separate `&mut`
+/// arguments the points are known not to overlap, so the loop compiles
+/// without overlap checks.
+#[inline(always)]
+fn butterfly_run(
+    ar: &mut [f64],
+    ai: &mut [f64],
+    br: &mut [f64],
+    bi: &mut [f64],
+    wr: &[f64],
+    wi: &[f64],
+) {
+    let len = wr.len();
+    let (ar, ai, br, bi, wi) = (
+        &mut ar[..len],
+        &mut ai[..len],
+        &mut br[..len],
+        &mut bi[..len],
+        &wi[..len],
+    );
+    for k in 0..len {
+        let (a, b) = butterfly((ar[k], ai[k]), (br[k], bi[k]), (wr[k], wi[k]));
+        (ar[k], ai[k], br[k], bi[k]) = (a.0, a.1, b.0, b.1);
     }
 }
 
@@ -433,5 +640,85 @@ mod tests {
         let fft = Fft::new(8);
         let mut buf = vec![C64::ZERO; 4];
         fft.forward(&mut buf);
+    }
+
+    #[test]
+    fn bin_plans_keep_only_the_butterflies_their_bins_depend_on() {
+        let fft = Fft::new(64);
+        // Stages 3 to 6 hold 4 · 32 butterflies; one bin needs one of
+        // the last stage, two of the one before, then 4 and 8.
+        assert_eq!(fft.full_plan().butterflies(), 128);
+        for k in 0..64 {
+            assert_eq!(fft.plan_bins(&[k]).butterflies(), 15, "bin {k}");
+        }
+        // Bins k and k + 32 share every butterfly.
+        assert_eq!(fft.plan_bins(&[5, 37]).butterflies(), 15);
+        assert_eq!(fft.plan_bins(&[]).butterflies(), 0);
+        // Every eighth bin keeps 20 butterflies in 20 one-butterfly
+        // blocks; every other bin would keep 64 in 64 such blocks, which
+        // cost more than the full plan's 15 whole blocks.
+        let strided = |step| (0..64).step_by(step).collect::<Vec<_>>();
+        assert_eq!(fft.plan_bins(&strided(8)).butterflies(), 20);
+        assert_eq!(&fft.plan_bins(&strided(2)), fft.full_plan());
+        let every: Vec<usize> = (0..64).collect();
+        assert_eq!(&fft.plan_bins(&every), fft.full_plan());
+        // Sizes without a third stage plan nothing after the real ones.
+        for n in [2, 4] {
+            assert_eq!(Fft::new(n).full_plan().butterflies(), 0);
+        }
+    }
+
+    /// Every planned bin has the full transform's bits, at every size
+    /// up to 2^10, for single, paired, strided and random bin sets.
+    #[test]
+    fn planned_bins_equal_the_full_synthesis_bit_for_bit() {
+        let mut s = 0x9E37_79B9_u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut n = 2;
+        while n <= 1 << 10 {
+            let fft = Fft::new(n);
+            let x: Vec<f64> = (0..n)
+                .map(|_| (next() >> 20) as f64 - 2f64.powi(43))
+                .collect();
+            let (mut want_re, mut want_im) = (vec![0.0; n], vec![0.0; n]);
+            fft.inverse_unnormalized_real(&x, &mut want_re, &mut want_im);
+            let random: Vec<usize> = (0..n).filter(|_| next() % 5 == 0).collect();
+            let sets = [
+                vec![(next() % n as u64) as usize],
+                vec![0, n - 1],
+                (0..n).step_by(3).collect(),
+                random,
+            ];
+            for bins in sets {
+                let plan = fft.plan_bins(&bins);
+                let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                fft.inverse_unnormalized_real_bins(&plan, &x, &mut re, &mut im);
+                for &k in &bins {
+                    assert_eq!(re[k].to_bits(), want_re[k].to_bits(), "n={n} bin {k}");
+                    assert_eq!(im[k].to_bits(), want_im[k].to_bits(), "n={n} bin {k}");
+                }
+            }
+            n *= 2;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn plan_rejects_a_bin_past_the_size() {
+        Fft::new(8).plan_bins(&[8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan of another size")]
+    fn rejects_a_plan_of_another_size() {
+        let plan = Fft::new(16).plan_bins(&[3]);
+        let fft = Fft::new(8);
+        let (mut re, mut im) = (vec![0.0; 8], vec![0.0; 8]);
+        fft.inverse_unnormalized_real_bins(&plan, &[1.0; 8], &mut re, &mut im);
     }
 }

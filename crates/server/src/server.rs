@@ -28,14 +28,17 @@
 //! one slice per other busy session before its own batch runs, and a
 //! slice's time depends on that session's kind. A chain slice takes
 //! about 0.1 ms. A power-of-two bank ingest's 2^15-sample slice takes
-//! under 1 ms up to N = 1024 (0.3–0.8 ms measured at N = 64 and 1024).
-//! A non-power-of-two bank runs the naive O(N²) DFT: about 0.1 s per
-//! slice at N = 1023, and about 0.17 s at N = 1022 with
-//! `oversample = 2`. A peer may configure any of these, so a
-//! latency-QoS session's budget holds only while its neighbours' slices
-//! fit in it. Thread count is a function of the host, not the session
-//! count, so hundreds of concurrent sessions cost hundreds of sockets —
-//! not hundreds of threads.
+//! under 1 ms up to N = 1024 (0.3–0.8 ms measured at N = 64 and 1024
+//! with every channel synthesized, about 0.2 ms with one). A
+//! non-power-of-two bank runs the naive DFT on its K subscribed
+//! channels, O(N·K) per output: at N = 1023 a slice takes about
+//! 0.23 ms with one subscribed channel, 0.95 ms with eight and 0.1 s
+//! with all of them, and at N = 1022 with `oversample = 2` about
+//! 0.5 ms, 2 ms and 0.2 s. A peer may configure and subscribe to any
+//! of these, so a latency-QoS session's budget holds only while its
+//! neighbours' slices fit in it. Thread count is a function of the
+//! host, not the session count, so hundreds of concurrent sessions cost
+//! hundreds of sockets — not hundreds of threads.
 
 use crate::queue::{BoundedQueue, Push};
 use crate::session::{
@@ -96,8 +99,9 @@ impl Default for ServerConfig {
 /// long any other session on the shard waits behind a large batch, by
 /// a time that depends on the session's kind: about 130 µs of the DRM
 /// chain at 4 ns per sample, under 1 ms of a power-of-two bank ingest
-/// up to N = 1024, but about 0.1 s of a naive-DFT bank at N = 1023 and
-/// 0.17 s at N = 1022 with `oversample = 2` (see the module docs).
+/// up to N = 1024, but up to 0.1 s of a naive-DFT bank at N = 1023
+/// and 0.2 s at N = 1022 with `oversample = 2`, whose cost grows with
+/// its subscribed channels (see the module docs).
 const THROUGHPUT_SLICE: usize = 1 << 15;
 
 /// Poller token of the listening socket. Session ids count up from 0,
@@ -691,14 +695,10 @@ impl Shard {
             return;
         };
         match &s.role {
-            Role::Subscriber { bank, channel } => {
-                // Eager unsubscribe (the Weak would also be pruned
-                // lazily at the next delivery): a closed subscriber
-                // stops costing the ingest's delivery loop anything.
-                if let Some(list) = bank.subs.lock().unwrap().get_mut(channel) {
-                    list.retain(|w| w.upgrade().is_some_and(|c| c.id != id));
-                }
-            }
+            // Eager unsubscribe (the Weak would also be pruned lazily at
+            // the next delivery): a closed subscriber stops costing the
+            // ingest's synthesis and delivery loop anything.
+            Role::Subscriber { bank, channel } => bank.unsubscribe(*channel, id),
             Role::Ingest { bank, .. } if !s.finished => self.state.unpublish(bank),
             _ => {}
         }
@@ -812,6 +812,12 @@ fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
             let Some(batch) = s.queue.as_mut().and_then(BoundedQueue::pop) else {
                 break;
             };
+            if let Role::Ingest {
+                bank, farm, gen, ..
+            } = &mut s.role
+            {
+                bank.fix_demand(farm, gen);
+            }
             if !state.cfg.processing_delay.is_zero() {
                 // Fault-injection knob: simulates an overloaded
                 // backend so tests can force queue growth
@@ -868,16 +874,21 @@ fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
                     c.busy_ns.add(busy);
                 }
             }
-            Role::Ingest { bank, farm, rows } => {
+            Role::Ingest {
+                bank,
+                farm,
+                rows,
+                gen,
+            } => {
                 let out = farm.process_block(chunk);
                 if last && rows.iter().all(Vec::is_empty) {
-                    deliver(bank, job.batch.index, out);
+                    deliver(bank, job.batch.index, out, *gen);
                 } else {
                     for (acc, row) in rows.iter_mut().zip(out) {
                         acc.extend_from_slice(row);
                     }
                     if last {
-                        deliver(bank, job.batch.index, rows);
+                        deliver(bank, job.batch.index, rows, *gen);
                         rows.iter_mut().for_each(Vec::clear);
                     }
                 }
@@ -899,16 +910,23 @@ fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
     }
 }
 
-/// Fans one batch's channel outputs out to the bank's subscribers.
-fn deliver(bank: &Bank, index: u64, rows: &[Vec<Iq>]) {
+/// Fans one batch's channel outputs out to the bank's subscribers. The
+/// batch's demand was fixed at generation `gen`: a subscriber that
+/// attached later gets nothing for it, not even an empty frame, since
+/// its channel may not have been synthesized.
+fn deliver(bank: &Bank, index: u64, rows: &[Vec<Iq>], gen: u64) {
     let mut subs = bank.subs.lock().unwrap();
-    for (row, ch) in bank.channels.iter().enumerate() {
-        let Some(list) = subs.get_mut(ch) else {
-            continue;
-        };
-        list.retain(|w| match w.upgrade() {
+    let mut pruned = false;
+    for (ch, list) in subs.iter_mut() {
+        let row = bank
+            .channels
+            .binary_search(ch)
+            .expect("subscribers attach to enabled channels");
+        list.retain(|s| match s.conn.upgrade() {
             Some(sub) => {
-                if sub.out_pending() > OUT_HWM {
+                if s.since > gen {
+                    // Its first frame is for the next batch.
+                } else if sub.out_pending() > OUT_HWM {
                     // A stalled subscriber loses batches instead of
                     // growing its backlog unboundedly; it sees the loss
                     // as a gap in Iq batch indices.
@@ -919,8 +937,14 @@ fn deliver(bank: &Bank, index: u64, rows: &[Vec<Iq>]) {
                 }
                 true
             }
-            None => false,
+            None => {
+                pruned = true;
+                false
+            }
         });
+    }
+    if pruned {
+        bank.demand_gen.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -987,8 +1011,8 @@ fn finish(state: &ServerState, s: &mut Session) {
         state.unpublish(bank);
         let mut subs = bank.subs.lock().unwrap();
         for list in subs.values_mut() {
-            for w in list.drain(..) {
-                if let Some(sub) = w.upgrade() {
+            for entry in list.drain(..) {
+                if let Some(sub) = entry.conn.upgrade() {
                     sub.enqueue(&Frame::Shutdown);
                     sub.set_close_after_flush();
                     sub.flush_and_post();
@@ -1506,6 +1530,7 @@ fn configure(state: &ServerState, s: &mut Session, c: &Configure) -> Result<(), 
                 channels: farm.enabled_channels().to_vec(),
                 metrics: farm.metrics().cloned(),
                 subs: Mutex::new(HashMap::new()),
+                demand_gen: AtomicU64::new(0),
             });
             {
                 let mut banks = state.banks.lock().unwrap();
@@ -1522,6 +1547,7 @@ fn configure(state: &ServerState, s: &mut Session, c: &Configure) -> Result<(), 
                 rows: vec![Vec::new(); bank.channels.len()],
                 bank,
                 farm: Box::new(farm),
+                gen: u64::MAX,
             };
             s.queue = Some(BoundedQueue::new(queue_cap));
         }

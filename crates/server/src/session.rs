@@ -30,7 +30,7 @@ use ddc_obs::{ChainMetrics, Counter, LogHistogram, MetricsSnapshot};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, IoSlice, Write};
 use std::net::TcpStream;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
@@ -258,18 +258,62 @@ pub(crate) struct Bank {
     /// channel index → subscribers. Weak: teardown of a subscriber
     /// needs no cooperation from the bank — dead entries are pruned
     /// lazily at each delivery and at bank teardown.
-    pub subs: Mutex<HashMap<usize, Vec<Weak<Conn>>>>,
+    pub subs: Mutex<HashMap<usize, Vec<Sub>>>,
+    /// The demand generation. It moves, with `subs` locked, on every
+    /// subscribe, unsubscribe and pruned dead subscriber. The ingest
+    /// loads it once at each batch start and recomputes its demand only
+    /// when it has moved, so the demand is fixed for the whole batch.
+    pub demand_gen: AtomicU64,
+}
+
+/// One subscriber of a bank channel.
+pub(crate) struct Sub {
+    pub conn: Weak<Conn>,
+    /// The demand generation its attach moved the bank to: it gets the
+    /// batches whose demand was fixed at this generation or later.
+    pub since: u64,
 }
 
 impl Bank {
-    /// Attaches a subscriber to one enabled channel.
+    /// Attaches a subscriber to one enabled channel. Its first Iq frame
+    /// is for the next batch the ingest begins.
     pub(crate) fn subscribe(&self, channel: usize, conn: &Arc<Conn>) {
-        self.subs
-            .lock()
-            .unwrap()
-            .entry(channel)
-            .or_default()
-            .push(Arc::downgrade(conn));
+        let mut subs = self.subs.lock().unwrap();
+        let since = self.demand_gen.fetch_add(1, Ordering::AcqRel) + 1;
+        subs.entry(channel).or_default().push(Sub {
+            conn: Arc::downgrade(conn),
+            since,
+        });
+    }
+
+    /// Detaches session `id` from `channel`, and prunes the channel's
+    /// dead subscribers.
+    pub(crate) fn unsubscribe(&self, channel: usize, id: u64) {
+        let mut subs = self.subs.lock().unwrap();
+        if let Some(list) = subs.get_mut(&channel) {
+            list.retain(|s| s.conn.upgrade().is_some_and(|c| c.id != id));
+        }
+        self.demand_gen.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Fixes the ingest's demand for the batch it begins. `gen` is the
+    /// generation its demand was last fixed at; when the bank's has
+    /// moved since, `farm` demands exactly the channels with a live
+    /// subscriber and `gen` takes the new generation. A subscriber whose
+    /// `since` is at most `gen` then has its channel synthesized: its
+    /// attach moved the generation under the `subs` lock before the
+    /// ingest loaded it, so the lock taken after that load sees it.
+    pub(crate) fn fix_demand(&self, farm: &mut ChannelizerFarm, gen: &mut u64) {
+        let now = self.demand_gen.load(Ordering::Acquire);
+        if now == *gen {
+            return;
+        }
+        let subs = self.subs.lock().unwrap();
+        farm.set_demand(|k| {
+            subs.get(&k)
+                .is_some_and(|list| list.iter().any(|s| s.conn.strong_count() > 0))
+        });
+        *gen = now;
     }
 }
 
@@ -289,6 +333,9 @@ pub(crate) enum Role {
         farm: Box<ChannelizerFarm>,
         /// Per-row outputs of a batch that spans several slices.
         rows: Vec<Vec<Iq>>,
+        /// The demand generation `farm`'s demand was fixed at, at the
+        /// start of the batch in flight (`u64::MAX` before the first).
+        gen: u64,
     },
     /// Receives one channel's Iq stream; sends no Samples and owns no
     /// input queue.

@@ -256,3 +256,140 @@ fn sparse_mask_keeps_subscriber_rows_aligned() {
     assert_eq!(got, expect, "sparse-mask channel 5 differs over the wire");
     assert!(server.shutdown(Duration::from_secs(5)));
 }
+
+/// Sends one batch on the ingest and waits for its empty Iq ack.
+fn send_batch(ingest: &mut Client, b: usize, chunk: &[i32]) {
+    ingest.send_samples(b as u64, chunk).expect("send");
+    match ingest.recv().expect("ingest ack") {
+        Frame::Iq(IqPayload { batch_index, .. }) => assert_eq!(batch_index, b as u64),
+        other => panic!("expected Iq ack, got {other:?}"),
+    }
+}
+
+/// One batch's outputs on `row` of a full replica bank, batch by batch.
+fn replica_rows(spec: &ChannelizerSpec, batches: &[&[i32]], row: usize) -> Vec<Vec<(i64, i64)>> {
+    let mut local = ChannelizerFarm::from_spec(spec.clone()).expect("local farm");
+    batches
+        .iter()
+        .map(|b| {
+            local.process_block(b)[row]
+                .iter()
+                .map(|z| (z.i, z.q))
+                .collect()
+        })
+        .collect()
+}
+
+/// A subscriber that attaches mid-stream gets no frame, empty or not,
+/// for a batch that began before it attached: its first frame is for
+/// the first batch sent after its Subscribe was acknowledged, and from
+/// there on every frame is bit-exact against the full replica. A
+/// neighbouring subscriber stays bit-exact across that subscriber's
+/// arrival and close, although the bank's demand changes under it.
+#[test]
+fn mid_stream_subscriber_starts_at_the_next_batch_bit_exact() {
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let mut spec = ChannelizerSpec::uniform(8, 64_512_000.0);
+    spec.name = "join8".into();
+    let mut ingest = Client::connect(addr, "ingest").expect("connect");
+    ingest
+        .configure_channelizer(&spec, Backpressure::Block, 8)
+        .expect("configure");
+    let mut neighbour = Client::connect(addr, "neighbour").expect("connect");
+    neighbour
+        .subscribe("join8", 2, Backpressure::Block, 8)
+        .expect("subscribe");
+
+    let input = stimulus(4096 * 9, 5);
+    let batches: Vec<&[i32]> = input.chunks(4096).collect();
+    for (b, chunk) in batches.iter().enumerate().take(3) {
+        send_batch(&mut ingest, b, chunk);
+    }
+    let mut late = Client::connect(addr, "late").expect("connect");
+    late.subscribe("join8", 3, Backpressure::Block, 8)
+        .expect("subscribe");
+    for (b, chunk) in batches.iter().enumerate().take(6).skip(3) {
+        send_batch(&mut ingest, b, chunk);
+    }
+    let want = replica_rows(&spec, &batches, 3);
+    for (b, want) in want.iter().enumerate().take(6).skip(3) {
+        match late.recv().expect("late subscriber frame") {
+            Frame::Iq(IqPayload {
+                batch_index, pairs, ..
+            }) => {
+                assert_eq!(batch_index, b as u64, "first frame is the next batch");
+                assert!(!pairs.is_empty(), "batch {b}: empty frame");
+                assert_eq!(&pairs, want, "batch {b}: late subscriber's output");
+            }
+            other => panic!("late subscriber got {other:?}"),
+        }
+    }
+    drop(late);
+    for (b, chunk) in batches.iter().enumerate().skip(6) {
+        send_batch(&mut ingest, b, chunk);
+    }
+    ingest.send(&Frame::Shutdown).expect("shutdown");
+
+    let want = replica_rows(&spec, &batches, 2);
+    let got = drain_subscriber(&mut neighbour);
+    assert_eq!(got.len(), batches.len(), "one frame per batch");
+    for (b, (index, pairs)) in got.into_iter().enumerate() {
+        assert_eq!(index, b as u64);
+        assert_eq!(pairs, want[b], "batch {b}: neighbour's output");
+    }
+    assert!(server.shutdown(Duration::from_secs(5)));
+}
+
+/// With no subscriber the bank still runs its branches on every block,
+/// but synthesizes no channel: `blocks_total` grows while
+/// `samples_out_total` stays 0. The first subscriber's channel is the
+/// only one synthesized from the next batch on.
+#[test]
+fn a_bank_without_subscribers_synthesizes_nothing() {
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    let mut spec = ChannelizerSpec::uniform(8, 64_512_000.0);
+    spec.name = "idle8".into();
+    let mut ingest = Client::connect(addr, "ingest").expect("connect");
+    ingest
+        .configure_channelizer(&spec, Backpressure::Block, 8)
+        .expect("configure");
+    let input = stimulus(4096 * 4, 11);
+    let batches: Vec<&[i32]> = input.chunks(4096).collect();
+    let scrape = |ingest: &mut Client| {
+        let prom = ingest.request_metrics().expect("prometheus scrape");
+        String::from_utf8(prom.body).expect("utf-8")
+    };
+    for (b, chunk) in batches.iter().enumerate().take(3) {
+        send_batch(&mut ingest, b, chunk);
+    }
+    let text = scrape(&mut ingest);
+    for line in [
+        "ddc_channelizer_blocks_total{bank=\"idle8\"} 3",
+        "ddc_channelizer_samples_out_total{bank=\"idle8\"} 0",
+        "ddc_channelizer_channels_demanded{bank=\"idle8\"} 0",
+        "ddc_channelizer_channels_active{bank=\"idle8\"} 8",
+    ] {
+        assert!(text.contains(line), "missing {line:?} in scrape:\n{text}");
+    }
+
+    let mut sub = Client::connect(addr, "sub").expect("connect");
+    sub.subscribe("idle8", 6, Backpressure::Block, 8)
+        .expect("subscribe");
+    send_batch(&mut ingest, 3, batches[3]);
+    let text = scrape(&mut ingest);
+    for line in [
+        "ddc_channelizer_blocks_total{bank=\"idle8\"} 4",
+        "ddc_channelizer_samples_out_total{bank=\"idle8\"} 512",
+        "ddc_channelizer_channels_demanded{bank=\"idle8\"} 1",
+    ] {
+        assert!(text.contains(line), "missing {line:?} in scrape:\n{text}");
+    }
+    ingest.send(&Frame::Shutdown).expect("shutdown");
+    let got = drain_subscriber(&mut sub);
+    assert_eq!(got.len(), 1, "one frame, for the batch after the attach");
+    assert_eq!(got[0].0, 3);
+    assert_eq!(got[0].1, replica_rows(&spec, &batches, 6)[3]);
+    assert!(server.shutdown(Duration::from_secs(5)));
+}

@@ -16,7 +16,10 @@
 //! must equal, bit for bit, the plain formulation kept below as
 //! [`reference::Channelizer`] — branch-major strided dot products, a
 //! separate convert and bit-reverse pass, a strided-twiddle FFT and
-//! `f64::round`.
+//! `f64::round`. It does so for the full bank and for a bank that
+//! synthesizes only some of its channels, on random ADC words and on
+//! inputs that put exact `.5` ties and out-of-range values on the final
+//! rounding of channel 0, whose phase root is exactly 1.
 
 use ddc_suite::core::chain::FixedDdc;
 use ddc_suite::core::channelizer::{Channelizer, BOUNDS_TOLERANCE};
@@ -344,12 +347,81 @@ const WIDE32: FixedFormat = FixedFormat {
 const CHANNEL_COUNTS: [u32; 6] = [2, 8, 12, 64, 256, 1024];
 const FORMATS: [FixedFormat; 3] = [FixedFormat::FPGA12, FixedFormat::MONTIUM16, WIDE32];
 
-/// One bit-identity case for the given bank shape; the enable mask,
-/// input amplitude and the chunking of the stream are drawn from
-/// `seed`. Runs the bank and the reference side by side through
-/// `compute_branches` + `transform_outputs` and requires identical
-/// output words.
-fn check_bit_identity(n: u32, oversample: u32, format: FixedFormat, seed: u64) {
+/// What a bit-identity case feeds the bank.
+#[derive(Clone, Copy, Debug)]
+enum Stimulus {
+    /// ADC words of the format's width, or of the whole `i32` range.
+    Random,
+    /// Sparse impulses of ±2^(coeff_frac − 1). While one impulse is in
+    /// the window, channel 0's bin is tap·2^(coeff_frac − 1), so its
+    /// word is tap/2: an exact `.5` tie for every odd tap.
+    Impulses,
+    /// Full-scale steps, of the format's width or of the whole `i32`
+    /// range: from zero or the negative rail up to the positive one
+    /// and back down, each level held for about a filter window. The
+    /// overshoot drives channel 0 past its data width and, at `i32`
+    /// scale, past the `i32` range the AVX2 kernel truncates in.
+    Steps,
+}
+
+const STIMULI: [Stimulus; 3] = [Stimulus::Random, Stimulus::Impulses, Stimulus::Steps];
+
+/// `len` input samples of kind `stimulus` for a bank of `format`.
+fn stimulus_input(stimulus: Stimulus, format: FixedFormat, len: usize, s: &mut u64) -> Vec<i32> {
+    let sign = |s: &mut u64| if xorshift(s).is_multiple_of(2) { 1 } else { -1 };
+    match stimulus {
+        Stimulus::Random => {
+            let bits = if xorshift(s).is_multiple_of(2) {
+                format.data_bits
+            } else {
+                32
+            };
+            (0..len)
+                .map(|_| ((xorshift(s) >> (64 - bits)) as i64 - (1i64 << (bits - 1))) as i32)
+                .collect()
+        }
+        Stimulus::Impulses => {
+            let half = 1i32 << (format.coeff_bits - 2);
+            (0..len)
+                .map(|_| match xorshift(s) % 64 {
+                    0 => sign(s) * half,
+                    _ => 0,
+                })
+                .collect()
+        }
+        Stimulus::Steps => {
+            let top = if xorshift(s).is_multiple_of(2) {
+                ((1i64 << (format.data_bits - 1)) - 1) as i32
+            } else {
+                i32::MAX
+            };
+            let low = if xorshift(s).is_multiple_of(2) {
+                0
+            } else {
+                -top - 1
+            };
+            let rise = (xorshift(s) % (len / 3) as u64) as usize;
+            let fall = len / 2 + (xorshift(s) % (len / 2) as u64) as usize;
+            (0..len)
+                .map(|t| match t {
+                    _ if t < rise => low,
+                    _ if t < fall => top,
+                    _ => -top - 1,
+                })
+                .collect()
+        }
+    }
+}
+
+/// One bit-identity case for the given bank shape and stimulus; the
+/// enable mask, the input, the demanded channels and the chunking of
+/// the stream are drawn from `seed`. Runs the full bank, a bank that
+/// synthesizes only the demanded channels and the reference side by
+/// side through `compute_branches` + `transform_outputs`. The full
+/// bank's words must be the reference's, the demand bank's demanded
+/// rows the same rows, and its other rows empty. The tie and step
+/// stimuli keep channel 0 enabled and demanded.
+fn check_bit_identity(n: u32, oversample: u32, format: FixedFormat, stimulus: Stimulus, seed: u64) {
     let mut s = seed | 1;
     let mut spec = ChannelizerSpec::uniform(n, 1.0e6);
     spec.oversample = oversample;
@@ -360,24 +432,24 @@ fn check_bit_identity(n: u32, oversample: u32, format: FixedFormat, seed: u64) {
         }
         spec.enabled[(xorshift(&mut s) % u64::from(n)) as usize] = true;
     }
-    // ADC words of the format's width, or the whole i32 range.
-    let bits = if xorshift(&mut s).is_multiple_of(2) {
-        format.data_bits
-    } else {
-        32
-    };
+    let edges = !matches!(stimulus, Stimulus::Random);
+    spec.enabled[0] |= edges;
     let n = n as usize;
     let len = n * spec.taps_per_branch as usize
         + (1 + (xorshift(&mut s) % 6) as usize) * n
         + (xorshift(&mut s) % 97) as usize;
-    let input: Vec<i32> = (0..len)
-        .map(|_| ((xorshift(&mut s) >> (64 - bits)) as i64 - (1i64 << (bits - 1))) as i32)
+    let input = stimulus_input(stimulus, format, len, &mut s);
+    let demanded: Vec<bool> = (0..n)
+        .map(|k| (edges && k == 0) || xorshift(&mut s).is_multiple_of(3))
         .collect();
     let mut bank = Channelizer::from_spec(spec.clone()).unwrap();
+    let mut part = bank.clone();
+    part.set_demand(|k| demanded[k]);
     let mut want = reference::Channelizer::from_spec(&spec);
     let rows = bank.enabled_channels().len();
     assert_eq!(bank.enabled_channels(), spec.enabled_channels().as_slice());
     let (mut got, mut exp) = (vec![Vec::new(); rows], vec![Vec::new(); rows]);
+    let mut some = vec![Vec::new(); rows];
     let mut rest = &input[..];
     while !rest.is_empty() {
         let take = (1 + (xorshift(&mut s) % (3 * n as u64)) as usize).min(rest.len());
@@ -385,40 +457,59 @@ fn check_bit_identity(n: u32, oversample: u32, format: FixedFormat, seed: u64) {
         rest = tail;
         let k = bank.compute_branches(piece);
         assert_eq!(k, want.compute_branches(piece), "output count");
+        assert_eq!(k, part.compute_branches(piece), "output count");
         bank.transform_outputs(k, &mut got);
+        part.transform_outputs(k, &mut some);
         want.transform_outputs(k, &mut exp);
     }
     assert!(exp.iter().all(|row: &Vec<Iq>| !row.is_empty()));
-    assert_eq!(
-        got, exp,
-        "N={n} oversample={oversample} format={format:?} input bits={bits}"
-    );
+    let what = format!("N={n} oversample={oversample} format={format:?} {stimulus:?}");
+    assert_eq!(got, exp, "{what}");
+    for (row, &k) in bank.enabled_channels().iter().enumerate() {
+        if demanded[k] {
+            assert_eq!(some[row], exp[row], "{what}: demanded channel {k}");
+        } else {
+            assert!(some[row].is_empty(), "{what}: undemanded channel {k}");
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every output word of the bank equals the plain formulation
-    /// across channel counts (radix-2 and naive DFT), oversampling,
-    /// data/coefficient widths, sparse masks and ragged chunkings.
+    /// Every output word of the bank, and every demanded word of a
+    /// bank that synthesizes some of its channels, equals the plain
+    /// formulation across channel counts (radix-2 and naive DFT),
+    /// oversampling, data/coefficient widths, sparse masks, ragged
+    /// chunkings, and random, tie and saturating inputs.
     #[test]
     fn bank_is_bit_identical_to_the_reference(
         n in 0usize..CHANNEL_COUNTS.len(),
         oversample in 1u32..3,
         format in 0usize..FORMATS.len(),
+        stimulus in 0usize..STIMULI.len(),
         seed in any::<u64>(),
     ) {
-        check_bit_identity(CHANNEL_COUNTS[n], oversample, FORMATS[format], seed);
+        check_bit_identity(CHANNEL_COUNTS[n], oversample, FORMATS[format], STIMULI[stimulus], seed);
     }
 }
 
-/// Every channel count, oversampling factor and format at least once.
+/// Every channel count, oversampling factor, format and stimulus at
+/// least once.
 #[test]
 fn bit_identity_covers_every_shape() {
     for (i, &n) in CHANNEL_COUNTS.iter().enumerate() {
         for oversample in 1..=2 {
             for (j, &format) in FORMATS.iter().enumerate() {
-                check_bit_identity(n, oversample, format, (i * 8 + j) as u64 + 0x5EED);
+                for stimulus in STIMULI {
+                    check_bit_identity(
+                        n,
+                        oversample,
+                        format,
+                        stimulus,
+                        (i * 8 + j) as u64 + 0x5EED,
+                    );
+                }
             }
         }
     }

@@ -17,7 +17,9 @@
 //! real-input synthesis is pinned on every finite input class the
 //! channelizer can feed it: `f64` branch sums up to ±2^53, `i64` sums
 //! converted with `as f64` up to ±2^62, and signed zeros, alone and in
-//! runs.
+//! runs. The synthesis pruned to a set of bins
+//! ([`Fft::inverse_unnormalized_real_bins`]) is pinned against the full
+//! one on every bin it was planned for.
 
 use ddc_suite::dsp::fft::{dft, Fft};
 use ddc_suite::dsp::C64;
@@ -325,5 +327,64 @@ fn real_input_synthesis_is_bit_identical_on_every_small_edge_input() {
     let plain = textbook::Fft::new(8);
     for z in [0.0, -0.0] {
         check_real_input(&fft, &plain, &[z; 8], "all zeros");
+    }
+}
+
+/// The bin sets a plan is checked on: none, one bin, a contiguous
+/// range, a random set and every bin.
+fn bin_sets(n: usize, s: &mut u64) -> [Vec<usize>; 5] {
+    let one = (xorshift(s) % n as u64) as usize;
+    let start = (xorshift(s) % n as u64) as usize;
+    let end = start + 1 + (xorshift(s) % (n - start) as u64) as usize;
+    let random = (0..n).filter(|_| xorshift(s).is_multiple_of(3)).collect();
+    [
+        vec![],
+        vec![one],
+        (start..end).collect(),
+        random,
+        (0..n).collect(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every bin a plan is made for equals the full real-input synthesis
+    /// bit for bit, at every power-of-two size up to 2^14, for empty,
+    /// single, contiguous, random and full bin sets, on integer-valued
+    /// inputs up to ±2^62 with signed zeros. One bin needs one
+    /// butterfly of the last stage, two of the one before, and so on
+    /// down to stage 3: N/4 − 1 in all.
+    #[test]
+    fn planned_bins_are_bit_identical_to_the_full_synthesis(seed in any::<u64>()) {
+        let mut n = 2usize;
+        while n <= 1 << 14 {
+            let fft = Fft::new(n);
+            let mut s = seed ^ (n as u64).rotate_left(41) | 1;
+            let x: Vec<f64> = (0..n)
+                .map(|_| match xorshift(&mut s) % 8 {
+                    0 => EDGES[(xorshift(&mut s) % 8) as usize],
+                    _ => (xorshift(&mut s) >> (2 + xorshift(&mut s) % 62)) as f64 - 2f64.powi(43),
+                })
+                .collect();
+            let (mut want_re, mut want_im) = (vec![0.0; n], vec![0.0; n]);
+            fft.inverse_unnormalized_real(&x, &mut want_re, &mut want_im);
+            for bins in bin_sets(n, &mut s) {
+                let plan = fft.plan_bins(&bins);
+                if bins.len() == 1 {
+                    prop_assert_eq!(plan.butterflies(), (n / 4).saturating_sub(1), "n={}", n);
+                }
+                let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                fft.inverse_unnormalized_real_bins(&plan, &x, &mut re, &mut im);
+                for &k in &bins {
+                    prop_assert!(
+                        re[k].to_bits() == want_re[k].to_bits() && im[k].to_bits() == want_im[k].to_bits(),
+                        "n={} bins {:?}: bin {}: ({}, {}) != ({}, {})",
+                        n, bins.len(), k, re[k], im[k], want_re[k], want_im[k]
+                    );
+                }
+            }
+            n *= 2;
+        }
     }
 }

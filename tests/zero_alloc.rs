@@ -293,6 +293,37 @@ fn oversampled_sparse_bank_is_allocation_free_in_steady_state() {
 }
 
 #[test]
+fn bank_with_a_fixed_demand_is_allocation_free_in_steady_state() {
+    use ddc_core::channelizer::ChannelizerFarm;
+    use ddc_core::ChannelizerSpec;
+
+    // One of 64 channels demanded: the pruned transform, the row map
+    // and the untouched empty rows.
+    let mut farm = ChannelizerFarm::from_spec(ChannelizerSpec::uniform(64, 64_512_000.0))
+        .unwrap()
+        .with_telemetry();
+    farm.set_demand(|k| k == 9);
+    let adc: Vec<i32> = (0..4096).map(|k| (k * 37) % 4095 - 2047).collect();
+
+    for _ in 0..4 {
+        farm.process_block(&adc);
+    }
+    let mut produced = 0;
+    let allocs = allocations_during(|| {
+        for len in [4096, 63, 1, 2048, 65, 4095, 777, 4096] {
+            let rows = farm.process_block(&adc[..len]);
+            produced += rows[9].len();
+            assert!(rows[8].is_empty() && rows[10].is_empty());
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state process_block with a fixed demand allocated {allocs} time(s)"
+    );
+    assert!(produced > 0, "the measured blocks produced no output");
+}
+
+#[test]
 fn wire_codec_steady_state_does_not_allocate() {
     use ddc_core::mixer::Iq;
     use ddc_server::wire::{decode_header, decode_samples_into, FrameBuf, IqTiming};
