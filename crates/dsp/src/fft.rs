@@ -184,10 +184,11 @@ impl Fft {
         while half >= 4 {
             let mut runs: Vec<Run> = Vec::new();
             let mut feed = vec![false; n];
-            // The runs of the block before, the last `prev` of `runs`.
-            let mut prev = 0;
+            // The runs of the block before, the last `prev` of `runs`,
+            // and those of this block.
+            let (mut prev, mut own) = (0, Vec::<Run>::new());
             for base in (0..n).step_by(2 * half) {
-                let mut own: Vec<Run> = Vec::new();
+                own.clear();
                 for k in 0..half {
                     let (a, b) = (base + k, base + half + k);
                     if !(need[a] || need[b]) {
@@ -211,7 +212,7 @@ impl Fft {
                     runs[tail..].iter_mut().for_each(|r| r.blocks += 1);
                 } else {
                     prev = own.len();
-                    runs.extend(own);
+                    runs.extend_from_slice(&own);
                 }
             }
             stages.push(runs);
