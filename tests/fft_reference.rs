@@ -332,7 +332,7 @@ fn real_input_synthesis_is_bit_identical_on_every_small_edge_input() {
 
 /// The bin sets a plan is checked on: none, one bin, a contiguous
 /// range, a random set and every bin.
-fn bin_sets(n: usize, s: &mut u64) -> [Vec<usize>; 5] {
+fn bin_sets(n: usize, s: &mut u64) -> [Vec<usize>; 7] {
     let one = (xorshift(s) % n as u64) as usize;
     let start = (xorshift(s) % n as u64) as usize;
     let end = start + 1 + (xorshift(s) % (n - start) as u64) as usize;
@@ -340,7 +340,9 @@ fn bin_sets(n: usize, s: &mut u64) -> [Vec<usize>; 5] {
     [
         vec![],
         vec![one],
+        vec![0, n - 1],
         (start..end).collect(),
+        (0..n).step_by(3).collect(),
         random,
         (0..n).collect(),
     ]
@@ -351,10 +353,10 @@ proptest! {
 
     /// Every bin a plan is made for equals the full real-input synthesis
     /// bit for bit, at every power-of-two size up to 2^14, for empty,
-    /// single, contiguous, random and full bin sets, on integer-valued
-    /// inputs up to ±2^62 with signed zeros. One bin needs one
-    /// butterfly of the last stage, two of the one before, and so on
-    /// down to stage 3: N/4 − 1 in all.
+    /// single, end-point, contiguous, every-third, random and full bin
+    /// sets, on integer-valued inputs up to ±2^62 with signed zeros. One
+    /// bin needs one butterfly of the last stage, two of the one before,
+    /// and so on down to stage 3: N/4 − 1 in all.
     #[test]
     fn planned_bins_are_bit_identical_to_the_full_synthesis(seed in any::<u64>()) {
         let mut n = 2usize;
