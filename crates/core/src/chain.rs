@@ -20,7 +20,7 @@ use std::time::Instant;
 /// Builds zeroed per-stage telemetry matching `spec`'s stage labels
 /// (`cic2r16`, `fir125r8`, ...) — the layout
 /// [`FixedDdc::process_into`] records into when a handle built from it
-/// is installed with [`FixedDdc::set_metrics`].
+/// is installed with [`FixedDdc::with_metrics`].
 pub fn chain_metrics_for(spec: &ChainSpec) -> ChainMetrics {
     ChainMetrics::new(spec.stages.iter().map(|s| s.label()))
 }
@@ -497,16 +497,11 @@ impl FixedDdc {
             .collect()
     }
 
-    /// Installs (or removes) the telemetry handle the block path
-    /// records into. A handle built over [`chain_metrics_for`] of this
-    /// chain's spec receives per-stage block timings under the spec's
-    /// own stage labels; recording happens once per block, never per
-    /// sample, and performs no heap allocation.
-    pub fn set_metrics(&mut self, metrics: MetricsHandle) {
-        self.metrics = metrics;
-    }
-
-    /// Builder form of [`FixedDdc::set_metrics`].
+    /// Installs the telemetry handle the block path records into. A
+    /// handle built over [`chain_metrics_for`] of this chain's spec
+    /// receives per-stage block timings under the spec's own stage
+    /// labels; recording happens once per block, never per sample, and
+    /// performs no heap allocation.
     pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
         self.metrics = metrics;
         self
@@ -540,11 +535,6 @@ impl FixedDdc {
     pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
         self.set_tracer(tracer);
         self
-    }
-
-    /// The tracer handle in force (disabled by default).
-    pub fn tracer(&self) -> &TraceHandle {
-        &self.tracer
     }
 
     /// [`FixedDdc::process_into`] plus flight recording: when

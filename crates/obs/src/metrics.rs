@@ -131,11 +131,6 @@ impl MetricsHandle {
     pub fn get(&self) -> Option<&ChainMetrics> {
         self.0.as_deref()
     }
-
-    /// The shared metrics allocation, if enabled (for snapshotting).
-    pub fn shared(&self) -> Option<&Arc<ChainMetrics>> {
-        self.0.as_ref()
-    }
 }
 
 #[cfg(test)]

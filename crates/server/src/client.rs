@@ -88,9 +88,8 @@ impl ClientSender {
         self.send_samples_traced(batch_index, samples, 0)
     }
 
-    /// [`ClientSender::send_samples`] with a span-trace stamp:
-    /// non-zero `trace_id` rides the 9-byte trailing extension; zero
-    /// is byte-identical to the untraced path.
+    /// [`ClientSender::send_samples`] with a span-trace stamp (0 =
+    /// untraced, byte-identical to the untraced path).
     pub fn send_samples_traced(
         &mut self,
         batch_index: u64,

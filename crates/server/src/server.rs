@@ -855,11 +855,8 @@ fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
         match &mut s.role {
             Role::Chain(ddc) => {
                 let trace_id = job.batch.trace_id;
-                let before = s.pairs.len();
                 let ts0 = (trace_id != 0).then(|| state.trace.now_ns());
-                let t0 = Instant::now();
                 ddc.process_into_traced(chunk, &mut s.pairs, trace_id, track);
-                let busy = saturating_ns(t0.elapsed());
                 if let Some(ts0) = ts0 {
                     let names = state.trace_names;
                     state
@@ -867,12 +864,6 @@ fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
                         .span(track, trace_id, names.job, ts0, state.trace.now_ns());
                 }
                 state.jobs_completed.inc();
-                if let Some(c) = s.conn.obs.chain.get() {
-                    c.jobs.inc();
-                    c.samples_in.add(n as u64);
-                    c.outputs.add((s.pairs.len() - before) as u64);
-                    c.busy_ns.add(busy);
-                }
             }
             Role::Ingest {
                 bank,
@@ -1050,12 +1041,12 @@ fn stats(state: &ServerState, s: &Session) -> StatsReport {
     };
     match &s.role {
         Role::Chain(_) => {
-            let c = s.conn.obs.chain.get();
+            let c = s.conn.obs.chain.get().map(|c| &c.metrics.chain);
             StatsReport {
                 channel: s.conn.id as u32,
                 samples_in: c.map_or(0, |c| c.samples_in.get()),
-                outputs: c.map_or(0, |c| c.outputs.get()),
-                busy_ns: c.map_or(0, |c| c.busy_ns.get()),
+                outputs: c.map_or(0, |c| c.samples_out.get()),
+                busy_ns: c.map_or(0, |c| c.latency_ns.snapshot().sum),
                 ..base
             }
         }
@@ -1506,10 +1497,6 @@ fn configure(state: &ServerState, s: &mut Session, c: &Configure) -> Result<(), 
                 .with_metrics(MetricsHandle::enabled(Arc::clone(&metrics)))
                 .with_tracer(TraceHandle::enabled(Arc::clone(&state.trace)));
             let _ = s.conn.obs.chain.set(ChainObs {
-                jobs: Counter::default(),
-                samples_in: Counter::default(),
-                outputs: Counter::default(),
-                busy_ns: Counter::default(),
                 metrics,
                 kernels: ddc.stage_kernels(),
             });

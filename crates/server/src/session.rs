@@ -91,20 +91,14 @@ pub struct SessionObs {
     pub chain: OnceLock<ChainObs>,
 }
 
-/// Telemetry of one chain session's [`FixedDdc`]: lifetime flow
-/// counters, the per-stage metrics the chain records into, and the
-/// kernel each stage resolved to.
+/// Telemetry of one chain session's [`FixedDdc`]: the whole-chain and
+/// per-stage metrics the chain records into, and the kernel each stage
+/// resolved to.
 #[derive(Debug)]
 pub struct ChainObs {
-    /// DSP jobs (bounded slices) run.
-    pub jobs: Counter,
-    /// ADC samples processed.
-    pub samples_in: Counter,
-    /// Complex output words produced.
-    pub outputs: Counter,
-    /// Nanoseconds spent in the chain.
-    pub busy_ns: Counter,
-    /// Per-stage metrics, shared with the chain.
+    /// Chain metrics, shared with the chain. `chain` counts each DSP
+    /// job (one bounded slice, one `process_into` call): its samples
+    /// in and out and, in its latency histogram's sum, its busy time.
     pub metrics: Arc<ChainMetrics>,
     /// `(stage label, kernel label)` per stage, fixed at construction.
     pub kernels: Vec<(String, &'static str)>,
@@ -116,19 +110,21 @@ impl ChainObs {
     /// and per-stage families.
     pub fn push_metrics(&self, snap: &mut MetricsSnapshot, ch: u64) {
         let lbl = format!("{{channel=\"{ch}\"}}");
-        snap.push_counter(format!("ddc_channel_batches_total{lbl}"), self.jobs.get());
+        let chain = &self.metrics.chain;
+        let latency = chain.latency_ns.snapshot();
+        snap.push_counter(
+            format!("ddc_channel_batches_total{lbl}"),
+            chain.blocks.get(),
+        );
         snap.push_counter(
             format!("ddc_channel_samples_in_total{lbl}"),
-            self.samples_in.get(),
+            chain.samples_in.get(),
         );
         snap.push_counter(
             format!("ddc_channel_outputs_total{lbl}"),
-            self.outputs.get(),
+            chain.samples_out.get(),
         );
-        snap.push_counter(
-            format!("ddc_channel_busy_ns_total{lbl}"),
-            self.busy_ns.get(),
-        );
+        snap.push_counter(format!("ddc_channel_busy_ns_total{lbl}"), latency.sum);
         // Which specialised kernel each stage resolved to — a static
         // info gauge (constant 1) in the Prometheus `build_info` idiom.
         // Resolution happened at chain construction; reading the label
@@ -139,10 +135,7 @@ impl ChainObs {
                 1,
             );
         }
-        snap.push_hist(
-            format!("ddc_chain_latency_ns{lbl}"),
-            self.metrics.chain.latency_ns.snapshot(),
-        );
+        snap.push_hist(format!("ddc_chain_latency_ns{lbl}"), latency);
         for sm in &self.metrics.stages {
             let slbl = format!("{{channel=\"{ch}\",stage=\"{}\"}}", sm.name);
             snap.push_counter(format!("ddc_stage_blocks_total{slbl}"), sm.blocks.get());
@@ -880,10 +873,6 @@ mod tests {
         let mut ddc =
             FixedDdc::from_spec(spec).with_metrics(MetricsHandle::enabled(Arc::clone(&metrics)));
         let obs = ChainObs {
-            jobs: Counter::default(),
-            samples_in: Counter::default(),
-            outputs: Counter::default(),
-            busy_ns: Counter::default(),
             metrics,
             kernels: ddc.stage_kernels(),
         };
@@ -891,8 +880,6 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..3 {
             ddc.process_into(&block, &mut out);
-            obs.jobs.inc();
-            obs.samples_in.add(block.len() as u64);
         }
         let mut snap = MetricsSnapshot::new();
         obs.push_metrics(&mut snap, 7);
@@ -900,6 +887,15 @@ mod tests {
             snap.counter("ddc_channel_batches_total{channel=\"7\"}"),
             Some(3)
         );
+        assert_eq!(
+            snap.counter("ddc_channel_samples_in_total{channel=\"7\"}"),
+            Some(3 * block.len() as u64)
+        );
+        assert_eq!(
+            snap.counter("ddc_channel_outputs_total{channel=\"7\"}"),
+            Some(out.len() as u64)
+        );
+        assert!(snap.counter("ddc_channel_busy_ns_total{channel=\"7\"}") > Some(0));
         assert_eq!(
             snap.counter("ddc_stage_samples_in_total{channel=\"7\",stage=\"cic2r16\"}"),
             Some(3 * block.len() as u64)

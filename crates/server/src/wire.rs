@@ -10,7 +10,7 @@
 //! ```text
 //! offset  size  field
 //!      0     2  magic            0xDDC1
-//!      2     1  version          3
+//!      2     1  version          4
 //!      3     1  frame type       Hello=1 Configure=2 Samples=3 Iq=4 Stats=5
 //!                                Error=6 Shutdown=7 Metrics=8 Trace=9
 //!      4     4  sequence number  independent monotonic counter per direction
@@ -21,6 +21,30 @@
 //!
 //! [`decode_header`] checks the version byte of every frame, so a peer
 //! speaking another version fails at its first frame.
+//!
+//! Each payload has one fixed layout: every field is always present,
+//! and an optional value travels as its zero. The variable-length part
+//! comes last and runs to the end of the payload, so the payload length
+//! bounds it. The three layouts that carry batches and sessions:
+//!
+//! ```text
+//! Samples    u64 batch_index, u64 trace_id (0 = untraced),
+//!            u32 count, count × i32 sample
+//! Iq         u64 batch_index, u64 dropped_total, u64 trace_id (0 = untraced),
+//!            u8 timed (0 or 1), u64 queue_wait_ns, u64 service_ns
+//!            (both 0 unless timed), u32 count, count × (i64 i, i64 q)
+//! Configure  u8 policy, u32 queue_cap, u32 budget_us (0 = throughput),
+//!            u32 trace_interval (0 = off), u8 plan kind, plan body:
+//!              0 preset       u8 preset, f64 tune_freq (IEEE bits)
+//!              1 spec         ddc_core::ChainSpec::encode bytes
+//!              2 channelizer  ddc_core::ChannelizerSpec::encode bytes
+//!              3 subscribe    u32 channel, bank name (UTF-8)
+//! ```
+//!
+//! Decodes are exact: a payload decodes only if encoding the decoded
+//! frame gives back the same bytes (Hello and Error text aside, which
+//! decodes lossily). Stats, Metrics and Trace frames open with a flag
+//! byte, 0 for the request and 1 for the report.
 //!
 //! Encoding and decoding are pure functions over byte slices — no
 //! sockets — so the whole codec is unit-testable in-process;
@@ -33,7 +57,7 @@ use std::io::{self, IoSlice, Read, Write};
 /// First two bytes of every frame.
 pub const MAGIC: u16 = 0xDDC1;
 /// Protocol version this build speaks, checked in every frame header.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 /// Size of the fixed frame header, bytes.
 pub const HEADER_LEN: usize = 20;
 /// Upper bound on payload size (guards allocation on decode).
@@ -82,6 +106,10 @@ pub enum WireError {
     BadPolicy(u8),
     /// Unknown configuration preset byte.
     BadPreset(u8),
+    /// A field holds a value its layout does not allow: a flag byte
+    /// other than 0 or 1, timing on an untimed Iq, a bank name that is
+    /// not UTF-8.
+    BadField(&'static str),
     /// A declared element count disagrees with the payload length.
     CountMismatch {
         /// Elements the payload header declared.
@@ -107,6 +135,7 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} unexpected trailing payload bytes"),
             WireError::BadPolicy(p) => write!(f, "unknown backpressure policy {p}"),
             WireError::BadPreset(p) => write!(f, "unknown config preset {p}"),
+            WireError::BadField(what) => write!(f, "invalid {what}"),
             WireError::CountMismatch {
                 declared,
                 available,
@@ -491,7 +520,8 @@ pub enum QosProfile {
     Throughput,
     /// Bound end-to-end latency to roughly `budget_us` microseconds.
     Latency {
-        /// Target end-to-end budget, microseconds (must be non-zero).
+        /// Target end-to-end budget, microseconds. Non-zero: the wire
+        /// carries `Throughput` as budget 0.
         budget_us: u32,
     },
 }
@@ -541,13 +571,11 @@ pub struct Configure {
     pub policy: Backpressure,
     /// Input-queue capacity in batches (0 → server default).
     pub queue_cap: u32,
-    /// QoS profile: trailing tag 1 + u32 budget for `Latency`, nothing
-    /// for `Throughput`.
+    /// QoS profile, on the wire as its budget (0 for `Throughput`).
     pub qos: QosProfile,
     /// Server-side trace head-sampling interval: every `N`th accepted
     /// batch that arrives *without* a client-stamped trace ID gets a
-    /// server-allocated one. 0 disables server-side sampling and is
-    /// omitted on the wire; non-zero travels as trailing tag 2 + u32.
+    /// server-allocated one. 0 disables server-side sampling.
     pub trace_interval: u32,
 }
 
@@ -562,18 +590,9 @@ pub struct Samples {
     /// ADC samples.
     pub samples: Vec<i32>,
     /// Span-trace ID stamped by the sender on head-sampled batches
-    /// (0 = unsampled). Non-zero IDs ride a 9-byte trailing extension
-    /// ([`SAMPLES_TRACE_TAG`] + u64) after the sample words; zero is
-    /// omitted.
+    /// (0 = unsampled).
     pub trace_id: u64,
 }
-
-/// Tag byte opening the optional Samples trace trailer (tag + u64 =
-/// 9 bytes — deliberately not a multiple of the 4-byte sample stride,
-/// so a frame whose declared count undercounts its samples can never
-/// alias into a traced frame; it fails `CountMismatch` as it always
-/// did).
-pub const SAMPLES_TRACE_TAG: u8 = 1;
 
 /// The I/Q output for one accepted Samples batch (server → client).
 /// Exactly one Iq frame answers every *accepted* batch — possibly with
@@ -587,29 +606,15 @@ pub struct IqPayload {
     pub dropped_total: u64,
     /// Complex output words, (i, q) pairs.
     pub pairs: Vec<(i64, i64)>,
-    /// Server-side timing for this batch (a trailer sent on latency-QoS
+    /// Server-side timing for this batch (sent on latency-QoS
     /// sessions, absent on throughput sessions).
     pub timing: Option<IqTiming>,
     /// Span-trace ID echo: the trace ID the corresponding Samples
-    /// batch carried (or that the server assigned under the
-    /// `trace_interval` Configure tag), so the client can close the
-    /// span loop on the ack. 0 = untraced; non-zero rides a 9-byte
-    /// trailer ([`IQ_TRACE_TAG`] + u64) after any timing trailer.
+    /// batch carried (or that the server assigned under the Configure
+    /// `trace_interval`), so the client can close the span loop on the
+    /// ack. 0 = untraced.
     pub trace_id: u64,
 }
-
-/// Tag byte opening the optional Iq timing trailer. The trailer is 17
-/// bytes (tag + two u64s) — deliberately not a multiple of the 16-byte
-/// pair stride, and the tag is verified at decode — so a frame whose
-/// declared count undercounts its pairs can never alias into a timed
-/// frame; it fails `CountMismatch` as it always did.
-pub const IQ_TIMING_TAG: u8 = 1;
-
-/// Tag byte opening the optional Iq trace-ID echo trailer (tag + u64 =
-/// 9 bytes). Trailer shapes after the declared pairs are mutually
-/// unambiguous: +0 (plain), +17 (timing), +9 (trace), +26 (timing
-/// then trace) — none a multiple of the 16-byte pair stride.
-pub const IQ_TRACE_TAG: u8 = 2;
 
 /// Server-side per-batch timestamps riding an Iq ack, so the client
 /// can split its observed send→ack latency into queue-wait and
@@ -749,49 +754,28 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             out.extend_from_slice(&info[..info.len().min(u16::MAX as usize)]);
         }
         Frame::Configure(c) => {
+            out.push(c.policy.to_u8());
+            put_u32(out, c.queue_cap);
+            put_u32(out, c.qos.budget_us().unwrap_or(0));
+            put_u32(out, c.trace_interval);
             match &c.plan {
                 ChainPlan::Preset { preset, tune_freq } => {
-                    out.push(0); // plan kind: preset alias
-                    out.push(preset.to_u8());
-                    out.push(c.policy.to_u8());
-                    put_u32(out, c.queue_cap);
+                    out.extend_from_slice(&[0, preset.to_u8()]);
                     put_u64(out, tune_freq.to_bits());
                 }
                 ChainPlan::Spec(spec) => {
-                    out.push(1); // plan kind: inline spec
-                    out.push(c.policy.to_u8());
-                    put_u32(out, c.queue_cap);
-                    let bytes = spec.encode();
-                    put_u32(out, bytes.len() as u32);
-                    out.extend_from_slice(&bytes);
+                    out.push(1);
+                    out.extend_from_slice(&spec.encode());
                 }
                 ChainPlan::Channelizer(spec) => {
-                    out.push(2); // plan kind: channelizer ingest
-                    out.push(c.policy.to_u8());
-                    put_u32(out, c.queue_cap);
-                    let bytes = spec.encode();
-                    put_u32(out, bytes.len() as u32);
-                    out.extend_from_slice(&bytes);
+                    out.push(2);
+                    out.extend_from_slice(&spec.encode());
                 }
                 ChainPlan::Subscribe { name, channel } => {
-                    out.push(3); // plan kind: channel subscription
-                    out.push(c.policy.to_u8());
-                    put_u32(out, c.queue_cap);
-                    let bytes = name.as_bytes();
-                    out.push(bytes.len().min(u8::MAX as usize) as u8);
-                    out.extend_from_slice(&bytes[..bytes.len().min(u8::MAX as usize)]);
+                    out.push(3);
                     put_u32(out, *channel);
+                    out.extend_from_slice(name.as_bytes());
                 }
-            }
-            // Trailing tagged extensions (any plan kind), in tag
-            // order, each omitted at its default.
-            if let QosProfile::Latency { budget_us } = c.qos {
-                out.push(1);
-                put_u32(out, budget_us);
-            }
-            if c.trace_interval != 0 {
-                out.push(2);
-                put_u32(out, c.trace_interval);
             }
         }
         Frame::Samples(s) => put_samples(out, s.batch_index, &s.samples, s.trace_id),
@@ -839,21 +823,16 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
     }
 }
 
-/// A Samples payload: the sample words, then the trace-ID stamp on
-/// head-sampled batches only.
+/// A Samples payload in the layout of the module doc.
 fn put_samples(out: &mut Vec<u8>, batch_index: u64, samples: &[i32], trace_id: u64) {
-    out.reserve(21 + samples.len() * 4);
+    out.reserve(20 + samples.len() * 4);
     put_u64(out, batch_index);
+    put_u64(out, trace_id);
     put_u32(out, samples.len() as u32);
     out.extend(samples.iter().flat_map(|x| x.to_le_bytes()));
-    if trace_id != 0 {
-        out.push(SAMPLES_TRACE_TAG);
-        put_u64(out, trace_id);
-    }
 }
 
-/// An Iq payload: the pairs, then the per-batch timing (latency-QoS
-/// sessions only), then the trace-ID echo.
+/// An Iq payload in the layout of the module doc.
 fn put_iq(
     out: &mut Vec<u8>,
     batch_index: u64,
@@ -862,9 +841,13 @@ fn put_iq(
     timing: Option<IqTiming>,
     trace_id: u64,
 ) {
-    out.reserve(42 + pairs.len() * 16);
+    out.reserve(45 + pairs.len() * 16);
     put_u64(out, batch_index);
     put_u64(out, dropped_total);
+    put_u64(out, trace_id);
+    out.push(u8::from(timing.is_some()));
+    put_u64(out, timing.map_or(0, |t| t.queue_wait_ns));
+    put_u64(out, timing.map_or(0, |t| t.service_ns));
     put_u32(out, pairs.len() as u32);
     out.extend(pairs.flat_map(|(i, q)| {
         let mut pair = [0u8; 16];
@@ -872,15 +855,6 @@ fn put_iq(
         pair[8..].copy_from_slice(&q.to_le_bytes());
         pair
     }));
-    if let Some(t) = timing {
-        out.push(IQ_TIMING_TAG);
-        put_u64(out, t.queue_wait_ns);
-        put_u64(out, t.service_ns);
-    }
-    if trace_id != 0 {
-        out.push(IQ_TRACE_TAG);
-        put_u64(out, trace_id);
-    }
 }
 
 /// `frame` with sequence number `seq` as one contiguous byte vector:
@@ -957,9 +931,8 @@ impl FrameBuf {
         self.encode_samples_traced(seq, batch_index, samples, 0);
     }
 
-    /// [`FrameBuf::encode_samples`] with a trace-ID stamp: non-zero
-    /// `trace_id` appends the 9-byte [`SAMPLES_TRACE_TAG`] trailer;
-    /// zero is byte-identical to the untraced encoder.
+    /// [`FrameBuf::encode_samples`] with a trace-ID stamp (0 =
+    /// untraced, byte-identical to the untraced encoder).
     pub fn encode_samples_traced(
         &mut self,
         seq: u32,
@@ -973,8 +946,7 @@ impl FrameBuf {
     }
 
     /// Iq encoder over borrowed output pairs. Byte-identical to
-    /// `encode(&Frame::Iq(..))`, including the optional trailing
-    /// timing and trace-echo extensions.
+    /// `encode(&Frame::Iq(..))`.
     pub fn encode_iq(
         &mut self,
         seq: u32,
@@ -1099,6 +1071,24 @@ impl<'a> Cursor<'a> {
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
+    /// Everything left: the variable-length part that ends a payload.
+    fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
+    }
+    /// A `u32` element count, then exactly that many `stride`-byte
+    /// elements, which must end the payload.
+    fn counted(&mut self, what: &'static str, stride: usize) -> Result<&'a [u8], WireError> {
+        let count = self.u32(what)?;
+        if (count as usize).checked_mul(stride) != Some(self.remaining()) {
+            return Err(WireError::CountMismatch {
+                declared: count,
+                available: self.remaining(),
+            });
+        }
+        Ok(self.rest())
+    }
     fn finish(self) -> Result<(), WireError> {
         if self.remaining() != 0 {
             return Err(WireError::TrailingBytes(self.remaining()));
@@ -1125,42 +1115,33 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
             Frame::Hello(Hello { info })
         }
         2 => {
-            let (plan, policy, queue_cap) = match c.u8("configure plan kind")? {
-                0 => {
-                    let preset = ConfigPreset::from_u8(c.u8("configure preset")?)?;
-                    let policy = Backpressure::from_u8(c.u8("configure policy")?)?;
-                    let queue_cap = c.u32("configure queue_cap")?;
-                    let tune_freq = f64::from_bits(c.u64("configure tune_freq")?);
-                    (ChainPlan::Preset { preset, tune_freq }, policy, queue_cap)
-                }
-                1 => {
-                    let policy = Backpressure::from_u8(c.u8("configure policy")?)?;
-                    let queue_cap = c.u32("configure queue_cap")?;
-                    let n = c.u32("configure spec length")? as usize;
-                    let spec_bytes = c.take(n, "configure spec")?;
-                    // decode() fully validates, so a Configure that
-                    // parses always carries a buildable spec.
-                    let spec = ddc_core::ChainSpec::decode(spec_bytes)
-                        .map_err(|e| WireError::BadSpec(e.to_string()))?;
-                    (ChainPlan::Spec(spec), policy, queue_cap)
-                }
-                2 => {
-                    let policy = Backpressure::from_u8(c.u8("configure policy")?)?;
-                    let queue_cap = c.u32("configure queue_cap")?;
-                    let n = c.u32("configure channelizer spec length")? as usize;
-                    let spec_bytes = c.take(n, "configure channelizer spec")?;
-                    let spec = ddc_core::ChannelizerSpec::decode(spec_bytes)
-                        .map_err(|e| WireError::BadSpec(e.to_string()))?;
-                    (ChainPlan::Channelizer(spec), policy, queue_cap)
-                }
+            let policy = Backpressure::from_u8(c.u8("configure policy")?)?;
+            let queue_cap = c.u32("configure queue_cap")?;
+            let qos = match c.u32("configure budget_us")? {
+                0 => QosProfile::Throughput,
+                budget_us => QosProfile::Latency { budget_us },
+            };
+            let trace_interval = c.u32("configure trace_interval")?;
+            let bad_spec = |e: ddc_core::SpecError| WireError::BadSpec(e.to_string());
+            // The spec decoders fully validate, so a Configure that
+            // parses always carries a buildable spec.
+            let plan = match c.u8("configure plan kind")? {
+                0 => ChainPlan::Preset {
+                    preset: ConfigPreset::from_u8(c.u8("configure preset")?)?,
+                    tune_freq: f64::from_bits(c.u64("configure tune_freq")?),
+                },
+                1 => ChainPlan::Spec(ddc_core::ChainSpec::decode(c.rest()).map_err(bad_spec)?),
+                2 => ChainPlan::Channelizer(
+                    ddc_core::ChannelizerSpec::decode(c.rest()).map_err(bad_spec)?,
+                ),
                 3 => {
-                    let policy = Backpressure::from_u8(c.u8("configure policy")?)?;
-                    let queue_cap = c.u32("configure queue_cap")?;
-                    let n = c.u8("configure bank name length")? as usize;
-                    let name =
-                        String::from_utf8_lossy(c.take(n, "configure bank name")?).into_owned();
                     let channel = c.u32("configure channel")?;
-                    (ChainPlan::Subscribe { name, channel }, policy, queue_cap)
+                    let name = std::str::from_utf8(c.rest())
+                        .map_err(|_| WireError::BadField("configure bank name"))?;
+                    ChainPlan::Subscribe {
+                        name: name.to_owned(),
+                        channel,
+                    }
                 }
                 other => {
                     return Err(WireError::BadSpec(format!(
@@ -1168,42 +1149,6 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                     )))
                 }
             };
-            // Trailing tagged extensions, absent at their defaults. Tags
-            // ascend, so each appears at most once.
-            let mut qos = QosProfile::Throughput;
-            let mut trace_interval = 0u32;
-            let mut last_tag = 0u8;
-            while c.remaining() > 0 {
-                let tag = c.u8("configure extension tag")?;
-                match tag {
-                    1 | 2 if tag <= last_tag => {
-                        return Err(WireError::BadSpec(format!(
-                            "configure extension tag {tag} repeated or out of order"
-                        )));
-                    }
-                    1 => {
-                        let budget_us = c.u32("configure qos budget")?;
-                        if budget_us == 0 {
-                            return Err(WireError::BadSpec(
-                                "latency qos budget must be non-zero".into(),
-                            ));
-                        }
-                        qos = QosProfile::Latency { budget_us };
-                    }
-                    2 => {
-                        trace_interval = c.u32("configure trace interval")?;
-                        if trace_interval == 0 {
-                            return Err(WireError::BadSpec(
-                                "trace interval must be non-zero when tagged".into(),
-                            ));
-                        }
-                    }
-                    other => {
-                        return Err(WireError::BadSpec(format!("unknown qos tag {other}")));
-                    }
-                }
-                last_tag = tag;
-            }
             Frame::Configure(Configure {
                 plan,
                 policy,
@@ -1213,7 +1158,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
             })
         }
         3 => {
-            let (batch_index, words, trace_id) = samples_parts(&mut c)?;
+            let (batch_index, trace_id, words) = samples_parts(&mut c)?;
             Frame::Samples(Samples {
                 batch_index,
                 samples: le_samples(words).collect(),
@@ -1223,29 +1168,20 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
         4 => {
             let batch_index = c.u64("iq batch_index")?;
             let dropped_total = c.u64("iq dropped_total")?;
-            let count = c.u32("iq count")?;
-            // The declared count pins the pair bytes exactly; the only
-            // other shapes accepted are the tagged trailers: +17
-            // (timing), +9 (trace echo), +26 (timing then trace).
-            // None is a multiple of the pair stride and every tag is
-            // verified below, so a frame whose count undercounts its
-            // pairs (16 stray bytes) fails CountMismatch instead of
-            // silently decoding as trailed.
-            let pair_bytes = count as usize * 16;
-            let (timed, traced) = match c.remaining() {
-                r if r == pair_bytes => (false, false),
-                r if r == pair_bytes + 17 => (true, false),
-                r if r == pair_bytes + 9 => (false, true),
-                r if r == pair_bytes + 26 => (true, true),
-                _ => {
-                    return Err(WireError::CountMismatch {
-                        declared: count,
-                        available: c.remaining(),
-                    })
-                }
+            let trace_id = c.u64("iq trace_id")?;
+            let timed = c.u8("iq timed")?;
+            let queue_wait_ns = c.u64("iq queue_wait_ns")?;
+            let service_ns = c.u64("iq service_ns")?;
+            let timing = match (timed, queue_wait_ns | service_ns) {
+                (1, _) => Some(IqTiming {
+                    queue_wait_ns,
+                    service_ns,
+                }),
+                (0, 0) => None,
+                _ => return Err(WireError::BadField("iq timing")),
             };
             let pairs = c
-                .take(pair_bytes, "iq pairs")?
+                .counted("iq count", 16)?
                 .chunks_exact(16)
                 .map(|p| {
                     let (i, q) = p.split_at(8);
@@ -1255,37 +1191,6 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                     )
                 })
                 .collect();
-            let timing = if timed {
-                match c.u8("iq timing tag")? {
-                    IQ_TIMING_TAG => Some(IqTiming {
-                        queue_wait_ns: c.u64("iq queue_wait_ns")?,
-                        service_ns: c.u64("iq service_ns")?,
-                    }),
-                    other => {
-                        return Err(WireError::BadSpec(format!("unknown iq timing tag {other}")))
-                    }
-                }
-            } else {
-                None
-            };
-            let trace_id = if traced {
-                match c.u8("iq trace tag")? {
-                    IQ_TRACE_TAG => {
-                        let id = c.u64("iq trace_id")?;
-                        if id == 0 {
-                            return Err(WireError::BadSpec(
-                                "iq trace_id must be non-zero when tagged".into(),
-                            ));
-                        }
-                        id
-                    }
-                    other => {
-                        return Err(WireError::BadSpec(format!("unknown iq trace tag {other}")))
-                    }
-                }
-            } else {
-                0
-            };
             Frame::Iq(IqPayload {
                 batch_index,
                 dropped_total,
@@ -1296,7 +1201,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
         }
         5 => match c.u8("stats flag")? {
             0 => Frame::StatsRequest,
-            _ => Frame::StatsReport(StatsReport {
+            1 => Frame::StatsReport(StatsReport {
                 channel: c.u32("stats channel")?,
                 batches_accepted: c.u64("stats batches_accepted")?,
                 batches_dropped: c.u64("stats batches_dropped")?,
@@ -1307,6 +1212,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                 busy_ns: c.u64("stats busy_ns")?,
                 farm_jobs_completed: c.u64("stats farm_jobs_completed")?,
             }),
+            _ => return Err(WireError::BadField("stats flag")),
         },
         6 => {
             let code = c.u16("error code")?;
@@ -1317,32 +1223,18 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
         7 => Frame::Shutdown,
         8 => match c.u8("metrics flag")? {
             0 => Frame::MetricsRequest,
-            _ => {
-                let n = c.u32("metrics body length")? as usize;
-                if n != c.remaining() {
-                    return Err(WireError::CountMismatch {
-                        declared: n as u32,
-                        available: c.remaining(),
-                    });
-                }
-                let body = c.take(n, "metrics body")?.to_vec();
-                Frame::MetricsReport(MetricsReport { body })
-            }
+            1 => Frame::MetricsReport(MetricsReport {
+                body: c.counted("metrics body length", 1)?.to_vec(),
+            }),
+            _ => return Err(WireError::BadField("metrics flag")),
         },
         9 => match c.u8("trace flag")? {
             0 => Frame::TraceRequest,
-            _ => {
-                let dropped = c.u64("trace dropped")?;
-                let n = c.u32("trace body length")? as usize;
-                if n != c.remaining() {
-                    return Err(WireError::CountMismatch {
-                        declared: n as u32,
-                        available: c.remaining(),
-                    });
-                }
-                let body = c.take(n, "trace body")?.to_vec();
-                Frame::TraceReport(TraceReport { dropped, body })
-            }
+            1 => Frame::TraceReport(TraceReport {
+                dropped: c.u64("trace dropped")?,
+                body: c.counted("trace body length", 1)?.to_vec(),
+            }),
+            _ => return Err(WireError::BadField("trace flag")),
         },
         other => return Err(WireError::BadType(other)),
     };
@@ -1351,46 +1243,11 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
 }
 
 /// The parts of a Samples payload whose checksum already held: the
-/// batch index, the sample bytes and the trace ID (0 when untraced).
-fn samples_parts<'a>(c: &mut Cursor<'a>) -> Result<(u64, &'a [u8], u64), WireError> {
+/// batch index, the trace ID (0 when untraced) and the sample bytes.
+fn samples_parts<'a>(c: &mut Cursor<'a>) -> Result<(u64, u64, &'a [u8]), WireError> {
     let batch_index = c.u64("samples batch_index")?;
-    let count = c.u32("samples count")?;
-    // Exactly the declared samples, or the declared samples plus the
-    // 9-byte trace trailer. 9 is not a multiple of the 4-byte sample
-    // stride, so the shapes cannot alias.
-    let sample_bytes = count as usize * 4;
-    let traced = match c.remaining() {
-        r if r == sample_bytes => false,
-        r if r == sample_bytes + 9 => true,
-        _ => {
-            return Err(WireError::CountMismatch {
-                declared: count,
-                available: c.remaining(),
-            })
-        }
-    };
-    let words = c.take(sample_bytes, "sample word")?;
-    let trace_id = if traced {
-        match c.u8("samples trace tag")? {
-            SAMPLES_TRACE_TAG => {
-                let id = c.u64("samples trace_id")?;
-                if id == 0 {
-                    return Err(WireError::BadSpec(
-                        "samples trace_id must be non-zero when tagged".into(),
-                    ));
-                }
-                id
-            }
-            other => {
-                return Err(WireError::BadSpec(format!(
-                    "unknown samples trailer tag {other}"
-                )))
-            }
-        }
-    } else {
-        0
-    };
-    Ok((batch_index, words, trace_id))
+    let trace_id = c.u64("samples trace_id")?;
+    Ok((batch_index, trace_id, c.counted("samples count", 4)?))
 }
 
 /// Little-endian sample words as `i32`s.
@@ -1424,7 +1281,7 @@ pub fn decode_samples_into(
         buf: payload,
         pos: 0,
     };
-    let (batch_index, words, trace_id) = samples_parts(&mut c)?;
+    let (batch_index, trace_id, words) = samples_parts(&mut c)?;
     out.extend(le_samples(words));
     Ok((batch_index, trace_id))
 }
@@ -1846,66 +1703,100 @@ mod tests {
         }
     }
 
+    /// The payload bytes of each layout in the module doc's table,
+    /// field by field, and each decodes back to its frame.
     #[test]
-    fn throughput_configure_is_byte_identical_to_legacy_and_decodes() {
-        // A Throughput Configure must carry no trailing qos bytes: the
-        // preset-plan payload is exactly the 15 pre-QoS bytes.
-        let frame = Frame::Configure(Configure {
-            plan: ChainPlan::Preset {
-                preset: ConfigPreset::Drm,
-                tune_freq: 1.0e6,
-            },
-            policy: Backpressure::Block,
-            queue_cap: 8,
-            qos: QosProfile::Throughput,
-            trace_interval: 0,
-        });
-        let bytes = encode_frame(&frame, 0);
-        assert_eq!(bytes.len() - HEADER_LEN, 1 + 1 + 1 + 4 + 8);
-        // A latency profile appends exactly tag(1) + budget(4).
-        let timed = Frame::Configure(Configure {
-            plan: ChainPlan::Preset {
-                preset: ConfigPreset::Drm,
-                tune_freq: 1.0e6,
-            },
-            policy: Backpressure::Block,
-            queue_cap: 8,
-            qos: QosProfile::Latency { budget_us: 500 },
-            trace_interval: 0,
-        });
-        let timed_bytes = encode_frame(&timed, 0);
-        assert_eq!(timed_bytes.len(), bytes.len() + 5);
-        assert_eq!(&timed_bytes[HEADER_LEN..bytes.len()], &bytes[HEADER_LEN..]);
-        // Zero-budget latency profiles are rejected at decode.
-        let mut payload = timed_bytes[HEADER_LEN..].to_vec();
-        let n = payload.len();
-        payload[n - 4..].copy_from_slice(&0u32.to_le_bytes());
-        let header = FrameHeader {
-            frame_type: 2,
-            seq: 0,
-            payload_len: payload.len() as u32,
-            payload_sum: checksum(&payload),
+    fn v4_payloads_follow_the_layout_table() {
+        let check = |frame: Frame, want: Vec<u8>| {
+            let bytes = encode_frame(&frame, 0);
+            assert_eq!(bytes[HEADER_LEN..], want[..], "{frame:?}");
+            let h = decode_header(bytes[..HEADER_LEN].try_into().unwrap()).unwrap();
+            assert_eq!(decode_payload(&h, &want), Ok(frame));
         };
-        let r = decode_payload(&header, &payload);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("non-zero")),
-            "{r:?}"
+        let trace_id = 0x0123_4567_89AB_CDEFu64;
+        check(
+            Frame::Samples(Samples {
+                batch_index: 7,
+                samples: vec![-1, 2],
+                trace_id,
+            }),
+            [
+                &7u64.to_le_bytes()[..],
+                &trace_id.to_le_bytes(),
+                &2u32.to_le_bytes(),
+                &(-1i32).to_le_bytes(),
+                &2i32.to_le_bytes(),
+            ]
+            .concat(),
         );
-        // An unknown qos tag is rejected, not silently ignored.
-        let mut payload = timed_bytes[HEADER_LEN..].to_vec();
-        let n = payload.len();
-        payload[n - 5] = 9;
-        let header = FrameHeader {
-            frame_type: 2,
-            seq: 0,
-            payload_len: payload.len() as u32,
-            payload_sum: checksum(&payload),
-        };
-        let r = decode_payload(&header, &payload);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("qos tag")),
-            "{r:?}"
+        check(
+            Frame::Iq(IqPayload {
+                batch_index: 9,
+                dropped_total: 3,
+                pairs: vec![(1, -1)],
+                timing: Some(IqTiming {
+                    queue_wait_ns: 11,
+                    service_ns: 22,
+                }),
+                trace_id,
+            }),
+            [
+                &9u64.to_le_bytes()[..],
+                &3u64.to_le_bytes(),
+                &trace_id.to_le_bytes(),
+                &[1],
+                &11u64.to_le_bytes(),
+                &22u64.to_le_bytes(),
+                &1u32.to_le_bytes(),
+                &1i64.to_le_bytes(),
+                &(-1i64).to_le_bytes(),
+            ]
+            .concat(),
         );
+        // policy DropOldest, queue_cap 5, budget 500 µs, interval 64
+        let head = [
+            &[1u8][..],
+            &5u32.to_le_bytes(),
+            &500u32.to_le_bytes(),
+            &64u32.to_le_bytes(),
+        ]
+        .concat();
+        let chain = ddc_core::ChainSpec::drm_reference().tuned(3.25e6);
+        let bank = ddc_core::ChannelizerSpec::uniform(16, 1.0e6);
+        let plans = [
+            (
+                ChainPlan::Preset {
+                    preset: ConfigPreset::Wideband,
+                    tune_freq: -10.5e6,
+                },
+                [&[0u8, 2][..], &(-10.5e6f64).to_bits().to_le_bytes()].concat(),
+            ),
+            (
+                ChainPlan::Spec(chain.clone()),
+                [&[1u8][..], &chain.encode()].concat(),
+            ),
+            (
+                ChainPlan::Channelizer(bank.clone()),
+                [&[2u8][..], &bank.encode()].concat(),
+            ),
+            (
+                ChainPlan::Subscribe {
+                    name: "pfb64".into(),
+                    channel: 17,
+                },
+                [&[3u8][..], &17u32.to_le_bytes(), b"pfb64"].concat(),
+            ),
+        ];
+        for (plan, body) in plans {
+            let configure = Configure {
+                plan,
+                policy: Backpressure::DropOldest,
+                queue_cap: 5,
+                qos: QosProfile::Latency { budget_us: 500 },
+                trace_interval: 64,
+            };
+            check(Frame::Configure(configure), [&head[..], &body].concat());
+        }
     }
 
     #[test]
@@ -1931,96 +1822,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn untimed_iq_is_byte_identical_to_legacy_and_timing_is_tagged_17_bytes() {
-        let base = Frame::Iq(IqPayload {
-            batch_index: 9,
-            dropped_total: 1,
-            pairs: vec![(3, -3), (4, -4)],
-            timing: None,
-            trace_id: 0,
-        });
-        let legacy = encode_frame(&base, 0);
-        assert_eq!(legacy.len() - HEADER_LEN, 8 + 8 + 4 + 2 * 16);
-        let timed = Frame::Iq(IqPayload {
-            batch_index: 9,
-            dropped_total: 1,
-            pairs: vec![(3, -3), (4, -4)],
-            timing: Some(IqTiming {
-                queue_wait_ns: 11,
-                service_ns: 22,
-            }),
-            trace_id: 0,
-        });
-        let timed_bytes = encode_frame(&timed, 0);
-        assert_eq!(timed_bytes.len(), legacy.len() + 17);
-        assert_eq!(
-            &timed_bytes[HEADER_LEN..legacy.len()],
-            &legacy[HEADER_LEN..]
-        );
-        assert_eq!(timed_bytes[legacy.len()], IQ_TIMING_TAG);
-    }
-
-    #[test]
-    fn undercounted_iq_is_not_mistaken_for_a_timed_frame() {
-        // Encode three pairs, then lie: declare count = 2 so exactly
-        // one stray pair (16 bytes) trails the declared pairs — the
-        // shape the pre-tag decoder misread as a timing trailer,
-        // turning the last pair into queue_wait/service values.
-        let frame = Frame::Iq(IqPayload {
-            batch_index: 9,
-            dropped_total: 1,
-            pairs: vec![(3, -3), (4, -4), (5, -5)],
-            timing: None,
-            trace_id: 0,
-        });
-        let mut payload = encode_frame(&frame, 0)[HEADER_LEN..].to_vec();
-        payload[16..20].copy_from_slice(&2u32.to_le_bytes());
-        let header = FrameHeader {
-            frame_type: 4,
-            seq: 0,
-            payload_len: payload.len() as u32,
-            payload_sum: checksum(&payload),
-        };
-        let r = decode_payload(&header, &payload);
-        assert!(
-            matches!(
-                r,
-                Err(WireError::CountMismatch {
-                    declared: 2,
-                    available: 48,
-                })
-            ),
-            "{r:?}"
-        );
-        // And a trailer whose tag byte is wrong is rejected too, not
-        // decoded on length alone.
-        let timed = Frame::Iq(IqPayload {
-            batch_index: 9,
-            dropped_total: 1,
-            pairs: vec![(3, -3), (4, -4)],
-            timing: Some(IqTiming {
-                queue_wait_ns: 11,
-                service_ns: 22,
-            }),
-            trace_id: 0,
-        });
-        let mut payload = encode_frame(&timed, 0)[HEADER_LEN..].to_vec();
-        let tag_at = 8 + 8 + 4 + 2 * 16;
-        payload[tag_at] = 7;
-        let header = FrameHeader {
-            frame_type: 4,
-            seq: 0,
-            payload_len: payload.len() as u32,
-            payload_sum: checksum(&payload),
-        };
-        let r = decode_payload(&header, &payload);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("timing tag")),
-            "{r:?}"
-        );
-    }
-
     /// Re-seal a mutated payload under a fresh checksum so decode
     /// reaches the structural checks instead of failing on the sum.
     fn reseal(frame_type: u8, payload: &[u8]) -> FrameHeader {
@@ -2029,120 +1830,6 @@ mod tests {
             seq: 0,
             payload_sum: checksum(payload),
             payload_len: payload.len() as u32,
-        }
-    }
-
-    #[test]
-    fn corrupt_trace_trailers_are_rejected_structurally() {
-        // A traced Samples frame: bad tag byte and zeroed trace id must
-        // both fail BadSpec — on the generic path and the zero-copy
-        // path — never silently decode as an untraced frame.
-        let traced = Frame::Samples(Samples {
-            batch_index: 5,
-            samples: vec![10, -20, 30],
-            trace_id: 0xBEEF,
-        });
-        let full = encode_frame(&traced, 0);
-        let payload = full[HEADER_LEN..].to_vec();
-        let tag_at = payload.len() - 9;
-
-        let mut bad_tag = payload.clone();
-        bad_tag[tag_at] = 3;
-        let h = reseal(3, &bad_tag);
-        let r = decode_payload(&h, &bad_tag);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("samples trailer tag")),
-            "{r:?}"
-        );
-        let mut out = vec![1, 2, 3];
-        let r = decode_samples_into(&h, &bad_tag, &mut out);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("samples trailer tag")),
-            "{r:?}"
-        );
-        assert_eq!(out, vec![1, 2, 3], "error must restore the out buffer");
-
-        let mut zero_id = payload.clone();
-        zero_id[tag_at + 1..].fill(0);
-        let h = reseal(3, &zero_id);
-        let r = decode_payload(&h, &zero_id);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("non-zero")),
-            "{r:?}"
-        );
-        let r = decode_samples_into(&h, &zero_id, &mut out);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("non-zero")),
-            "{r:?}"
-        );
-        assert_eq!(out, vec![1, 2, 3]);
-
-        // Truncating the trailer at any interior byte changes the
-        // length to a shape that is neither plain nor traced (9 is not
-        // a multiple of the 4-byte stride), so decode must object —
-        // with the checksum verdict, or CountMismatch once resealed.
-        for cut in 1..9 {
-            let short = &payload[..payload.len() - cut];
-            let h = reseal(3, short);
-            let r = decode_payload(&h, short);
-            assert!(
-                matches!(r, Err(WireError::CountMismatch { .. })),
-                "cut {cut}: {r:?}"
-            );
-            let r = decode_samples_into(&h, short, &mut out);
-            assert!(
-                matches!(r, Err(WireError::CountMismatch { .. })),
-                "cut {cut}: {r:?}"
-            );
-            assert_eq!(out, vec![1, 2, 3]);
-        }
-
-        // Same discipline for the Iq trailer shapes (+9 and +26).
-        for timing in [
-            None,
-            Some(IqTiming {
-                queue_wait_ns: 4,
-                service_ns: 5,
-            }),
-        ] {
-            let traced = Frame::Iq(IqPayload {
-                batch_index: 8,
-                dropped_total: 0,
-                pairs: vec![(1, -1), (2, -2)],
-                timing,
-                trace_id: 0xBEEF,
-            });
-            let full = encode_frame(&traced, 0);
-            let payload = full[HEADER_LEN..].to_vec();
-            let tag_at = payload.len() - 9;
-
-            let mut bad_tag = payload.clone();
-            bad_tag[tag_at] = 9;
-            let h = reseal(4, &bad_tag);
-            let r = decode_payload(&h, &bad_tag);
-            assert!(
-                matches!(&r, Err(WireError::BadSpec(m)) if m.contains("iq trace tag")),
-                "{timing:?}: {r:?}"
-            );
-
-            let mut zero_id = payload.clone();
-            zero_id[tag_at + 1..].fill(0);
-            let h = reseal(4, &zero_id);
-            let r = decode_payload(&h, &zero_id);
-            assert!(
-                matches!(&r, Err(WireError::BadSpec(m)) if m.contains("non-zero")),
-                "{timing:?}: {r:?}"
-            );
-
-            for cut in 1..9 {
-                let short = &payload[..payload.len() - cut];
-                let h = reseal(4, short);
-                let r = decode_payload(&h, short);
-                assert!(
-                    matches!(r, Err(WireError::CountMismatch { .. })),
-                    "{timing:?} cut {cut}: {r:?}"
-                );
-            }
         }
     }
 
@@ -2225,15 +1912,67 @@ mod tests {
             *b = (k as u8).wrapping_mul(37).wrapping_add(11);
         }
         assert!(decode_header(&junk).is_err());
-        // a well-sealed header from a version-2 peer
-        let mut old = encode_frame(&Frame::Shutdown, 0);
-        old[2] = 2;
-        let sum = checksum(&old[0..16]);
-        old[16..20].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(
-            decode_header(old[..HEADER_LEN].try_into().unwrap()),
-            Err(WireError::BadVersion(2))
-        );
+        // well-sealed headers from version-2 and version-3 peers
+        for version in [2, 3] {
+            let mut old = encode_frame(&Frame::Shutdown, 0);
+            old[2] = version;
+            let sum = checksum(&old[0..16]);
+            old[16..20].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                decode_header(old[..HEADER_LEN].try_into().unwrap()),
+                Err(WireError::BadVersion(version))
+            );
+        }
+        // a request/report flag other than 0 or 1, on a request and on
+        // a report
+        for (frame_type, what, report) in [
+            (5, "stats flag", Frame::StatsReport(StatsReport::default())),
+            (
+                8,
+                "metrics flag",
+                Frame::MetricsReport(MetricsReport { body: vec![] }),
+            ),
+            (
+                9,
+                "trace flag",
+                Frame::TraceReport(TraceReport {
+                    dropped: 0,
+                    body: vec![],
+                }),
+            ),
+        ] {
+            let mut payload = encode_frame(&report, 0)[HEADER_LEN..].to_vec();
+            for flag in [2, 0xff] {
+                payload[0] = flag;
+                assert_eq!(
+                    decode_payload(&reseal(frame_type, &payload), &payload),
+                    Err(WireError::BadField(what))
+                );
+                assert_eq!(
+                    decode_payload(&reseal(frame_type, &[flag]), &[flag]),
+                    Err(WireError::BadField(what))
+                );
+            }
+        }
+        // an Iq whose timed byte is neither 0 nor 1, and an untimed Iq
+        // that carries timing
+        let iq = Frame::Iq(IqPayload {
+            batch_index: 1,
+            dropped_total: 0,
+            pairs: vec![(5, -5)],
+            timing: None,
+            trace_id: 0,
+        });
+        let payload = encode_frame(&iq, 0)[HEADER_LEN..].to_vec();
+        for (at, byte) in [(24, 2), (25, 1), (40, 1)] {
+            let mut bad = payload.clone();
+            bad[at] = byte;
+            assert_eq!(
+                decode_payload(&reseal(4, &bad), &bad),
+                Err(WireError::BadField("iq timing")),
+                "byte {at} set to {byte}"
+            );
+        }
     }
 
     #[test]
@@ -2275,6 +2014,33 @@ mod tests {
             decode_payload(&h_short, &short),
             Err(WireError::CountMismatch { declared: 2, .. })
         ));
+        let mut out = vec![1, 2, 3];
+        assert!(matches!(
+            decode_samples_into(&h_short, &short, &mut out),
+            Err(WireError::CountMismatch { declared: 2, .. })
+        ));
+        assert_eq!(
+            out,
+            vec![1, 2, 3],
+            "an error leaves the out buffer as it was"
+        );
+        // an Iq whose count undercounts its pairs by one
+        let iq = Frame::Iq(IqPayload {
+            batch_index: 9,
+            dropped_total: 1,
+            pairs: vec![(3, -3), (4, -4), (5, -5)],
+            timing: None,
+            trace_id: 0,
+        });
+        let mut payload = encode_frame(&iq, 0)[HEADER_LEN..].to_vec();
+        payload[41..45].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(
+            decode_payload(&reseal(4, &payload), &payload),
+            Err(WireError::CountMismatch {
+                declared: 2,
+                available: 48
+            })
+        );
         // trailing bytes on a Shutdown frame
         let mut h2 = decode_header(
             encode_frame(&Frame::Shutdown, 0)[..HEADER_LEN]
@@ -2400,24 +2166,20 @@ mod tests {
         }
     }
 
+    /// Decodes a Configure payload of policy Block, queue_cap 8, no
+    /// budget and no trace interval, whose plan is `kind` and `body`.
+    fn decode_configure(kind: u8, body: &[u8]) -> Result<Frame, WireError> {
+        let payload = [&[0u8][..], &8u32.to_le_bytes(), &[0; 8], &[kind], body].concat();
+        decode_payload(&reseal(2, &payload), &payload)
+    }
+
     /// Builds a spec-plan Configure frame whose embedded spec bytes are
     /// rewritten by `mutate`, with all checksums recomputed so only the
     /// spec decoding itself can object.
     fn configure_with_mutated_spec(mutate: impl FnOnce(&mut Vec<u8>)) -> Result<Frame, WireError> {
         let mut spec_bytes = ddc_core::ChainSpec::drm_reference().encode();
         mutate(&mut spec_bytes);
-        let mut payload = vec![1u8]; // plan kind: spec
-        payload.push(0); // policy: block
-        payload.extend_from_slice(&8u32.to_le_bytes());
-        payload.extend_from_slice(&(spec_bytes.len() as u32).to_le_bytes());
-        payload.extend_from_slice(&spec_bytes);
-        let header = FrameHeader {
-            frame_type: 2,
-            seq: 0,
-            payload_len: payload.len() as u32,
-            payload_sum: checksum(&payload),
-        };
-        decode_payload(&header, &payload)
+        decode_configure(1, &spec_bytes)
     }
 
     #[test]
@@ -2485,47 +2247,17 @@ mod tests {
         assert!(matches!(&r, Err(WireError::BadSpec(_))), "{r:?}");
 
         // unknown plan kind byte
-        let payload = [9u8, 0, 0, 0, 0, 0];
-        let header = FrameHeader {
-            frame_type: 2,
-            seq: 0,
-            payload_len: payload.len() as u32,
-            payload_sum: checksum(&payload),
-        };
-        let r = decode_payload(&header, &payload);
+        let r = decode_configure(9, &[0; 9]);
         assert!(
             matches!(&r, Err(WireError::BadSpec(m)) if m.contains("plan kind")),
             "{r:?}"
         );
 
-        // extension tags: 0 is no tag, and no tag may come twice
-        let plain = Frame::Configure(Configure {
-            plan: ChainPlan::Preset {
-                preset: ConfigPreset::Drm,
-                tune_freq: 1.0e6,
-            },
-            policy: Backpressure::Block,
-            queue_cap: 8,
-            qos: QosProfile::Throughput,
-            trace_interval: 0,
-        });
-        let base = encode_frame(&plain, 0)[HEADER_LEN..].to_vec();
-        let mut tag0 = base.clone();
-        tag0.push(0);
-        let r = decode_payload(&reseal(2, &tag0), &tag0);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("qos tag 0")),
-            "{r:?}"
-        );
-        let mut twice = base;
-        for budget_us in [500u32, 600] {
-            twice.push(1);
-            twice.extend_from_slice(&budget_us.to_le_bytes());
-        }
-        let r = decode_payload(&reseal(2, &twice), &twice);
-        assert!(
-            matches!(&r, Err(WireError::BadSpec(m)) if m.contains("tag 1 repeated")),
-            "{r:?}"
+        // a bank name that is not UTF-8
+        let body = [&17u32.to_le_bytes()[..], b"pfb\xff64"].concat();
+        assert_eq!(
+            decode_configure(3, &body),
+            Err(WireError::BadField("configure bank name"))
         );
     }
 
@@ -2547,17 +2279,7 @@ mod tests {
         huge_channels[at..at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
         cases.push((huge_channels, "absurd channel count"));
         for (spec_bytes, what) in cases {
-            let mut payload = vec![2u8, 0]; // plan kind: channelizer; policy: block
-            payload.extend_from_slice(&8u32.to_le_bytes());
-            payload.extend_from_slice(&(spec_bytes.len() as u32).to_le_bytes());
-            payload.extend_from_slice(&spec_bytes);
-            let header = FrameHeader {
-                frame_type: 2,
-                seq: 0,
-                payload_len: payload.len() as u32,
-                payload_sum: checksum(&payload),
-            };
-            let r = decode_payload(&header, &payload);
+            let r = decode_configure(2, &spec_bytes);
             assert!(matches!(&r, Err(WireError::BadSpec(_))), "{what}: {r:?}");
         }
     }

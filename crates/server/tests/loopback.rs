@@ -582,34 +582,40 @@ fn a_version_2_peer_gets_a_protocol_error_naming_its_version_then_eof() {
     use ddc_server::wire::{checksum, MAGIC};
     use std::io::Write;
     let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    // A version-2 Hello as such a peer sends it: highest version, max
-    // payload, banner and feature bits, under a version-2 header.
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&2u16.to_le_bytes());
-    payload.extend_from_slice(&(1u32 << 22).to_le_bytes());
-    payload.extend_from_slice(&8u16.to_le_bytes());
-    payload.extend_from_slice(b"old-peer");
-    payload.extend_from_slice(&3u32.to_le_bytes());
-    let mut frame = Vec::new();
-    frame.extend_from_slice(&MAGIC.to_le_bytes());
-    frame.extend_from_slice(&[2, 1]); // version 2, Hello
-    frame.extend_from_slice(&0u32.to_le_bytes()); // sequence number
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&checksum(&payload).to_le_bytes());
-    let header_sum = checksum(&frame);
-    frame.extend_from_slice(&header_sum.to_le_bytes());
-    frame.extend_from_slice(&payload);
+    // A Hello as each older peer sends it, under its own header. A
+    // version-2 Hello carries the highest version, max payload, banner
+    // and feature bits; a version-3 Hello its banner alone.
+    let mut v2 = Vec::new();
+    v2.extend_from_slice(&2u16.to_le_bytes());
+    v2.extend_from_slice(&(1u32 << 22).to_le_bytes());
+    v2.extend_from_slice(&8u16.to_le_bytes());
+    v2.extend_from_slice(b"old-peer");
+    v2.extend_from_slice(&3u32.to_le_bytes());
+    let mut v3 = Vec::new();
+    v3.extend_from_slice(&8u16.to_le_bytes());
+    v3.extend_from_slice(b"old-peer");
+    for (version, payload) in [(2u8, v2), (3, v3)] {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC.to_le_bytes());
+        frame.extend_from_slice(&[version, 1]); // Hello
+        frame.extend_from_slice(&0u32.to_le_bytes()); // sequence number
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&checksum(&payload).to_le_bytes());
+        let header_sum = checksum(&frame);
+        frame.extend_from_slice(&header_sum.to_le_bytes());
+        frame.extend_from_slice(&payload);
 
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-    raw.write_all(&frame).expect("send the version-2 Hello");
-    let frames = frames_until_eof(&mut raw);
-    assert_eq!(frames.len(), 1, "{frames:?}");
-    match &frames[0] {
-        Frame::Error(e) => {
-            assert_eq!(e.code, error_code::PROTOCOL, "{e:?}");
-            assert!(e.message.contains("version 2"), "{e:?}");
+        let mut raw = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+        raw.write_all(&frame).expect("send the old Hello");
+        let frames = frames_until_eof(&mut raw);
+        assert_eq!(frames.len(), 1, "version {version}: {frames:?}");
+        match &frames[0] {
+            Frame::Error(e) => {
+                assert_eq!(e.code, error_code::PROTOCOL, "{e:?}");
+                assert!(e.message.contains(&format!("version {version}")), "{e:?}");
+            }
+            other => panic!("expected a PROTOCOL Error frame, got {other:?}"),
         }
-        other => panic!("expected a PROTOCOL Error frame, got {other:?}"),
     }
     assert!(server.shutdown(Duration::from_secs(5)));
 }

@@ -46,8 +46,8 @@ impl Read for TornReader<'_> {
 }
 
 /// One wire-encoded Samples frame (header + payload), via the same
-/// fused encoder the client's hot path uses. `trace_id` 0 encodes the
-/// legacy untraced layout; non-zero appends the 9-byte trace trailer.
+/// fused encoder the client's hot path uses. The layout is fixed:
+/// batch index, trace id (0 = untraced), count, then the samples.
 fn frame_bytes(seq: u32, batch_index: u64, samples: &[i32], trace_id: u64) -> Vec<u8> {
     let mut fb = FrameBuf::new();
     fb.encode_samples_traced(seq, batch_index, samples, trace_id);

@@ -328,7 +328,7 @@ fn wire_codec_steady_state_does_not_allocate() {
     use ddc_core::mixer::Iq;
     use ddc_server::wire::{decode_header, decode_samples_into, FrameBuf, IqTiming};
 
-    // One DRM batch and its Iq ack, with the latency-QoS timing trailer.
+    // One DRM batch and its Iq ack, timed as on a latency-QoS session.
     let samples: Vec<i32> = (0..2688 * 8).map(|k| (k * 37) % 4096 - 2048).collect();
     let pairs: Vec<Iq> = (0..8i64).map(|k| Iq { i: k * 977, q: -k }).collect();
     let timing = Some(IqTiming {
