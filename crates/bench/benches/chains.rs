@@ -1,9 +1,7 @@
 //! Criterion benches for the full DDC chains: how many simulated
-//! MSPS the host sustains for the reference, bit-true and
-//! multi-channel variants.
+//! MSPS the host sustains for the reference and bit-true variants.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ddc_core::engine::DdcFarm;
 use ddc_core::params::DdcConfig;
 use ddc_core::{FixedDdc, ReferenceDdc};
 use ddc_dsp::signal::{adc_quantize, SampleSource, Tone};
@@ -36,26 +34,5 @@ fn bench_chains(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_channels(c: &mut Criterion) {
-    let sig = analog();
-    let adc12 = adc_quantize(&sig, 12);
-    let mut g = c.benchmark_group("multichannel");
-    // throughput counts total channel-samples processed
-    g.sample_size(15);
-    for n in [1usize, 2, 4] {
-        g.throughput(Throughput::Elements((BLOCK * n) as u64));
-        g.bench_function(format!("farm_{n}ch"), |b| {
-            let cfgs: Vec<DdcConfig> = (0..n)
-                .map(|k| DdcConfig::drm(5e6 + k as f64 * 5e6))
-                .collect();
-            // Persistent farm: the worker pool is spawned once and
-            // reused across iterations, which is the engine's point.
-            let mut farm = DdcFarm::new(cfgs);
-            b.iter(|| black_box(farm.submit_block(&adc12).len()))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_chains, bench_channels);
+criterion_group!(benches, bench_chains);
 criterion_main!(benches);

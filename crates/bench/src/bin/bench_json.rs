@@ -15,7 +15,6 @@
 
 use ddc_core::chain::FixedDdc;
 use ddc_core::cic::CicDecimator;
-use ddc_core::engine::DdcFarm;
 use ddc_core::fir::SequentialFir;
 use ddc_core::frontend::FusedFrontEnd;
 use ddc_core::mixer::FixedMixer;
@@ -427,36 +426,6 @@ fn main() {
         });
     }
 
-    // --- Multi-channel farm: channels × cores scaling curve --------
-    // Aggregate throughput = (channels × input samples) per wall-clock
-    // second: on a many-core host it should grow with the channel
-    // count until the workers run out of cores; on a small host it
-    // stays flat, which is why `host_cores` is recorded next to the
-    // curve.
-    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    struct ScalePoint {
-        channels: usize,
-        workers: usize,
-        aggregate_msps: f64,
-    }
-    let mut scaling: Vec<ScalePoint> = Vec::new();
-    for channels in [1usize, 2, 4, 8] {
-        let cfgs: Vec<DdcConfig> = (0..channels)
-            .map(|k| DdcConfig::drm(5e6 + k as f64 * 2.5e6))
-            .collect();
-        let mut farm = DdcFarm::new(cfgs);
-        let workers = farm.worker_count();
-        let msps = measure(n * channels, || {
-            black_box(farm.submit_block(&adc).len());
-        }) / 1e6;
-        farm.shutdown();
-        scaling.push(ScalePoint {
-            channels,
-            workers,
-            aggregate_msps: msps,
-        });
-    }
-
     // --- Polyphase channelizer: amortisation across N --------------
     // One bank replaces N independent chains: the polyphase front end
     // costs a fixed `taps_per_branch` MACs per wideband input sample
@@ -695,6 +664,7 @@ fn main() {
     }
 
     // --- Report ----------------------------------------------------
+    let host_cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
         .output()
@@ -740,20 +710,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"engine_scaling\": {\n");
-    json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
-    json.push_str("    \"points\": [\n");
-    for (k, p) in scaling.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"channels\": {}, \"workers\": {}, \"aggregate_msps\": {:.2}}}{}\n",
-            p.channels,
-            p.workers,
-            p.aggregate_msps,
-            if k + 1 < scaling.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
     json.push_str("  \"server_scaling\": {\n");
     json.push_str(&format!("    \"host_cores\": {host_cores},\n"));
     json.push_str("    \"points\": [\n");
@@ -789,13 +745,6 @@ fn main() {
                 r.name, "-", r.block_msps, "-"
             ),
         }
-    }
-    println!("farm scaling ({host_cores} host cores):");
-    for p in &scaling {
-        println!(
-            "  {} channel(s) / {} worker(s) {:>12.2} Ms/s aggregate",
-            p.channels, p.workers, p.aggregate_msps
-        );
     }
     println!("server scaling (sessions → latency):");
     for p in &server_scaling {

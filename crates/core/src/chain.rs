@@ -4,6 +4,8 @@
 //! is the bit-true datapath the architecture simulators are verified
 //! against. Both consume the real ADC stream and produce complex
 //! baseband output at `input_rate / 2688` (for the DRM preset).
+//! [`DdcFarm`] holds several `FixedDdc` channels behind one shared
+//! handle.
 
 use crate::activity::ChainProbes;
 use crate::cic::CicDecimator;
@@ -15,6 +17,7 @@ use crate::spec::{ChainSpec, StageSpec};
 use ddc_dsp::firdes::quantize_taps;
 use ddc_dsp::C64;
 use ddc_obs::{ChainMetrics, MetricsHandle, TraceHandle};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Builds zeroed per-stage telemetry matching `spec`'s stage labels
@@ -743,6 +746,48 @@ impl FixedDdc {
     }
 }
 
+/// A fixed set of [`FixedDdc`] channels, each behind its own mutex, so
+/// threads sharing one farm may drive different channels at once.
+///
+/// Its one caller is `servebench`'s `engine.submit_overhead_us` replay.
+/// The served stack gives each chain session its own `FixedDdc`
+/// instead, so this type goes once that benchmark retires the row
+/// (ROADMAP item 1).
+pub struct DdcFarm {
+    channels: Vec<Mutex<FixedDdc>>,
+}
+
+impl DdcFarm {
+    /// Builds one [`FixedDdc`] per channel plan. Channels accept
+    /// anything convertible into a [`ChainSpec`], classic
+    /// [`DdcConfig`]s included.
+    pub fn new<S: Into<ChainSpec>>(specs: Vec<S>) -> Self {
+        assert!(!specs.is_empty(), "farm needs at least one channel");
+        let channels = specs
+            .into_iter()
+            .map(|spec| Mutex::new(FixedDdc::from_spec(spec.into())))
+            .collect();
+        DdcFarm { channels }
+    }
+
+    /// Runs one channel over `input` on the calling thread, under that
+    /// channel's mutex, and returns its output. Every other channel is
+    /// left untouched, and the channel's filter state persists across
+    /// calls. Always returns `Some`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `channel` is not below the number of channel plans.
+    pub fn submit_channel(&self, channel: usize, input: &[i32]) -> Option<Vec<Iq>> {
+        let mut out = Vec::new();
+        self.channels[channel]
+            .lock()
+            .expect("a thread panicked inside this channel's chain")
+            .process_into(input, &mut out);
+        Some(out)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1204,5 +1249,85 @@ mod tests {
         }
         assert_eq!(got, expect);
         assert!(!got.is_empty());
+    }
+
+    fn farm_input(n: usize, seed: u64) -> Vec<i32> {
+        let mut src = ddc_dsp::signal::Mix(
+            Tone::new(10_003_000.0, 64_512_000.0, 0.6, 0.1),
+            WhiteNoise::new(seed, 0.1),
+        );
+        adc_quantize(&src.take_vec(n), 12)
+    }
+
+    #[test]
+    fn submit_channel_matches_solo_chain_and_leaves_others_alone() {
+        const D: usize = DRM_TOTAL_DECIMATION as usize;
+        let cfgs = vec![DdcConfig::drm(10e6), DdcConfig::drm(20e6)];
+        let block_a = farm_input(D * 3, 21);
+        let block_b = farm_input(D * 2 + 97, 22);
+        let block_c = farm_input(D * 2, 23);
+        let farm = DdcFarm::new(cfgs.clone());
+        let got_a = farm.submit_channel(1, &block_a).expect("farm running");
+        let got_b = farm.submit_channel(1, &block_b).expect("farm running");
+        let mut solo = FixedDdc::new(cfgs[1].clone());
+        assert_eq!(got_a, solo.process_block(&block_a));
+        assert_eq!(got_b, solo.process_block(&block_b));
+        // Channel 0 never ran: its next batch matches a fresh chain,
+        // while channel 1 carries on from its state.
+        let mut fresh = FixedDdc::new(cfgs[0].clone());
+        assert_eq!(
+            farm.submit_channel(0, &block_c).expect("farm running"),
+            fresh.process_block(&block_c)
+        );
+        assert_eq!(
+            farm.submit_channel(1, &block_c).expect("farm running"),
+            solo.process_block(&block_c)
+        );
+    }
+
+    #[test]
+    fn concurrent_channel_submissions_are_independent() {
+        use std::sync::Arc;
+        const D: usize = DRM_TOTAL_DECIMATION as usize;
+        let cfgs: Vec<DdcConfig> = (1..=4).map(|k| DdcConfig::drm(k as f64 * 5e6)).collect();
+        let farm = Arc::new(DdcFarm::new(cfgs.clone()));
+        let blocks: Vec<Vec<i32>> = (0..4)
+            .map(|k| farm_input(D * 2 + k * 31, k as u64))
+            .collect();
+        let mut handles = Vec::new();
+        for (ch, block) in blocks.iter().enumerate() {
+            let farm = Arc::clone(&farm);
+            let block = block.clone();
+            handles.push(std::thread::spawn(move || {
+                let mut all = Vec::new();
+                for _ in 0..3 {
+                    all.extend(farm.submit_channel(ch, &block).expect("farm running"));
+                }
+                all
+            }));
+        }
+        for (ch, h) in handles.into_iter().enumerate() {
+            let got = h.join().unwrap();
+            let mut solo = FixedDdc::new(cfgs[ch].clone());
+            let mut expect = Vec::new();
+            for _ in 0..3 {
+                expect.extend(solo.process_block(&blocks[ch]));
+            }
+            assert_eq!(got, expect, "channel {ch}");
+        }
+    }
+
+    #[test]
+    fn zero_length_submission_is_a_clean_no_op() {
+        let block = farm_input(DRM_TOTAL_DECIMATION as usize * 2, 7);
+        let farm = DdcFarm::new(vec![DdcConfig::drm(10e6)]);
+        let out = farm.submit_channel(0, &[]).expect("farm running");
+        assert!(out.is_empty());
+        // The empty batch left the channel's state as it was.
+        let mut fresh = FixedDdc::new(DdcConfig::drm(10e6));
+        assert_eq!(
+            farm.submit_channel(0, &block).expect("farm running"),
+            fresh.process_block(&block)
+        );
     }
 }

@@ -30,12 +30,10 @@
 //! * [`mixer`] — the complex multiplier producing I/Q.
 //! * [`cic`] — integrator-comb decimators (Figure 2).
 //! * [`fir`] — polyphase and sequential (Figure 3 / Figure 5) FIRs.
-//! * [`chain`] — the assembled DDC chains.
+//! * [`chain`] — the assembled DDC chains, and [`chain::DdcFarm`],
+//!   several `FixedDdc` channels behind one shared handle.
 //! * [`frontend`] — the fused NCO→mixer→CIC1 single-pass kernel that
 //!   serves the input-rate part of the chain.
-//! * [`engine`] — [`engine::DdcFarm`], the persistent multi-channel
-//!   engine: a work-stealing batch pool over every channel, plus
-//!   inline single-channel runs.
 //! * [`activity`] — per-stage switching-activity and operation-count
 //!   instrumentation feeding the power models.
 //! * [`pruned`] — a Hogenauer register-pruned CIC (area/noise study).
@@ -52,7 +50,6 @@ pub mod chain;
 pub mod channelizer;
 pub mod cic;
 pub mod duc;
-pub mod engine;
 pub mod fir;
 pub mod frontend;
 pub mod mixer;
@@ -61,10 +58,9 @@ pub mod params;
 pub mod pruned;
 pub mod spec;
 
-pub use chain::{chain_metrics_for, FixedDdc, ReferenceDdc};
+pub use chain::{chain_metrics_for, DdcFarm, FixedDdc, ReferenceDdc};
 pub use channelizer::{ChannelBackend, Channelizer, ChannelizerFarm, ChannelizerMetrics};
 pub use ddc_obs::{ChainMetrics, MetricsHandle, MetricsSnapshot};
-pub use engine::DdcFarm;
 pub use frontend::FusedFrontEnd;
 pub use params::{DdcConfig, FixedFormat};
 pub use spec::{ChainSpec, ChannelizerSpec, SpecError, SpecNote, SpecNoteKind, StageSpec};

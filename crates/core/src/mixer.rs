@@ -64,31 +64,6 @@ impl FixedMixer {
         Iq { i, q }
     }
 
-    /// Mixes a block of samples against a block of NCO outputs,
-    /// appending to `out`. Bit-exact with per-sample [`FixedMixer::mix`].
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `xs.len() == lo.len()`.
-    pub fn mix_block(&self, xs: &[i64], lo: &[CosSin], out: &mut Vec<Iq>) {
-        assert_eq!(xs.len(), lo.len(), "sample/LO block length mismatch");
-        out.reserve(xs.len());
-        for (&x, cs) in xs.iter().zip(lo) {
-            out.push(self.mix(x, *cs));
-        }
-    }
-
-    /// As [`FixedMixer::mix_block`] for `i32` ADC samples (the input
-    /// format of the full chain), widening each to `i64` exactly as the
-    /// per-sample path does.
-    pub fn mix_block_i32(&self, xs: &[i32], lo: &[CosSin], out: &mut Vec<Iq>) {
-        assert_eq!(xs.len(), lo.len(), "sample/LO block length mismatch");
-        out.reserve(xs.len());
-        for (&x, cs) in xs.iter().zip(lo) {
-            out.push(self.mix(i64::from(x), *cs));
-        }
-    }
-
     /// Mixes a block of ADC samples into *separate* I and Q streams —
     /// the layout the downstream per-rail CIC block kernels consume.
     /// Bit-exact with per-sample [`FixedMixer::mix`]: the round-shift

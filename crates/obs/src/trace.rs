@@ -517,11 +517,6 @@ impl TraceHandle {
     pub fn get(&self) -> Option<&TraceSink> {
         self.0.as_deref()
     }
-
-    /// The shared sink allocation, if enabled (for draining).
-    pub fn shared(&self) -> Option<&Arc<TraceSink>> {
-        self.0.as_ref()
-    }
 }
 
 fn json_escape_into(s: &str, out: &mut String) {

@@ -1005,6 +1005,12 @@ fn main() {
     j.push_str(&format!("    \"rate_msps\": {},\n", opts.rate_msps));
     j.push_str(&format!("    \"policy\": \"{policy_name}\",\n"));
     j.push_str(&format!("    \"qos\": \"{qos_name}\",\n"));
+    if opts.self_serve {
+        // The in-process server's readiness backend; a remote server's
+        // is not visible from here.
+        let backend = ddc_server::sys::backend_name();
+        j.push_str(&format!("    \"backend\": \"{backend}\",\n"));
+    }
     j.push_str(&format!("    \"queue_cap\": {},\n", opts.queue_cap));
     let plan_name = if opts.channelizer > 0 {
         format!("channelizer_n{}", opts.channelizer)

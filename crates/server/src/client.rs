@@ -205,11 +205,6 @@ impl Client {
         self
     }
 
-    /// In-place variant of [`Client::with_trace_interval`].
-    pub fn set_trace_interval(&mut self, n: u32) {
-        self.trace_interval = n;
-    }
-
     /// Configures the session; returns the server's initial stats
     /// snapshot (which names the session's channel).
     pub fn configure(

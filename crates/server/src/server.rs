@@ -158,8 +158,9 @@ struct ServerState {
     channels_in_use: AtomicUsize,
     stop: AtomicBool,
     sessions_started: AtomicU64,
-    /// DSP jobs (slices) run across every chain session.
-    jobs_completed: Counter,
+    /// DSP slices run across every chain session: one per `run_turn`
+    /// slice, so a batch longer than one slice counts more than once.
+    chain_slices: Counter,
     /// Accepted connections that could not be set up (socket mode /
     /// poller registration) — each one also got a structured Error
     /// frame instead of a silent drop — plus `accept` calls that failed
@@ -226,7 +227,7 @@ impl ServerState {
     /// per-stage DSP families.
     fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        snap.push_counter("ddc_farm_jobs_completed_total", self.jobs_completed.get());
+        snap.push_counter("ddc_chain_slices_total", self.chain_slices.get());
         snap.push_counter(
             "ddc_server_sessions_started_total",
             self.sessions_started.load(Ordering::Relaxed),
@@ -347,7 +348,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> std::io::Result<Se
         channels_in_use: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
         sessions_started: AtomicU64::new(0),
-        jobs_completed: Counter::default(),
+        chain_slices: Counter::default(),
         accept_failures: Counter::default(),
         handshake_timeouts: Counter::default(),
         session_obs: Mutex::new(Vec::new()),
@@ -863,7 +864,7 @@ fn run_turn(state: &ServerState, track: u32, s: &mut Session) {
                         .trace
                         .span(track, trace_id, names.job, ts0, state.trace.now_ns());
                 }
-                state.jobs_completed.inc();
+                state.chain_slices.inc();
             }
             Role::Ingest {
                 bank,
@@ -1037,7 +1038,7 @@ fn stats(state: &ServerState, s: &Session) -> StatsReport {
         queue_len: q.map_or(0, BoundedQueue::len) as u32,
         queue_hwm: q.map_or(0, BoundedQueue::high_water_mark) as u32,
         busy_ns: 0,
-        farm_jobs_completed: state.jobs_completed.get(),
+        chain_slices: state.chain_slices.get(),
     };
     match &s.role {
         Role::Chain(_) => {

@@ -170,8 +170,8 @@ fn force_poll() -> bool {
 }
 
 /// Which readiness backend new [`Poller`]s use: `"epoll"`, `"poll"` or
-/// `"degraded"` — for startup logs and the CI smoke that proves the
-/// `DDC_FORCE_POLL` override took effect.
+/// `"degraded"`. `loadgen --self-serve` reports it, so a run can show
+/// that the `DDC_FORCE_POLL` override took effect.
 pub fn backend_name() -> &'static str {
     #[cfg(target_os = "linux")]
     {

@@ -653,8 +653,9 @@ pub struct StatsReport {
     pub queue_hwm: u32,
     /// Nanoseconds the session's chain spent processing.
     pub busy_ns: u64,
-    /// DSP jobs (slices) completed across all chain sessions.
-    pub farm_jobs_completed: u64,
+    /// DSP slices run across all chain sessions, server-wide: a batch
+    /// longer than one slice counts once per slice.
+    pub chain_slices: u64,
 }
 
 /// A telemetry snapshot (server → client in answer to a
@@ -798,7 +799,7 @@ fn encode_payload(frame: &Frame, out: &mut Vec<u8>) {
             put_u32(out, r.queue_len);
             put_u32(out, r.queue_hwm);
             put_u64(out, r.busy_ns);
-            put_u64(out, r.farm_jobs_completed);
+            put_u64(out, r.chain_slices);
         }
         Frame::Error(e) => {
             put_u16(out, e.code);
@@ -1210,7 +1211,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<Frame, Wir
                 queue_len: c.u32("stats queue_len")?,
                 queue_hwm: c.u32("stats queue_hwm")?,
                 busy_ns: c.u64("stats busy_ns")?,
-                farm_jobs_completed: c.u64("stats farm_jobs_completed")?,
+                chain_slices: c.u64("stats chain_slices")?,
             }),
             _ => return Err(WireError::BadField("stats flag")),
         },
@@ -1476,7 +1477,7 @@ mod tests {
             queue_len: 1,
             queue_hwm: 4,
             busy_ns: 123_456_789,
-            farm_jobs_completed: 40,
+            chain_slices: 40,
         }));
         roundtrip(Frame::Error(ErrorFrame {
             code: error_code::QUEUE_OVERFLOW,
@@ -2062,10 +2063,10 @@ mod tests {
         );
         // a StatsReport in the version-2 shape: the 24-byte tail of three
         // farm totals leaves 16 bytes over, and a report stopped before
-        // that tail lacks farm_jobs_completed
+        // that tail lacks chain_slices
         let report = Frame::StatsReport(StatsReport {
             busy_ns: 555,
-            farm_jobs_completed: 9,
+            chain_slices: 9,
             ..StatsReport::default()
         });
         let payload = encode_frame(&report, 0)[HEADER_LEN..].to_vec();
@@ -2078,7 +2079,7 @@ mod tests {
         let short = &payload[..payload.len() - 8];
         assert_eq!(
             decode_payload(&reseal(5, short), short),
-            Err(WireError::Truncated("stats farm_jobs_completed"))
+            Err(WireError::Truncated("stats chain_slices"))
         );
     }
 

@@ -184,7 +184,7 @@ proptest! {
                 queue_len: fields[5] as u32,
                 queue_hwm: fields[6] as u32,
                 busy_ns: fields[7],
-                farm_jobs_completed: fields[8],
+                chain_slices: fields[8],
             }),
             2 => Frame::MetricsRequest,
             3 => Frame::MetricsReport(MetricsReport { body }),

@@ -421,9 +421,19 @@ fn live_per_stage_telemetry_reads_in_process_and_scrapes_as_prometheus() {
     client
         .configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
         .expect("configure");
+    // Four batches that each fit one 2^15-sample throughput slice, then
+    // one that takes three. Run in lock-step, each batch starts a fresh
+    // turn, so the shard runs exactly 4 + 3 chain slices.
+    const SLICE: usize = 1 << 15;
     let chunk = stimulus(2688 * 2, 29);
-    for b in 0..4u64 {
-        client.send_samples(b, &chunk).expect("send");
+    let long = stimulus(2688 * 32, 30);
+    assert_eq!(long.len().div_ceil(SLICE), 3);
+    let slices = 4 + 3;
+    for (b, batch) in [&chunk, &chunk, &chunk, &chunk, &long]
+        .into_iter()
+        .enumerate()
+    {
+        client.send_samples(b as u64, batch).expect("send");
         match client.recv().expect("iq") {
             Frame::Iq(_) => {}
             other => panic!("expected Iq, got {other:?}"),
@@ -432,7 +442,7 @@ fn live_per_stage_telemetry_reads_in_process_and_scrapes_as_prometheus() {
 
     // The structured snapshot, read in-process.
     let snap = server.metrics_snapshot();
-    assert!(snap.counter("ddc_farm_jobs_completed_total").unwrap() >= 4);
+    assert_eq!(snap.counter("ddc_chain_slices_total"), Some(slices));
     assert!(snap.counter("ddc_server_sessions_active").unwrap() >= 1);
     // Per-stage counters of the session's channel: every stage of the
     // DRM chain must have seen the streamed blocks.
@@ -469,15 +479,16 @@ fn live_per_stage_telemetry_reads_in_process_and_scrapes_as_prometheus() {
     // +Inf buckets.
     let prom = client.request_metrics().expect("prometheus metrics");
     let text = String::from_utf8(prom.body).expect("utf-8 prom");
-    assert!(text.contains("# TYPE ddc_farm_jobs_completed_total counter"));
+    assert!(text.contains("# TYPE ddc_chain_slices_total counter"));
+    assert!(text.contains(&format!("ddc_chain_slices_total {slices}\n")));
     assert!(text.contains("le=\"+Inf\""));
     assert!(text.contains("ddc_stage_latency_ns_bucket"));
 
     client.send(&Frame::StatsRequest).expect("still alive");
     match client.recv().expect("stats after the scrape") {
         Frame::StatsReport(r) => {
-            assert_eq!(r.batches_accepted, 4);
-            assert!(r.farm_jobs_completed >= 4, "farm totals ride on stats");
+            assert_eq!(r.batches_accepted, 5);
+            assert_eq!(r.chain_slices, slices, "the slice total rides on stats");
         }
         other => panic!("expected StatsReport, got {other:?}"),
     }
@@ -904,12 +915,32 @@ fn stats_requests_track_progress_midstream() {
     assert!(server.shutdown(Duration::from_secs(5)));
 }
 
+/// The `ts` (µs) of the one `egress` instant a server trace fragment
+/// holds for `trace_id`.
+fn egress_us(fragment: &str, trace_id: u64) -> f64 {
+    let trace = format!("\"trace\":\"{trace_id:#x}\"");
+    let mut found = fragment
+        .split("{\"ph\":")
+        .filter(|ev| ev.contains("\"name\":\"egress\"") && ev.contains(&trace))
+        .map(|ev| {
+            let ts = ev.split("\"ts\":").nth(1).and_then(|t| t.split(',').next());
+            ts.and_then(|t| t.parse::<f64>().ok()).expect("numeric ts")
+        });
+    let ts = found
+        .next()
+        .unwrap_or_else(|| panic!("no egress instant for trace {trace_id:#x}"));
+    assert!(
+        found.next().is_none(),
+        "two egress instants for {trace_id:#x}"
+    );
+    ts
+}
+
 #[test]
 fn a_latency_batch_overtakes_a_bulk_batch_on_the_same_shard() {
     use ddc_server::wire::{QosProfile, MAX_PAYLOAD};
-    use std::time::Instant;
     // One shard: both sessions share one readiness loop, so only the
-    // slicing of the bulk batch lets the latency batch through early.
+    // slicing of the bulk work lets the latency batch through early.
     let server = serve(
         "127.0.0.1:0",
         ServerConfig {
@@ -919,9 +950,20 @@ fn a_latency_batch_overtakes_a_bulk_batch_on_the_same_shard() {
     )
     .expect("bind");
     let addr = server.local_addr();
+    // Enough bulk work that the shard is still on it when the latency
+    // batch arrives, however late its client thread runs: batches of
+    // about 1 M samples, nearly the largest Samples frame allowed.
+    const BULK_BATCHES: u64 = 16;
+    const BULK_ID: u64 = 0x0100_0001;
+    const PACED_ID: u64 = 0x0100_0002;
     let mut bulk = Client::connect(addr, "bulk").expect("connect");
-    bulk.configure(ConfigPreset::Drm, 10e6, Backpressure::Block, 8)
-        .expect("configure bulk");
+    bulk.configure(
+        ConfigPreset::Drm,
+        10e6,
+        Backpressure::Block,
+        BULK_BATCHES as u32,
+    )
+    .expect("configure bulk");
     let mut paced = Client::connect(addr, "paced")
         .expect("connect")
         .with_qos(QosProfile::Latency { budget_us: 1000 });
@@ -929,46 +971,70 @@ fn a_latency_batch_overtakes_a_bulk_batch_on_the_same_shard() {
         .configure(ConfigPreset::Drm, 15e6, Backpressure::Block, 8)
         .expect("configure latency");
 
-    // About 1 M samples: nearly the largest Samples frame allowed.
     let big = stimulus(MAX_PAYLOAD as usize / 4 - 1024, 61);
     let small = stimulus(2688 * 4, 62);
     let (mut bulk_tx, mut bulk_rx) = bulk.split();
-    bulk_tx.send_samples(0, &big).expect("send bulk");
+    for b in 0..BULK_BATCHES - 1 {
+        bulk_tx.send_samples(b, &big).expect("send bulk");
+    }
+    bulk_tx
+        .send_samples_traced(BULK_BATCHES - 1, &big, BULK_ID)
+        .expect("send bulk");
     bulk_tx.send(&Frame::StatsRequest).expect("stats request");
     // The server answers the StatsRequest when it parses it, right
-    // behind the bulk batch: from this report on, that batch is queued
-    // or running.
-    match bulk_rx.recv().expect("stats") {
-        Frame::StatsReport(r) => assert_eq!(r.batches_accepted, 1),
-        other => panic!("expected StatsReport, got {other:?}"),
+    // behind the last bulk batch: from this report on, that batch is
+    // queued behind the rest of the bulk work. Acks of the first bulk
+    // batches may come before it.
+    let mut bulk_frames = Vec::new();
+    loop {
+        match bulk_rx.recv().expect("stats") {
+            Frame::StatsReport(r) => {
+                assert_eq!(r.batches_accepted, BULK_BATCHES);
+                break;
+            }
+            frame => bulk_frames.push(frame),
+        }
     }
-    let bulk_ack = std::thread::spawn(move || {
-        let frame = bulk_rx.recv().expect("bulk ack");
-        (Instant::now(), frame, bulk_rx)
-    });
-    paced.send_samples(0, &small).expect("send latency batch");
+    paced
+        .send_samples_traced(0, &small, PACED_ID)
+        .expect("send latency batch");
     let paced_frame = paced.recv().expect("latency ack");
-    let paced_at = Instant::now();
-    let (bulk_at, bulk_frame, _bulk_rx) = bulk_ack.join().expect("bulk receiver");
+    while bulk_frames.len() < BULK_BATCHES as usize {
+        bulk_frames.push(bulk_rx.recv().expect("bulk ack"));
+    }
+
+    // The one shard thread stamps both egress instants, on one clock.
+    let report = paced.request_trace().expect("trace report");
+    assert_eq!(report.dropped, 0, "rings must not have overflowed");
+    let body = String::from_utf8(report.body).expect("utf-8 fragment");
+    let paced_at = egress_us(&body, PACED_ID);
+    let bulk_at = egress_us(&body, BULK_ID);
     assert!(
         paced_at < bulk_at,
-        "the latency ack waited for the whole bulk batch"
+        "the latency ack waited for the bulk work: egress at {paced_at} µs, bulk at {bulk_at} µs"
     );
 
-    let expect = |tune: f64, input: &[i32]| -> Vec<(i64, i64)> {
-        let mut solo = FixedDdc::new(ddc_core::DdcConfig::drm(tune));
-        solo.process_block(input)
-            .into_iter()
-            .map(|z| (z.i, z.q))
-            .collect()
+    let mut solo = FixedDdc::new(ddc_core::DdcConfig::drm(15e6));
+    let pairs = |out: Vec<ddc_core::mixer::Iq>| -> Vec<(i64, i64)> {
+        out.into_iter().map(|z| (z.i, z.q)).collect()
     };
     match paced_frame {
-        Frame::Iq(iq) => assert_eq!(iq.pairs, expect(15e6, &small), "latency output"),
+        Frame::Iq(iq) => assert_eq!(
+            iq.pairs,
+            pairs(solo.process_block(&small)),
+            "latency output"
+        ),
         other => panic!("expected Iq, got {other:?}"),
     }
-    match bulk_frame {
-        Frame::Iq(iq) => assert_eq!(iq.pairs, expect(10e6, &big), "bulk output"),
-        other => panic!("expected Iq, got {other:?}"),
+    let mut solo = FixedDdc::new(ddc_core::DdcConfig::drm(10e6));
+    for (b, frame) in bulk_frames.into_iter().enumerate() {
+        match frame {
+            Frame::Iq(iq) => {
+                assert_eq!(iq.batch_index, b as u64, "bulk acks arrive in order");
+                assert_eq!(iq.pairs, pairs(solo.process_block(&big)), "bulk batch {b}");
+            }
+            other => panic!("expected Iq, got {other:?}"),
+        }
     }
     let _ = bulk_tx.send(&Frame::Shutdown);
     let _ = paced.send(&Frame::Shutdown);

@@ -8,7 +8,7 @@
 
 use ddc_suite::arch_asic::gc4016::{Gc4016, Gc4016Config, Gc4016Model, OutputCombiner};
 use ddc_suite::arch_model::{Architecture, TechnologyNode};
-use ddc_suite::core::{DdcConfig, DdcFarm, FixedFormat};
+use ddc_suite::core::{DdcConfig, FixedDdc, FixedFormat};
 use ddc_suite::dsp::firdes;
 use ddc_suite::dsp::signal::{adc_quantize, Mix, MskCarrier, SampleSource, WhiteNoise};
 use ddc_suite::dsp::window::{kaiser_beta, Window};
@@ -95,22 +95,21 @@ fn main() {
         );
     }
 
-    // The same four carriers through the software farm: one DdcFarm
-    // channel per carrier, work-stealing workers instead of hard
-    // silicon, identical ÷256 structure.
-    let farm_cfgs: Vec<DdcConfig> = carriers
+    // The same four carriers in software: one FixedDdc per carrier,
+    // each a fixed datapath like a GC4016 channel, identical ÷256
+    // structure.
+    let soft_cfgs: Vec<DdcConfig> = carriers
         .iter()
         .map(|&f| gsm_software_config(f, fs))
         .collect();
     println!(
-        "\nDdcFarm: {} channels, CIC2 ÷16 × CIC5 ÷8 × FIR ÷2 = ÷{}, output {:.0} Hz",
-        farm_cfgs.len(),
-        farm_cfgs[0].total_decimation(),
-        farm_cfgs[0].output_rate()
+        "\nFixedDdc: {} channels, CIC2 ÷16 × CIC5 ÷8 × FIR ÷2 = ÷{}, output {:.0} Hz",
+        soft_cfgs.len(),
+        soft_cfgs[0].total_decimation(),
+        soft_cfgs[0].output_rate()
     );
-    let mut farm = DdcFarm::new(farm_cfgs);
-    let farm_out = farm.submit_block(&adc);
-    for (ch, (f, out)) in carriers.iter().zip(&farm_out).enumerate() {
+    for (ch, (f, cfg)) in carriers.iter().zip(soft_cfgs).enumerate() {
+        let out = FixedDdc::new(cfg).process_block(&adc);
         let rms = (out
             .iter()
             .map(|z| (z.i * z.i + z.q * z.q) as f64)
@@ -118,13 +117,12 @@ fn main() {
             / out.len() as f64)
             .sqrt();
         println!(
-            "farm channel {ch}: tuned {:.1} MHz → {} outputs, RMS {:.0} LSB",
+            "software channel {ch}: tuned {:.1} MHz → {} outputs, RMS {:.0} LSB",
             f / 1e6,
             out.len(),
             rms
         );
     }
-    farm.shutdown();
 
     // The power story that anchors the paper's ASIC row.
     let one = Gc4016Model::paper_reference();

@@ -175,8 +175,8 @@ def self_test():
         return code, out.getvalue(), errstream.getvalue()
 
     good = (
-        "# TYPE ddc_farm_jobs_completed_total counter\n"
-        'ddc_farm_jobs_completed_total 12\n'
+        "# TYPE ddc_chain_slices_total counter\n"
+        'ddc_chain_slices_total 12\n'
         "# TYPE ddc_stage_latency_ns histogram\n"
         'ddc_stage_latency_ns_bucket{stage="cic2r16",le="1024"} 3\n'
         'ddc_stage_latency_ns_bucket{stage="cic2r16",le="+Inf"} 5\n'
@@ -193,7 +193,7 @@ def self_test():
     code, out, err = run(good)
     check("well-formed page passes", code == 0 and "ok" in out)
 
-    code, out, err = run(good, require_nonzero=["ddc_farm_jobs"])
+    code, out, err = run(good, require_nonzero=["ddc_chain_slices"])
     check("require-nonzero satisfied passes", code == 0)
 
     # The channelizer families as the server exports them: every series
@@ -222,7 +222,7 @@ def self_test():
         code == 1 and "ddc_worker_jobs" in err,
     )
 
-    code, out, err = run(good.replace(" 12\n", " 0\n"), require_nonzero=["ddc_farm_jobs"])
+    code, out, err = run(good.replace(" 12\n", " 0\n"), require_nonzero=["ddc_chain_slices"])
     check("require-nonzero rejects all-zero samples", code == 1)
 
     code, out, err = run("ddc_orphan_total 3\n")
@@ -231,7 +231,7 @@ def self_test():
     code, out, err = run("# TYPE x widget\nx 1\n")
     check("unknown type fails", code == 1 and "unknown type" in err)
 
-    code, out, err = run(good + "# TYPE ddc_farm_jobs_completed_total counter\n")
+    code, out, err = run(good + "# TYPE ddc_chain_slices_total counter\n")
     check("duplicate TYPE fails", code == 1 and "duplicate" in err)
 
     code, out, err = run("# TYPE x counter\nx notanumber\n")

@@ -5,7 +5,6 @@
 
 use ddc_suite::core::chain::{FixedDdc, ReferenceDdc};
 use ddc_suite::core::cic::CicDecimator;
-use ddc_suite::core::engine::DdcFarm;
 use ddc_suite::core::fir::{PolyphaseFir, SequentialFir};
 use ddc_suite::core::frontend::FusedFrontEnd;
 use ddc_suite::core::mixer::FixedMixer;
@@ -283,37 +282,6 @@ proptest! {
             blocked.process_into(piece, &mut got);
         }
         prop_assert_eq!(got, expect);
-    }
-
-    /// Multi-channel engine: a `DdcFarm` fed an arbitrary sequence of
-    /// batches produces, per channel, exactly what a sequential
-    /// `FixedDdc::process_block` over the same stream produces — for
-    /// any channel count and any worker count (including fewer workers
-    /// than channels, which forces work stealing).
-    #[test]
-    fn ddc_farm_equals_sequential_chains(
-        tunes_mhz in prop::collection::vec(1.0f64..30.0, 1..6),
-        input in prop::collection::vec(-2048i32..=2047, 0..6000),
-        batch in 1usize..2500,
-        workers in 1usize..4,
-    ) {
-        let cfgs: Vec<DdcConfig> =
-            tunes_mhz.iter().map(|&mhz| DdcConfig::drm(mhz * 1e6)).collect();
-
-        let mut farm = DdcFarm::with_workers(cfgs.clone(), workers);
-        let mut got: Vec<Vec<_>> = vec![Vec::new(); cfgs.len()];
-        for piece in input.chunks(batch) {
-            for (ch, out) in farm.submit_block(piece).into_iter().enumerate() {
-                got[ch].extend(out);
-            }
-        }
-        farm.shutdown();
-
-        for (ch, cfg) in cfgs.iter().enumerate() {
-            let mut solo = FixedDdc::new(cfg.clone());
-            let expect = solo.process_block(&input);
-            prop_assert_eq!(&got[ch], &expect, "channel {} diverged", ch);
-        }
     }
 
     /// Full floating-point reference chain: block path preserves every

@@ -2,7 +2,6 @@
 //!
 //! The Montium tile simulator must match the 16-bit fixed chain
 //! bit-for-bit; the GPP assembly must match its golden integer model
-//! bit-for-bit; the multi-channel farm must match the sequential chain
 //! bit-for-bit; and every bit-true path must track the floating-point
 //! reference within its quantization budget.
 
@@ -10,7 +9,7 @@ use ddc_suite::arch_gpp::golden::{drm_coefficients, GppDdc};
 use ddc_suite::arch_gpp::programs::{optimized, run_ddc as run_gpp, unoptimized};
 use ddc_suite::arch_montium::mapping::run_ddc as run_montium;
 use ddc_suite::core::nco::tuning_word;
-use ddc_suite::core::{DdcConfig, DdcFarm, FixedDdc, ReferenceDdc};
+use ddc_suite::core::{DdcConfig, FixedDdc, ReferenceDdc};
 use ddc_suite::dsp::signal::{adc_quantize, Mix, SampleSource, Tone, WhiteNoise};
 use ddc_suite::dsp::stats::ser_db;
 
@@ -52,26 +51,6 @@ fn gpp_programs_equal_golden_model_bit_for_bit() {
     let (opt, _) = run_gpp(optimized(), word, &coeffs, &adc);
     assert_eq!(un, expect);
     assert_eq!(opt, expect);
-}
-
-#[test]
-fn farm_equals_sequential_bit_for_bit() {
-    let sig = stimulus(2688 * 7 + 531);
-    let adc = adc_quantize(&sig, 12);
-
-    // four farm channels at different tunings each match their
-    // individually-run counterpart
-    let cfgs: Vec<DdcConfig> = [5e6, 10e6, 15e6, 20e6]
-        .iter()
-        .map(|&f| DdcConfig::drm(f))
-        .collect();
-    let mut farm = DdcFarm::new(cfgs.clone());
-    let par = farm.submit_block(&adc);
-    farm.shutdown();
-    for (cfg, got) in cfgs.iter().zip(&par) {
-        let mut solo = FixedDdc::new(cfg.clone());
-        assert_eq!(*got, solo.process_block(&adc));
-    }
 }
 
 #[test]
